@@ -7,21 +7,23 @@ mod-p coordinates and searched for an element of unit determinant.  A hit is
 returned as a certificate and lifts to an exact intertwiner with determinant
 prime to p; a miss is a sound rejection.
 
-Every certificate re-verifies from scratch; stored flags are never trusted.
+`verify_cert` re-checks every certificate from scratch; stored flags are never
+trusted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .intmat import IntMatrix, Vector, integer_coordinates, kernel_basis_Z
+from .intmat import IntMatrix, Vector
 from .polyfield import IntPoly, charpoly, discriminant, is_irreducible, squarefree_mod_p
 from .primes import factorize, is_prime
-from .sylvester import SylvesterOperator, build_operator, lift_kernel, unvec, vec
+from .sylvester import SylvesterOperator, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -135,17 +137,7 @@ def _projective_coeffs(dim: int, p: int):
     to 1, enumerated in lexicographic order."""
     for lead in range(dim):
         prefix = (0,) * lead + (1,)
-        free = dim - lead - 1
-        stack = [prefix]
-        # lexicographic product over the free tail
-        def tails(k):
-            if k == 0:
-                yield ()
-                return
-            for first in range(p):
-                for rest in tails(k - 1):
-                    yield (first,) + rest
-        for tail in tails(free):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
             yield prefix + tail
 
 
@@ -205,7 +197,9 @@ def _unit_det_witness(
     if p <= 7 and dim <= 6:
         return enumerate_all()
     if p > n:
-        budget = math.ceil(40 / math.log2(p / (p - n)))
+        # draws until a unit-free span is 2^-40 unlikely; no float ratio
+        # p / (p - n), which rounds to 1.0 for large p
+        budget = math.ceil(40 * math.log(2) / math.log1p(n / (p - n)))
         rng = random.Random(0)
         for _ in range(budget):
             coeffs = tuple(rng.randrange(p) for _ in range(dim))
@@ -230,7 +224,7 @@ def _decide_at_prime(
     if witness is None:
         return Verdict(False, p, None, mu)
     cert = UnitModCert(unvec(witness, n), p, modulus)
-    if not verify_cert(a, b, cert):
+    if not _unit_mod_holds(a, b, cert, mu):
         raise AssertionError("freshly built certificate failed verification")
     return Verdict(True, p, cert, mu)
 
@@ -240,8 +234,7 @@ def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     _check_pair(a, b)
-    op = build_operator(a, b)
-    return _decide_at_prime(op, a, b, p)
+    return _decide_at_prime(SylvesterOperator(a, b), a, b, p)
 
 
 def screen_primes(f: IntPoly) -> list[int]:
@@ -260,81 +253,61 @@ def conjugate_over_all_Zp(a: IntMatrix, b: IntMatrix) -> Verdict:
 
     Only the primes in the discriminant screen can fail, so those are
     decided one by one.  On success a pair of exact intertwiners with
-    coprime determinants is attempted as a convenient global certificate;
-    the per-prime certificates remain the authoritative proof.
+    coprime determinants is added as a convenient global certificate; the
+    per-prime certificates remain the authoritative proof.
     """
     f = _check_pair(a, b)
     screen = screen_primes(f)
-    op = build_operator(a, b)
+    op = SylvesterOperator(a, b)
     per = tuple(_decide_at_prime(op, a, b, p) for p in screen)
     ok = all(v.conjugate for v in per)
     mu_used = max((v.mu_used for v in per), default=0)
-    cert: Optional[Certificate] = None
-    if ok:
-        cert = _attempt_pair_cert(op, a, b)
+    cert = _pair_cert(op, a, b, per) if ok else None
     return Verdict(ok, "all", cert, mu_used, per_prime=per, screened=tuple(screen))
 
 
-def _attempt_pair_cert(
-    op: SylvesterOperator, a: IntMatrix, b: IntMatrix
-) -> Optional[IntegerPairCert]:
+def _pair_cert(
+    op: SylvesterOperator, a: IntMatrix, b: IntMatrix, per: tuple[Verdict, ...]
+) -> IntegerPairCert:
     """Two exact intertwiners with coprime determinants.
 
-    q is the first kernel basis matrix (nonzero determinant because the
-    characteristic polynomial is irreducible).  For each prime dividing
-    det q, the mod-p witness is lifted to an exact intertwiner congruent to
-    it mod p; combining the lattice coordinates of those lifts by the CRT
-    yields s with det s prime to det q.
+    q is the first integer kernel basis matrix (nonzero determinant because
+    the characteristic polynomial is irreducible).  For each prime p dividing
+    det q, the coordinates of the mod-p witness in that basis are read off
+    the operator's Smith form as (t @ vec(x)) mod p; combining them by the
+    CRT yields s congruent to a unit-determinant witness modulo every such
+    p, so det s is prime to det q.  Witnesses at screened primes come from
+    `per`; every other prime is decided on the same operator.
     """
     n = a.rows
-    basis = kernel_basis_Z(op.l)
-    if not basis:
-        return None
-    mats = [unvec(v, n) for v in basis]
+    dec = op.decomposition
+    rank = dec.rank()
+    mats = [unvec(v, n) for v in dec.kernel_basis()]
     q = mats[0]
-    dq = q.det()
-    if dq == 0:
-        return None
-    if abs(dq) == 1:
-        return IntegerPairCert(q, q)
-    residues: list[tuple[int, list[int]]] = []
-    for p in sorted(factorize(dq)):
-        verdict = _decide_at_prime(op, a, b, p)
-        if not verdict.conjugate or not isinstance(verdict.certificate, UnitModCert):
-            return None
-        exact = lift_kernel(op, vec(verdict.certificate.x), p, 1)
-        coords = integer_coordinates(basis, exact)
-        if coords is None:
-            return None
-        residues.append((p, coords))
-    combined = [0] * len(basis)
+    decided = {v.prime: v for v in per}
+    combined = [0] * len(mats)
     mod_all = 1
-    for p, coords in residues:
-        for idx in range(len(basis)):
+    for p in sorted(factorize(q.det())):
+        verdict = decided.get(p) or _decide_at_prime(op, a, b, p)
+        if not verdict.conjugate:
+            raise AssertionError(f"no unit-determinant intertwiner mod {p}")
+        coords = dec.t.mul_vec(vec(verdict.certificate.x))[rank:]
+        inv = pow(mod_all, -1, p)
+        for idx, target in enumerate(coords):
             # CRT step for coordinate idx: keep value mod mod_all, set mod p
             cur = combined[idx]
-            target = coords[idx] % p
-            inv = pow(mod_all % p, -1, p)
             combined[idx] = cur + mod_all * ((target - cur) * inv % p)
         mod_all *= p
-    s = IntMatrix.zeros(n, n)
-    for c, m in zip(combined, mats):
-        if c:
-            s = s + c * m
-    ds = s.det()
-    if ds != 0 and gcd(abs(dq), abs(ds)) == 1:
-        return IntegerPairCert(q, s)
-    # defensive retries; the construction above should already have worked
-    for k in range(1, 101):
-        shifted = [c + k * mod_all for c in combined]
+    s = q
+    if mod_all > 1:
         s = IntMatrix.zeros(n, n)
-        for c, m in zip(shifted, mats):
+        for c, m in zip(combined, mats):
             if c:
                 s = s + c * m
-        ds = s.det()
-        if ds != 0 and gcd(abs(dq), abs(ds)) == 1:
-            return IntegerPairCert(q, s)
-    return None
+    cert = IntegerPairCert(q, s)
+    if not verify_cert(a, b, cert):
+        raise AssertionError("pair certificate failed verification")
+    return cert
 
 
 def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
@@ -348,13 +321,7 @@ def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
             x = cert.x
             if x.shape != (n, n) or b.shape != (n, n):
                 return False
-            op = build_operator(a, b)
-            if cert.modulus != p ** (op.mu(p) + 1):
-                return False
-            diff = a @ x - x @ b
-            if any(v % cert.modulus for row in diff.entries for v in row):
-                return False
-            return x.det() % p != 0
+            return _unit_mod_holds(a, b, cert, SylvesterOperator(a, b).mu(p))
         if isinstance(cert, IntegerPairCert):
             if a @ cert.q != cert.q @ b or a @ cert.s != cert.s @ b:
                 return False
@@ -365,6 +332,17 @@ def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
     except (ValueError, ArithmeticError):
         return False
     return False
+
+
+def _unit_mod_holds(a: IntMatrix, b: IntMatrix, cert: UnitModCert, mu: int) -> bool:
+    """The UnitModCert invariants, given mu of the operator at cert.prime."""
+    p, x = cert.prime, cert.x
+    if cert.modulus != p ** (mu + 1):
+        return False
+    diff = a @ x - x @ b
+    if any(v % cert.modulus for row in diff.entries for v in row):
+        return False
+    return x.det() % p != 0
 
 
 def companion_test(a: IntMatrix, p: int) -> bool:

@@ -222,6 +222,25 @@ class SNFDecomposition:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
 
+    def kernel_basis(self) -> list[Vector]:
+        """Basis of the integer kernel of the original matrix: the columns of
+        t_inv past the nonzero invariant factors.  The basis is saturated."""
+        return [self.t_inv.col(j) for j in range(self.rank(), self.d.cols)]
+
+    def kernel_mod(self, modulus: int) -> list[Vector]:
+        """Generators of {x mod modulus : original @ x = 0 mod modulus}.
+        Invariant factor d_j contributes the generator
+        (modulus // gcd(d_j, modulus)) * t_inv[:, j]."""
+        diag = self.diagonal()
+        gens = []
+        for j in range(self.d.cols):
+            d = diag[j] if j < len(diag) else 0
+            step = modulus // gcd(d, modulus)
+            if step == modulus:
+                continue  # only the zero vector
+            gens.append(tuple(step * x % modulus for x in self.t_inv.col(j)))
+        return gens
+
 
 @dataclass(frozen=True)
 class PrimePartProfile:
@@ -364,33 +383,15 @@ def p_part(decomp: SNFDecomposition, p: int) -> PrimePartProfile:
 
 
 def kernel_basis_Z(m: IntMatrix) -> list[Vector]:
-    """Basis of the integer kernel {x : m @ x = 0}, read off the columns of
-    t_inv that match zero invariant factors.  The basis is saturated."""
-    dec = snf(m)
-    limit = min(m.rows, m.cols)
-    basis = []
-    for j in range(m.cols):
-        if j >= limit or dec.d[j, j] == 0:
-            basis.append(dec.t_inv.col(j))
-    return basis
+    """Saturated basis of the integer kernel {x : m @ x = 0}."""
+    return snf(m).kernel_basis()
 
 
 def kernel_mod(m: IntMatrix, modulus: int) -> list[Vector]:
     """Generators of {x mod modulus : m @ x = 0 mod modulus} for a prime-power
-    modulus.  Invariant factor d_j contributes the generator
-    (modulus // gcd(d_j, modulus)) * t_inv[:, j]."""
+    modulus."""
     prime_power_split(modulus)  # validates the modulus shape
-    dec = snf(m)
-    limit = min(m.rows, m.cols)
-    gens = []
-    for j in range(m.cols):
-        d = dec.d[j, j] if j < limit else 0
-        step = modulus // gcd(d, modulus)
-        if step == modulus:
-            continue  # only the zero vector
-        col = dec.t_inv.col(j)
-        gens.append(tuple(step * x % modulus for x in col))
-    return gens
+    return snf(m).kernel_mod(modulus)
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:

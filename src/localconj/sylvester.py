@@ -1,6 +1,11 @@
 """The intertwining operator X -> A X - X B as an n^2 x n^2 integer matrix,
 its prime-power profile, and exact kernel lifting from modular approximations.
 
+Each operator builds one Smith normal form, on first use, and every reader
+shares it: mu, the kernel modulo p^k, exact lifting and the integer kernel
+basis behind the pair certificate.  Independent re-verification (`verify`)
+builds a fresh operator instead.
+
 Vectorization is column-major throughout the package; certificates and kernel
 vectors all share this one convention.
 """
@@ -14,7 +19,6 @@ from .intmat import (
     PrimePartProfile,
     SNFDecomposition,
     Vector,
-    kernel_mod,
     p_part,
     snf,
 )
@@ -62,15 +66,7 @@ class SylvesterOperator:
         return p_part(self.decomposition, p)
 
     def solution_generators_mod(self, modulus: int) -> list[Vector]:
-        return kernel_mod(self.l, modulus)
-
-
-def build_operator(a: IntMatrix, b: IntMatrix) -> SylvesterOperator:
-    return SylvesterOperator(a, b)
-
-
-def mu(op: SylvesterOperator, p: int) -> int:
-    return op.mu(p)
+        return self.decomposition.kernel_mod(modulus)
 
 
 def lift_kernel(
@@ -117,8 +113,3 @@ def lift_kernel(
     if any((a - b) % plam for a, b in zip(x, x_approx)):
         raise AssertionError("lifted vector breaks the congruence constraint")
     return x
-
-
-def lift_padic_solution(op: SylvesterOperator, x_mod, p: int) -> Vector:
-    """Exact kernel vector agreeing mod p with a solution mod p^(mu+1)."""
-    return lift_kernel(op, x_mod, p, 1)

@@ -13,7 +13,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from localconj import (
     IntMatrix,
     NumberField,
-    build_operator,
+    SNFDecomposition,
+    SylvesterOperator,
     charpoly,
     generate_pair,
     parse_poly,
@@ -31,6 +32,20 @@ def M(*rows) -> IntMatrix:
 
 def P(text: str):
     return parse_poly(text)
+
+
+@pytest.fixture
+def snf_builds(monkeypatch):
+    """Shapes of the Smith normal forms built while the test runs."""
+    built = []
+    check = SNFDecomposition.__post_init__
+
+    def counting(self):
+        built.append(self.original.shape)
+        check(self)
+
+    monkeypatch.setattr(SNFDecomposition, "__post_init__", counting)
+    return built
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +101,7 @@ def quadratic_corpus(max_mu_budget: int = 600_000) -> list[tuple[IntMatrix, IntM
     def admit(a, b) -> bool:
         if charpoly(a) != charpoly(b):
             return False
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         for p in (2, 3):
             if p ** (4 * (op.mu(p) + 1)) > max_mu_budget:
                 return False

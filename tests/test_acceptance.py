@@ -12,7 +12,7 @@ import time
 
 from localconj import (
     IntMatrix,
-    build_operator,
+    SylvesterOperator,
     charpoly,
     coeff_ring,
     companion_test,
@@ -75,7 +75,7 @@ def test_criterion_1_lifting_suite():
         variants = ((idx, None), (idx + 50, 2), (idx + 90, 3), (idx + 140, None))
         for seed, singular in variants:
             a, b, _ = pair_with_conjugate(base, seed, singular)
-            ops.append(build_operator(a, b))
+            ops.append(SylvesterOperator(a, b))
     count = 0
     combos = [(p, lam) for p in (2, 3, 5) for lam in (0, 1, 2)]
     for op in ops:
@@ -106,7 +106,7 @@ def test_criterion_2_equivalence_grid(corpus40):
     started = time.perf_counter()
     checked = 0
     for a, b in corpus40:
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         for p in (2, 3):
             mu_val = op.mu(p)
             engine = conjugate_over_Zp(a, b, p).conjugate

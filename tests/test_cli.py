@@ -3,6 +3,7 @@ their re-verification."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import localconj
-from localconj import IntMatrix, charpoly, parse_poly
+from localconj import IntMatrix, charpoly, generate_pair, parse_poly, screen_primes
 from localconj.cli import (
     conj_all_report,
     conj_p_report,
@@ -278,3 +279,78 @@ class TestReportsRoundTrip:
         ver2 = run_cli(["verify", str(report_path), pa, pb], cwd=tmp_path)
         assert ver2.returncode == 0, ver2.stderr
         assert json.loads(ver2.stdout)["accepted"] is False
+
+
+def report_digest(report: dict) -> str:
+    """sha256 of the report as the CLI prints it, without its timing."""
+    report = dict(report)
+    report.pop("timing_seconds")
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
+# (field, strategy, seed, command, prime) -> report_digest of the report the
+# CLI prints for the pair `gen` makes; certificates are deterministic, so a
+# change to how the engine computes them must keep these bytes
+GOLDEN_REPORTS = {
+    ("t^2+3", "unimodular", 0, "conj-all", None):
+        "9b12599e58040345cb828cc05e27fed6577e427f1de3b4b549903c9992fdcc3c",
+    ("t^2+3", "unimodular", 0, "conj-p", 2):
+        "7edf604b4823f1e702555593ffc2bcd66ddecae961f533a630ea4fb828e535d3",
+    ("t^2+3", "unimodular", 1, "conj-all", None):
+        "45223666ef3d5f16836118974d642511e47252e9e47c027b995ef99912c79382",
+    ("t^2+3", "unimodular", 1, "conj-p", 2):
+        "ad4228c5c75e5bde7f404449ab00377371df893bd0d17c385fd93b7ff59ef427",
+    ("t^4-10t^2+1", "unimodular", 0, "conj-all", None):
+        "1cd9adab273c46990a4cc12093a78133db605be5edbf3cd9fc8a30a15c971d88",
+    ("t^4-10t^2+1", "unimodular", 0, "conj-p", 2):
+        "19c34c7eabfc08243736d529a7e0b5eb22a1a4faa103e5e48aa1012bf77146b0",
+    ("t^4-10t^2+1", "unimodular", 0, "conj-p", 3):
+        "7afe567a0926900f4d93081f1bc14f49d8e33496c7fef1f2dd821d81055215a7",
+    ("t^4-10t^2+1", "unimodular", 1, "conj-all", None):
+        "88d5a19e9e14d057b8bf6ba04ef478ecf31f85199e9bd86c7fece42e42a49fd5",
+    ("t^4-10t^2+1", "unimodular", 1, "conj-p", 2):
+        "5f7b74e5aac7ccc72b212d768914a1d56ca6bcacff09a9e37a9a7a3250cb4405",
+    ("t^4-10t^2+1", "unimodular", 1, "conj-p", 3):
+        "e5c49732e98ce4a9253bbfab5153f27bb3080e388fdd211e3e89c884313dce71",
+    ("t^5-2", "unimodular", 0, "conj-all", None):
+        "21e15a25e465d8ac6e0c278e76d101ed4b8c73460c0656507d8164d6f9f10951",
+    ("t^5-2", "unimodular", 0, "conj-p", 2):
+        "1974ca7cebc7394d885744c910da719cf99cf1e7995fa828836fa0cc1dbe3d96",
+    ("t^5-2", "unimodular", 0, "conj-p", 5):
+        "902da8438f0d850af7d46f316597ad22589abb859d725a6bf1d3ba2d60723bc0",
+    ("t^5-2", "unimodular", 1, "conj-all", None):
+        "a68a198822113c37f3bc560b8af588a841049e592da7acbc679f1983b71e6b91",
+    ("t^5-2", "unimodular", 1, "conj-p", 2):
+        "bff75ffe58da8c734e71421c456db54c7d5016f68727503b8ae7460ed22b2ada",
+    ("t^5-2", "unimodular", 1, "conj-p", 5):
+        "afbdc9cc70ec9fa325261479ae6e94d6b406ef40cca6c17f5437a0d9ab510129",
+    ("t^3-4", "singular:2", 0, "conj-all", None):
+        "a1d74ec74d0af59a920728d2c55bf7b686ed00a6e2f3c358055669bd48eb8820",
+    ("t^3-4", "singular:2", 0, "conj-p", 2):
+        "b8ab0e19d34cb9b5ebd03b3b1cdc92fcd64b6db7228a5210e852bc414657022a",
+    ("t^3-4", "singular:2", 0, "conj-p", 3):
+        "0f88d924d9d7cb76039c057b7e9e179387368cdb665cba975086f9746fac5849",
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("field,strategy,seed", sorted({k[:3] for k in GOLDEN_REPORTS}))
+    def test_reports_unchanged(self, field, strategy, seed):
+        pair = generate_pair(parse_poly(field), strategy, seed)
+        got = {(field, strategy, seed, "conj-all", None): report_digest(
+            conj_all_report(pair.a, pair.b, "a.txt", "b.txt")
+        )}
+        for p in screen_primes(charpoly(pair.a)):
+            got[field, strategy, seed, "conj-p", p] = report_digest(
+                conj_p_report(pair.a, pair.b, "a.txt", "b.txt", p)
+            )
+        want = {k: v for k, v in GOLDEN_REPORTS.items() if k[:3] == (field, strategy, seed)}
+        assert got == want
+
+    def test_verify_rebuilds_every_unit_mod_check(self, snf_builds):
+        pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
+        report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt")
+        snf_builds.clear()
+        ok, reason = verify_report(report, pair.a, pair.b)
+        assert ok, reason
+        assert len(snf_builds) == len(report["per_prime"]) == 2

@@ -11,13 +11,14 @@ from localconj import (
     GlobalCert,
     IntMatrix,
     IntegerPairCert,
+    SylvesterOperator,
     UnitModCert,
-    build_operator,
     charpoly,
     companion_test,
     conjugate_over_Zp,
     conjugate_over_all_Zp,
     ell_invariant,
+    factorize,
     generate_pair,
     parse_poly,
     random_unimodular,
@@ -76,7 +77,7 @@ class TestConjugateOverZp:
         # lattice search on a slice of the corpus (the acceptance suite runs
         # the full grid)
         for a, b in corpus40[:10]:
-            op = build_operator(a, b)
+            op = SylvesterOperator(a, b)
             for p in (2, 3):
                 mu = op.mu(p)
                 verdict = conjugate_over_Zp(a, b, p)
@@ -88,7 +89,7 @@ class TestConjugateOverZp:
     def test_decision_stable_one_exponent_higher(self, corpus40):
         # working modulo p^(mu+2) instead of p^(mu+1) never changes the answer
         for a, b in corpus40[:6]:
-            op = build_operator(a, b)
+            op = SylvesterOperator(a, b)
             for p in (2, 3):
                 mu = op.mu(p)
                 if p ** (4 * (mu + 2)) > 600_000:
@@ -152,6 +153,60 @@ class TestConjugateAll:
         if v.conjugate and v.certificate is not None:
             assert isinstance(v.certificate, IntegerPairCert)
             assert verify_cert(pair.a, pair.b, v.certificate)
+
+
+class TestPairCertAtLargePrimes:
+    """det q may have a prime factor p above 2^53 * n, where the float ratio
+    p / (p - n) rounds to 1.0; the sampling budget must stay finite there."""
+
+    def check(self, a, b):
+        v = conjugate_over_all_Zp(a, b)
+        assert v.conjugate
+        assert isinstance(v.certificate, IntegerPairCert)
+        assert verify_cert(a, b, v.certificate)
+        assert max(factorize(v.certificate.q.det())) > 2**53 * a.rows
+
+    def test_singular_quintic(self):
+        pair = generate_pair(parse_poly("t^5-2"), "singular:2", 1)
+        self.check(pair.a, pair.b)
+
+    def test_unimodular_quartic(self):
+        a = parse_poly("t^4-10t^2+1").companion()
+        m = random_unimodular(4, random.Random(400), ops=400)
+        self.check(a, conjugate_exact(a, m))
+
+
+class TestOneSmithFormPerDecision:
+    CASES = [
+        ("t^5-2", "unimodular", 1, True),
+        ("t^3-4", "singular:2", 0, False),
+    ]
+
+    @pytest.mark.parametrize("field,strategy,seed,conjugate", CASES)
+    def test_conjugate_over_Zp(self, snf_builds, field, strategy, seed, conjugate):
+        pair = generate_pair(parse_poly(field), strategy, seed)
+        verdicts = []
+        for p in screen_primes(charpoly(pair.a)):
+            snf_builds.clear()
+            verdicts.append(conjugate_over_Zp(pair.a, pair.b, p).conjugate)
+            assert len(snf_builds) == 1
+        assert all(verdicts) == conjugate
+
+    @pytest.mark.parametrize("field,strategy,seed,conjugate", CASES)
+    def test_conjugate_over_all_Zp(self, snf_builds, field, strategy, seed, conjugate):
+        pair = generate_pair(parse_poly(field), strategy, seed)
+        snf_builds.clear()
+        assert conjugate_over_all_Zp(pair.a, pair.b).conjugate == conjugate
+        n = pair.a.rows
+        assert snf_builds == [(n * n, n * n)]
+
+    def test_verify_cert_rebuilds_once(self, snf_builds):
+        pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
+        cert = conjugate_over_Zp(pair.a, pair.b, 5).certificate
+        assert isinstance(cert, UnitModCert)
+        snf_builds.clear()
+        assert verify_cert(pair.a, pair.b, cert)
+        assert len(snf_builds) == 1
 
 
 class TestVerifyCert:

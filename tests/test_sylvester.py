@@ -8,11 +8,9 @@ import pytest
 
 from localconj import (
     IntMatrix,
-    build_operator,
+    SylvesterOperator,
     kernel_mod,
     lift_kernel,
-    lift_padic_solution,
-    mu,
     p_part,
     parse_poly,
     snf,
@@ -33,11 +31,11 @@ def random_module_element(op, modulus, rng):
 
 class TestOperator:
     def test_zero_pair(self):
-        op = build_operator(IntMatrix.zeros(2, 2), IntMatrix.zeros(2, 2))
+        op = SylvesterOperator(IntMatrix.zeros(2, 2), IntMatrix.zeros(2, 2))
         assert op.l == IntMatrix.zeros(4, 4)
 
     def test_identity_pair(self):
-        op = build_operator(IntMatrix.identity(2), IntMatrix.identity(2))
+        op = SylvesterOperator(IntMatrix.identity(2), IntMatrix.identity(2))
         assert op.l == IntMatrix.zeros(4, 4)
 
     def test_defining_identity_random(self):
@@ -45,7 +43,7 @@ class TestOperator:
         for n in (2, 3):
             a = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
             b = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-            op = build_operator(a, b)
+            op = SylvesterOperator(a, b)
             for _ in range(100):
                 x = IntMatrix(
                     [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
@@ -54,7 +52,7 @@ class TestOperator:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            build_operator(IntMatrix.identity(2), IntMatrix.identity(3))
+            SylvesterOperator(IntMatrix.identity(2), IntMatrix.identity(3))
 
     def test_vec_unvec_roundtrip(self):
         m = M([1, 2], [3, 4])
@@ -65,12 +63,12 @@ class TestOperator:
 class TestMu:
     def test_definitional_consistency(self):
         c = parse_poly("t^2-t-1").companion()
-        op = build_operator(c, c)
-        assert mu(op, 5) == p_part(snf(op.l), 5).mu
+        op = SylvesterOperator(c, c)
+        assert op.mu(5) == p_part(snf(op.l), 5).mu
 
     def test_unimodular_pair_lifts_at_lambda_one(self):
         a, b, p_mat = pair_with_conjugate(parse_poly("t^3-t-1").companion(), 4)
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         for p in (2, 3, 5):
             m = op.mu(p)
             assert m >= 0
@@ -80,12 +78,12 @@ class TestMu:
     def test_scalar_congruent_pair_has_positive_mu(self):
         a = scalar_shifted(1, 2, 2, "t^2-t-1")
         _, b, _ = pair_with_conjugate(a, 9)
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         assert op.mu(2) >= 2
 
     def test_unimodular_operator_mu_zero(self):
         # only possible when the characteristic polynomials differ
-        op = build_operator(IntMatrix.zeros(2, 2), IntMatrix.identity(2))
+        op = SylvesterOperator(IntMatrix.zeros(2, 2), IntMatrix.identity(2))
         assert abs(op.l.det()) == 1
         for p in (2, 3, 5):
             assert op.mu(p) == 0
@@ -94,7 +92,7 @@ class TestMu:
 class TestLift:
     def test_exact_input_fixed_point_class(self):
         a, b, p_mat = pair_with_conjugate(parse_poly("t^2+3").companion(), 1)
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         x_exact = vec(p_mat)
         for p, lam in [(2, 1), (3, 2), (5, 0)]:
             lifted = lift_kernel(op, x_exact, p, lam)
@@ -103,7 +101,7 @@ class TestLift:
 
     def test_lambda_zero_exact_kernel(self):
         a, b, _ = pair_with_conjugate(parse_poly("t^2-2").companion(), 2)
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         rng = random.Random(0)
         mu0 = op.mu(3)
         if mu0 == 0:
@@ -117,21 +115,21 @@ class TestLift:
     def test_perturbed_conjugator_recovers_intertwiner(self):
         rng = random.Random(8)
         a, b, p_mat = pair_with_conjugate(parse_poly("t^2-t-1").companion(), 3)
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         for p in (2, 3, 5):
             m = op.mu(p)
             noise = [rng.randint(-3, 3) for _ in range(4)]
             x_approx = [
                 v + p ** (m + 1) * e for v, e in zip(vec(p_mat), noise)
             ]
-            x = lift_padic_solution(op, x_approx, p)
+            x = lift_kernel(op, x_approx, p, 1)
             assert all(v == 0 for v in op.l.mul_vec(x))
             assert all((u - v) % p == 0 for u, v in zip(x, vec(p_mat)))
 
     def test_precondition_violation_reported(self):
         a = parse_poly("t^2+3").companion()
         b = IntMatrix([[-1, 2], [-2, 1]])
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         bad = (1, 0, 0, 0)
         if any(op.l.mul_vec(bad)):
             with pytest.raises(ValueError, match="cannot lift"):
@@ -140,7 +138,7 @@ class TestLift:
     def test_congruence_coherence_across_lambda(self):
         rng = random.Random(21)
         a, b, _ = pair_with_conjugate(scalar_shifted(1, 2, 1, "t^2+1"), 5)
-        op = build_operator(a, b)
+        op = SylvesterOperator(a, b)
         p = 2
         m = op.mu(p)
         for lam in (1, 2):
@@ -162,7 +160,7 @@ class TestLiftSuiteSmall:
             for seed in (0, 1):
                 singular = None if seed == 0 else 2
                 a, b, _ = pair_with_conjugate(base, seed, singular)
-                op = build_operator(a, b)
+                op = SylvesterOperator(a, b)
                 for p in (2, 3, 5):
                     for lam in (0, 1, 2):
                         m = op.mu(p)
