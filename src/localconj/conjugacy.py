@@ -13,7 +13,6 @@ trusted.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .intmat import IntMatrix, Vector
-from .polyfield import IntPoly, charpoly, discriminant, is_irreducible, squarefree_mod_p
+from .polyfield import IntPoly, charpoly, discriminant, is_irreducible
 from .primes import factorize, is_prime
 from .sylvester import SylvesterOperator, unvec, vec
 
@@ -132,42 +131,26 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def _projective_coeffs(dim: int, p: int):
-    """All projective coefficient vectors: first nonzero entry normalized
-    to 1, enumerated in lexicographic order."""
-    for lead in range(dim):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            yield prefix + tail
-
-
 def _unit_det_witness(
     gens: list[Vector], p: int, modulus: int, n: int
 ) -> Optional[Vector]:
     """An element of the solution module mod `modulus` whose unvectorization
     has determinant prime to p, or None when no such element exists.
 
-    For small prime and dimension the projective span is enumerated and the
-    lexicographically smallest witness (as a mod-p vector) wins; otherwise
-    uniform sampling runs first, falling back to full enumeration once the
-    failure budget is spent.
+    For small prime and dimension the lexicographically smallest witness (as
+    a mod-p vector) is found by an ordered walk of the projective span that
+    stops at the first unit; otherwise uniform sampling runs first, falling
+    back to the same walk once the failure budget is spent.
     """
     basis, combos = _echelon_fp([tuple(x % p for x in g) for g in gens], p)
     dim = len(basis)
     if dim == 0:
         return None
+    mats = [[[v[j * n + i] for j in range(n)] for i in range(n)] for v in basis]
 
-    def vec_of(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(basis[0])
-        for c, row in zip(coeffs, basis):
-            if c:
-                for idx, x in enumerate(row):
-                    out[idx] = (out[idx] + c * x) % p
-        return tuple(out)
-
-    def is_unit(v: tuple[int, ...]) -> bool:
-        mat = [[v[j * n + i] for j in range(n)] for i in range(n)]
-        return _det_mod(mat, p) != 0
+    def add(m: list[list[int]], c: int, k: int) -> list[list[int]]:
+        return [[(x + c * y) % p for x, y in zip(row, brow)]
+                for row, brow in zip(m, mats[k])]
 
     def realize(coeffs: tuple[int, ...]) -> Vector:
         gen_coeffs = [0] * len(gens)
@@ -182,17 +165,28 @@ def _unit_det_witness(
                     out[idx] = (out[idx] + cg * x) % modulus
         return tuple(out)
 
+    def walk(k: int, m: list[list[int]], coeffs: tuple[int, ...]):
+        # tails in lexicographic order, carrying the running sum m
+        if k == dim:
+            return coeffs if _det_mod(m, p) else None
+        for c in range(p):
+            if c:
+                m = add(m, 1, k)
+            found = walk(k + 1, m, coeffs + (c,))
+            if found is not None:
+                return found
+        return None
+
     def enumerate_all() -> Optional[Vector]:
-        best = None
-        best_coeffs = None
-        for coeffs in _projective_coeffs(dim, p):
-            v = vec_of(coeffs)
-            if is_unit(v) and (best is None or v < best):
-                best = v
-                best_coeffs = coeffs
-        if best_coeffs is None:
-            return None
-        return realize(best_coeffs)
+        # The basis is in reduced row echelon form, so a vector's entry at
+        # the pivot of basis row i is its coefficient i and the rows before
+        # i vanish there: lex order on vectors is lex order on coefficients.
+        # Among projective representatives a later leading 1 is smaller.
+        for lead in reversed(range(dim)):
+            found = walk(lead + 1, mats[lead], (0,) * lead + (1,))
+            if found is not None:
+                return realize(found)
+        return None
 
     if p <= 7 and dim <= 6:
         return enumerate_all()
@@ -201,11 +195,16 @@ def _unit_det_witness(
         # p / (p - n), which rounds to 1.0 for large p
         budget = math.ceil(40 * math.log(2) / math.log1p(n / (p - n)))
         rng = random.Random(0)
+        zero = [[0] * n for _ in range(n)]
         for _ in range(budget):
             coeffs = tuple(rng.randrange(p) for _ in range(dim))
             if all(c == 0 for c in coeffs):
                 continue
-            if is_unit(vec_of(coeffs)):
+            m = zero
+            for k, c in enumerate(coeffs):
+                if c:
+                    m = add(m, c, k)
+            if _det_mod(m, p):
                 return realize(coeffs)
     return enumerate_all()
 
@@ -347,29 +346,17 @@ def _unit_mod_holds(a: IntMatrix, b: IntMatrix, cert: UnitModCert, mu: int) -> b
 
 def companion_test(a: IntMatrix, p: int) -> bool:
     """True iff a is similar to the companion matrix of its characteristic
-    polynomial over the p-adic integers: some v makes v, av, ..., a^(n-1) v
-    independent mod p.  Polynomials squarefree mod p shortcut to True."""
+    polynomial over the p-adic integers: a mod p has a cyclic vector, that
+    is, its centralizer has dimension n, so X -> a X - X a has rank n^2 - n
+    over F_p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     f = charpoly(a)
     if not is_irreducible(f):
         raise ValueError("characteristic polynomial is reducible over Q")
-    if squarefree_mod_p(f, p):
-        return True
     n = a.rows
-    am = a.mod(p)
-    for index in range(1, p**n):
-        v = []
-        k = index
-        for _ in range(n):
-            v.append(k % p)
-            k //= p
-        cols = [tuple(v)]
-        for _ in range(n - 1):
-            cols.append(tuple(x % p for x in am.mul_vec(cols[-1])))
-        if _det_mod([list(col) for col in cols], p) != 0:
-            return True
-    return False
+    basis, _ = _echelon_fp(list(SylvesterOperator(a, a).l.entries), p)
+    return len(basis) == n * n - n
 
 
 def ell_invariant(a: IntMatrix, p: int) -> EllInvariant:

@@ -198,7 +198,16 @@ class SNFDecomposition:
     det_t: int
 
     def __post_init__(self) -> None:
-        if self.s @ self.d @ self.t != self.original:
+        d = self.d.entries
+        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+            raise AssertionError("SNF: d is not diagonal")
+        # with d diagonal, d @ t is t with row i scaled by d_i (zero past t)
+        t = self.t
+        dt = IntMatrix(
+            [[d[i][i] * x for x in t.row(i)] if i < t.rows else [0] * t.cols
+             for i in range(self.d.rows)]
+        )
+        if self.s @ dt != self.original:
             raise AssertionError("SNF: s*d*t != original")
         if self.t @ self.t_inv != IntMatrix.identity(self.t.rows):
             raise AssertionError("SNF: tracked inverse of t is wrong")

@@ -20,6 +20,7 @@ from localconj import (
     parse_poly,
     random_unimodular,
 )
+import localconj.conjugacy as conjugacy
 from localconj.gen import conjugate_exact
 
 QUADRATIC_FIELDS = ("t^2-t-1", "t^2+3", "t^2-2", "t^2+2")
@@ -46,6 +47,21 @@ def snf_builds(monkeypatch):
 
     monkeypatch.setattr(SNFDecomposition, "__post_init__", counting)
     return built
+
+
+@pytest.fixture
+def det_mod_calls(monkeypatch):
+    """Primes of the determinants mod p taken while the test runs: one per
+    point the unit-determinant search visits."""
+    calls = []
+    det_mod = conjugacy._det_mod
+
+    def counting(rows, p):
+        calls.append(p)
+        return det_mod(rows, p)
+
+    monkeypatch.setattr(conjugacy, "_det_mod", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

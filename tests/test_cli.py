@@ -324,6 +324,12 @@ GOLDEN_REPORTS = {
         "bff75ffe58da8c734e71421c456db54c7d5016f68727503b8ae7460ed22b2ada",
     ("t^5-2", "unimodular", 1, "conj-p", 5):
         "afbdc9cc70ec9fa325261479ae6e94d6b406ef40cca6c17f5437a0d9ab510129",
+    ("t^7-3", "unimodular", 0, "conj-all", None):
+        "bf7ebf2c01c205868b52130600790af0fc5154686bde8ff7b5bf9ae072e53f3b",
+    ("t^7-3", "unimodular", 0, "conj-p", 3):
+        "6be6c03b44fed8f18a580bb51a74593d6745df646dfd644730e628e803e9062e",
+    ("t^7-3", "unimodular", 0, "conj-p", 7):
+        "e8d4c6b6b020ececa075c323275471c4ef2700ecf51f819245773223cd61cdb5",
     ("t^3-4", "singular:2", 0, "conj-all", None):
         "a1d74ec74d0af59a920728d2c55bf7b686ed00a6e2f3c358055669bd48eb8820",
     ("t^3-4", "singular:2", 0, "conj-p", 2):

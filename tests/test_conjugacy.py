@@ -25,6 +25,7 @@ from localconj import (
     screen_primes,
     verify_cert,
 )
+from localconj.conjugacy import _echelon_fp
 from localconj.gen import conjugate_exact
 
 from conftest import (
@@ -207,6 +208,47 @@ class TestOneSmithFormPerDecision:
         snf_builds.clear()
         assert verify_cert(pair.a, pair.b, cert)
         assert len(snf_builds) == 1
+
+
+class TestSearchStopsAtFirstUnit:
+    """The search walks the projective span from the smallest witness up and
+    stops at the first unit; only a negative verdict visits every point."""
+
+    @pytest.mark.parametrize(
+        "field,seed", [("t^7-3", 0), ("t^7-3", 1), ("t^7-3", 2), ("t^8-3", 1)]
+    )
+    def test_pair_certificate_at_small_primes(self, det_mod_calls, field, seed):
+        # the screen of t^7-3 holds 7 and det q of t^8-3 seed 1 has the
+        # factor 7 <= 8, where the whole span of dimension n is searched:
+        # (7^7 - 1) / 6 = 137,257 and (7^8 - 1) / 6 = 960,800 points
+        pair = generate_pair(parse_poly(field), "unimodular", seed)
+        v = conjugate_over_all_Zp(pair.a, pair.b)
+        assert v.conjugate
+        assert isinstance(v.certificate, IntegerPairCert)
+        assert verify_cert(pair.a, pair.b, v.certificate)
+        assert len(det_mod_calls) < 1000
+
+    def test_positive_visits_one_point(self, det_mod_calls):
+        # t^3-2 is irreducible mod 7 (2 is not a cube mod 7), so every
+        # nonzero element of the span is a unit
+        pair = generate_pair(parse_poly("t^3-2"), "unimodular", 0)
+        assert pair.a != pair.b
+        assert conjugate_over_Zp(pair.a, pair.b, 7).conjugate
+        assert det_mod_calls == [7]
+
+    def test_negative_visits_every_point(self, det_mod_calls):
+        # a is scalar mod 5; its conjugate by diag(5, 1, 1) is integral and
+        # not scalar mod 5, so the pair is not conjugate over Z_5
+        p = 5
+        a = scalar_shifted(1, p, 1, "t^3-t-1")
+        b = conjugate_exact(a, IntMatrix.diagonal([p, 1, 1]))
+        assert b is not None and b.mod(p) != IntMatrix.identity(3)
+        op = SylvesterOperator(a, b)
+        gens = op.solution_generators_mod(p ** (op.mu(p) + 1))
+        dim = len(_echelon_fp(gens, p)[0])
+        det_mod_calls.clear()
+        assert not conjugate_over_Zp(a, b, p).conjugate
+        assert len(det_mod_calls) == (p**dim - 1) // (p - 1)
 
 
 class TestVerifyCert:

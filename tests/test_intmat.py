@@ -8,7 +8,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localconj import IntMatrix, det, kernel_basis_Z, kernel_mod, p_part, snf
+from localconj import (
+    IntMatrix,
+    SNFDecomposition,
+    det,
+    kernel_basis_Z,
+    kernel_mod,
+    p_part,
+    snf,
+)
 
 from conftest import M
 from oracles import brute_solutions_mod, laplace_det, minor_gcds, span_of_generators_mod
@@ -76,6 +84,27 @@ class TestSNF:
     def test_rectangular(self, m):
         dec = snf(m)
         assert dec.s @ dec.d @ dec.t == m
+
+    @given(small_matrix(4, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_rectangular_tall(self, m):
+        dec = snf(m)
+        assert dec.s @ dec.d @ dec.t == m
+
+    @pytest.mark.parametrize(
+        "d,original,message",
+        [
+            # s @ d @ t == original holds, but d is not diagonal
+            (M([1, 1], [0, 1]), M([1, 1], [0, 1]), "not diagonal"),
+            (M([1, 0], [0, 2]), M([1, 0], [0, 3]), "original"),
+        ],
+    )
+    def test_bad_decomposition_rejected(self, d, original, message):
+        eye = IntMatrix.identity(2)
+        with pytest.raises(AssertionError, match=message):
+            SNFDecomposition(
+                s=eye, d=d, t=eye, original=original, t_inv=eye, det_s=1, det_t=1
+            )
 
     def test_transform_sizes(self):
         dec = snf(M([2, 4, 4], [-6, 6, 12]))
