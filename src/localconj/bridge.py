@@ -3,7 +3,9 @@
 A matrix with irreducible characteristic polynomial f has a one-dimensional
 eigenspace for the residue class beta of t in Q[t]/(f); the coordinates of a
 normalized eigenvector span a full-rank lattice on which the matrix acts as
-multiplication by beta.
+multiplication by beta.  The eigenvector is a Krylov column of h(a, beta),
+where f(t) - f(beta) = (t - beta) h(t, beta), so it needs integer
+matrix-vector products and one field inverse, no elimination over the field.
 """
 
 from __future__ import annotations
@@ -33,45 +35,33 @@ class EigenData:
 
 
 def eigenvector(a: IntMatrix) -> EigenData:
-    """Solve (a - beta I) u = 0 by exact Gaussian elimination over the field."""
+    """The first column of h(a, beta), where f(t) - f(beta) = (t - beta) h(t, beta).
+
+    f(a) = 0, so (a - beta I) h(a, beta) = 0.  The coefficient of beta^k in
+    h(a, beta) e_1 is sum_i c_(i+k+1) a^i e_1 over the coefficients c of f:
+    integer coordinates read off the Krylov vectors a^i e_1.  The column is
+    nonzero because the entries of an eigenvector are linearly independent
+    over Q; it is then scaled so its first nonzero entry is 1.
+    """
     f = charpoly(a)
     if not is_irreducible(f):
         raise ValueError("characteristic polynomial is reducible")
     field = NumberField(f)
     n = a.rows
-    beta = field.beta()
-    rows = [
-        [field.element([a[i, j]]) - (beta if i == j else field.zero()) for j in range(n)]
-        for i in range(n)
+    c = f.coeffs
+    krylov = [[1] + [0] * (n - 1)]
+    for _ in range(n - 1):
+        krylov.append(list(a.mul_vec(krylov[-1])))
+    u = [
+        field.element(
+            [sum(c[i + k + 1] * krylov[i][r] for i in range(n - k)) for k in range(n)]
+        )
+        for r in range(n)
     ]
-    # forward elimination; the matrix has rank n-1
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if not rows[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    if r != n - 1:
-        raise AssertionError("eigenspace is not one-dimensional")
-    pivot_cols = {c for _, c in pivots}
-    free = next(c for c in range(n) if c not in pivot_cols)
-    u = [field.zero()] * n
-    u[free] = field.one()
-    for rr, c in pivots:
-        u[c] = -rows[rr][free]
-    first = next(x for x in u if not x.is_zero)
+    # an all-zero u passes through unscaled and EigenData rejects it
+    first = next((x for x in u if not x.is_zero), field.one())
     inv = first.inverse()
-    u = [x * inv for x in u]
-    data = EigenData(field=field, u=tuple(u))
+    data = EigenData(field=field, u=tuple(x * inv for x in u))
     _check_eigen(a, data)
     return data
 

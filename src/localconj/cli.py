@@ -6,7 +6,8 @@ screen-primes, ell, companion-test, gen, verify.
 One JSON document goes to stdout (or a short text rendering with
 --format text); diagnostics go to stderr.  Exit codes: 0 a verdict was
 computed (either answer), 1 parse or I/O failure, 2 a mathematical
-precondition was violated.
+precondition was violated, 3 an internal error (a failed self-check or an
+arithmetic failure inside the engine), reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -545,6 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,15 +3,17 @@
 An ideal is stored as a positive denominator plus a row-style Hermite normal
 form basis with respect to the power basis 1, beta, ..., beta^(n-1).  The
 canonical form (HNF, positive pivots, reduced entries, minimal denominator)
-makes equality structural.  Colon ideals and intersections reduce to integer
-kernel problems over multiplication maps, so nothing here ever needs
-factorization of ideals.
+makes equality structural.  An intersection is the kernel of an n x 2n
+integer system, and a colon ideal (j : i) is the intersection of the n
+lattices s^(-1) * j over the basis elements s of i, so nothing here ever
+needs factorization of ideals or a system larger than n x 2n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from .intmat import IntMatrix, kernel_basis_Z
@@ -242,47 +244,11 @@ def mul(i: IdealLattice, j: IdealLattice) -> IdealLattice:
 def quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
     """Colon ideal (j : i) = {x in K : x * i inside j}.
 
-    Every candidate lies in gamma^(-1) * j, where gamma is the first basis
-    element of i; within that lattice the membership conditions for all
-    generators of i form one integer kernel problem.
+    x * i lies in j iff x * s does for every basis element s of i, so the
+    colon ideal is the intersection of the n lattices s^(-1) * j.
     """
     _require_same_field(j, i)
-    field = i.field
-    n = field.degree
-    gamma = i.basis_elements()[0]
-    bound = IdealLattice.from_elements(
-        field, [gamma.inverse() * e for e in j.basis_elements()]
-    )
-    e = bound.den
-    r_rows = bound.basis.entries  # candidate x = sum_k t_k * r_k / e
-    prods = []  # prods[g][k] = integer coordinates of (r_k * s_g)
-    for sg in i.basis.entries:
-        m_t = field.mult_matrix(sg).transpose()
-        prods.append([m_t.mul_vec(rk) for rk in r_rows])
-    scale_j = e * i.den
-    n_unknowns = n + n * n
-    rows = []
-    for g in range(n):
-        for coord in range(n):
-            row = [0] * n_unknowns
-            for k in range(n):
-                row[k] = j.den * prods[g][k][coord]
-            for b in range(n):
-                row[n + g * n + b] = -scale_j * j.basis[b, coord]
-            rows.append(row)
-    kernel = kernel_basis_Z(IntMatrix(rows))
-    t_basis = _hnf_rows([list(v[:n]) for v in kernel], n)
-    if len(t_basis) != n:
-        raise AssertionError("colon ideal lost full rank")
-    out_rows = []
-    for t in t_basis:
-        acc = [0] * n
-        for k, c in enumerate(t):
-            if c:
-                for idx in range(n):
-                    acc[idx] += c * r_rows[k][idx]
-        out_rows.append(acc)
-    return IdealLattice(field, out_rows, e)
+    return reduce(intersection, [j.scaled(s.inverse()) for s in i.basis_elements()])
 
 
 def intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:

@@ -11,7 +11,16 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from localconj import IntMatrix, IntPoly, kernel_basis_Z
+from localconj import (
+    EigenData,
+    IdealLattice,
+    IntMatrix,
+    IntPoly,
+    NumberField,
+    charpoly,
+    is_irreducible,
+    kernel_basis_Z,
+)
 
 
 def laplace_det(rows: list[list[int]]) -> int:
@@ -166,3 +175,82 @@ def rational_poly_gcd_is_constant(f: IntPoly, g: IntPoly) -> bool:
                 r[i - db + j] -= c * b[j]
         a, b = b, trim(r)
     return len(a) == 1
+
+
+def kernel_system_quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
+    """Colon ideal (j : i) as one integer kernel problem.
+
+    Every candidate x lies in gamma^(-1) * j for the first basis element
+    gamma of i.  Writing x = sum_k t_k r_k / e over that lattice's basis, the
+    conditions x * s_g in j for all basis elements s_g of i form one
+    n^2 x (n + n^2) system in the t_k and the coordinates of each x * s_g
+    in j; the t-parts of its kernel span the colon ideal.
+    """
+    field = i.field
+    n = field.degree
+    gamma = i.basis_elements()[0]
+    bound = IdealLattice.from_elements(
+        field, [gamma.inverse() * e for e in j.basis_elements()]
+    )
+    e = bound.den
+    r_rows = bound.basis.entries
+    prods = []  # prods[g][k] = integer coordinates of r_k * s_g
+    for sg in i.basis.entries:
+        m_t = field.mult_matrix(sg).transpose()
+        prods.append([m_t.mul_vec(rk) for rk in r_rows])
+    scale_j = e * i.den
+    rows = []
+    for g in range(n):
+        for coord in range(n):
+            row = [0] * (n + n * n)
+            for k in range(n):
+                row[k] = j.den * prods[g][k][coord]
+            for b in range(n):
+                row[n + g * n + b] = -scale_j * j.basis[b, coord]
+            rows.append(row)
+    out_rows = []
+    for v in kernel_basis_Z(IntMatrix(rows)):
+        acc = [0] * n
+        for k in range(n):
+            for idx in range(n):
+                acc[idx] += v[k] * r_rows[k][idx]
+        out_rows.append(acc)
+    return IdealLattice(field, out_rows, e)
+
+
+def field_elimination_eigenvector(a: IntMatrix) -> EigenData:
+    """Solve (a - beta I) u = 0 by Gauss-Jordan elimination with entries in
+    the number field, then scale the first nonzero coordinate to 1."""
+    f = charpoly(a)
+    assert is_irreducible(f)
+    field = NumberField(f)
+    n = a.rows
+    beta = field.beta()
+    rows = [
+        [field.element([a[i, j]]) - (beta if i == j else field.zero()) for j in range(n)]
+        for i in range(n)
+    ]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, n) if not rows[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+    assert r == n - 1, "eigenspace is not one-dimensional"
+    pivot_cols = {c for _, c in pivots}
+    free = next(c for c in range(n) if c not in pivot_cols)
+    u = [field.zero()] * n
+    u[free] = field.one()
+    for rr, c in pivots:
+        u[c] = -rows[rr][free]
+    inv = next(x for x in u if not x.is_zero).inverse()
+    return EigenData(field=field, u=tuple(x * inv for x in u))

@@ -12,17 +12,23 @@ import pytest
 from localconj import (
     IdealLattice,
     IntMatrix,
+    conjugate_over_all_Zp,
     eigenvector,
+    factorize,
+    generate_pair,
     ideal_of_matrix,
+    mul,
     parse_poly,
     verify_arith_equiv,
     verify_multiplication_rep,
+    weak_equivalence_data,
     weakly_equivalent,
 )
 from localconj.gen import conjugate_exact
 from localconj import random_unimodular
 
 from conftest import CLASSIC_B
+from oracles import field_elimination_eigenvector
 
 
 FIELDS = ("t^2-t-1", "t^2+3", "t^3-t-1", "t^3-4t-1")
@@ -51,6 +57,29 @@ class TestEigenvector:
             for j in range(3):
                 acc = acc + data.u[j] * a[i, j]
             assert acc == beta * data.u[i]
+
+    # singular and random pairs take over a second to generate at n >= 6
+    # (n = 8 for random), so the larger fields use the cheaper strategies
+    @pytest.mark.parametrize(
+        "f_text,strategies",
+        [
+            ("t^2+3", ("unimodular", "singular:2")),
+            ("t^3-t^2-2t-8", ("unimodular", "singular:2")),
+            ("t^4-10t^2+1", ("unimodular", "singular:2")),
+            ("t^5-2", ("unimodular", "singular:2")),
+            ("t^6-2", ("unimodular", "random")),
+            ("t^7-3", ("unimodular", "random")),
+            ("t^8-3", ("unimodular",)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "+".join(v),
+    )
+    def test_matches_field_elimination(self, f_text, strategies):
+        f = parse_poly(f_text)
+        for strategy in strategies:
+            for seed in (0, 1):
+                pair = generate_pair(f, strategy, seed)
+                for m in (pair.a, pair.b):
+                    assert eigenvector(m) == field_elimination_eigenvector(m)
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
@@ -189,3 +218,29 @@ class TestRoundTrip:
                 assert verdict == ideal_side
                 outcomes[verdict] += 1
         assert outcomes[False] > 0  # the hard direction is exercised
+
+
+class TestPrimeByPrimeAgreement:
+    """At n = 4, 5 the primes where the matrix side fails are exactly the
+    prime factors of c, where (I_A : I_B)(I_B : I_A) meets Z in cZ."""
+
+    @pytest.mark.parametrize(
+        "f_text,strategy",
+        [
+            ("t^4+3", "singular:2"),
+            ("t^4-10t^2+1", "singular:2"),
+            ("t^4+3", "singular:3"),
+            ("t^5-2", "singular:2"),
+            ("t^5-2", "singular:3"),
+            ("t^5-2", "unimodular"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_failing_primes_divide_colon_product(self, f_text, strategy, seed):
+        pair = generate_pair(parse_poly(f_text), strategy, seed)
+        ok, x, y = weak_equivalence_data(ideal_of_matrix(pair.a), ideal_of_matrix(pair.b))
+        c = mul(x, y).smallest_positive_integer()
+        verdict = conjugate_over_all_Zp(pair.a, pair.b)
+        failing = {v.prime for v in verdict.per_prime if not v.conjugate}
+        assert failing == set(factorize(c))
+        assert ok == (c == 1) == verdict.conjugate

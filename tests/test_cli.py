@@ -100,6 +100,19 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("error", [AssertionError, ArithmeticError])
+    def test_internal_error_exits_three(self, classic_files, monkeypatch, capsys, error):
+        def broken(i, j):
+            raise error("self-check failed")
+
+        monkeypatch.setattr("localconj.cli.weak_equivalence_data", broken)
+        pa, pb = classic_files
+        assert main(["weak-equiv", pa, pb]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {error.__name__}: self-check failed\n"
+
+
 class TestCommands:
     def test_charpoly_matches_library(self, classic_files, capsys):
         pa, _ = classic_files
@@ -338,6 +351,81 @@ GOLDEN_REPORTS = {
         "0f88d924d9d7cb76039c057b7e9e179387368cdb665cba975086f9746fac5849",
 }
 
+# (field, strategy, seed, command) -> report_digest of the ideal-side
+# reports: `weak-equiv` and `conj-all --cross-check`; ideals are canonical
+# lattices, so a change to how colon ideals or eigenvectors are computed
+# must keep these bytes
+GOLDEN_IDEAL_REPORTS = {
+    ('t^2+3', 'unimodular', 0, 'weak-equiv'):
+        '5279db6266e64854d2cf0a2ac8ac8d980e75c494f22c5a5440fb7ff27df197d9',
+    ('t^2+3', 'unimodular', 0, 'conj-all --cross-check'):
+        '2b2a9d846f3df007c5c8ac7c78ee8ab57eb5acefc90c540ea3401e053e2a631e',
+    ('t^2+3', 'unimodular', 1, 'weak-equiv'):
+        '2c898044fa83f4979795c03d09c11306386a0b8b7cb6e6cd6cd93acd2a81b5b5',
+    ('t^2+3', 'unimodular', 1, 'conj-all --cross-check'):
+        '08835b0bf5a35863c28e19535fe01e8cd352f823b267ba3727cc41d28a17a0b5',
+    ('t^2+3', 'singular:2', 0, 'weak-equiv'):
+        '99c60fd8d88c2dc55e74ae0341022745ae04d83a02c2a2b89f530264fadac393',
+    ('t^2+3', 'singular:2', 0, 'conj-all --cross-check'):
+        '9c73b05bdc7c3dd91ab0790ac86d1823e4b0ef4080f9ac0a5da3a2b5b5f84ddc',
+    ('t^2+3', 'singular:2', 1, 'weak-equiv'):
+        '2e9b1885c6f04716d9a1fefbd261ca04a2d36da318a2cda9e1a0904537a4a429',
+    ('t^2+3', 'singular:2', 1, 'conj-all --cross-check'):
+        '9c9b388c5b1b45d4fdf315c3a4ee86123d13edb6946bb125d24a3e09dcdddce7',
+    ('t^3-t^2-2t-8', 'unimodular', 0, 'weak-equiv'):
+        '5dce0aac189879a04fd3f8fac51093793b6cb0dc1c69e8daa822dd2626d85835',
+    ('t^3-t^2-2t-8', 'unimodular', 0, 'conj-all --cross-check'):
+        '8966a5925e0096700fd8f85d2c81958434b37146b3d6bf0e5fb056934c644c37',
+    ('t^3-t^2-2t-8', 'unimodular', 1, 'weak-equiv'):
+        'e0d6eb8cf97b042593cc5eb8410804ee5c985f073c8fe43d786335bbd9072480',
+    ('t^3-t^2-2t-8', 'unimodular', 1, 'conj-all --cross-check'):
+        'ff7d6da657309e118193c574db19e65a1f808c07ac1b44e6f630122c5736c16b',
+    ('t^3-t^2-2t-8', 'singular:2', 0, 'weak-equiv'):
+        '8eab63998c737b4e41ec57a57719be5a98bd467917be67e02da9f1350de1c23b',
+    ('t^3-t^2-2t-8', 'singular:2', 0, 'conj-all --cross-check'):
+        'f586e2ebd07ac87471d897f1f2c910402326747c11171da9a26e707fe9cb7797',
+    ('t^3-t^2-2t-8', 'singular:2', 1, 'weak-equiv'):
+        'd87bb0bacea9dd159b069eae8cdc89d1d76b4be6d60ad7a7cc20ec6a534ab753',
+    ('t^3-t^2-2t-8', 'singular:2', 1, 'conj-all --cross-check'):
+        'b25808a4a83126bcd068692daeb163bfa18faa999a5d9b8bcfd5565007dc55b2',
+    ('t^4-10t^2+1', 'unimodular', 0, 'weak-equiv'):
+        '53df61e6230493e4de215e27ff6783094762d7fc69bc12b6065994a0819a9d56',
+    ('t^4-10t^2+1', 'unimodular', 0, 'conj-all --cross-check'):
+        '7f6aadff35bd99905abe241d5a5e2ec956267618502407daa890987be816249d',
+    ('t^4-10t^2+1', 'unimodular', 1, 'weak-equiv'):
+        'c5fd5829d3886b4cd192b849e99f516bf7c38d784783bacf8eb90f9afef8b9f7',
+    ('t^4-10t^2+1', 'unimodular', 1, 'conj-all --cross-check'):
+        '398f74547cc9a9537484acebf703c6fed5936cb55d9951a9caf532da7d69a451',
+    ('t^4-10t^2+1', 'singular:2', 0, 'weak-equiv'):
+        '52f22530db126bb43cf2a66d9766a5f338713ebb4301ae3d25d67ca1fa81ca94',
+    ('t^4-10t^2+1', 'singular:2', 0, 'conj-all --cross-check'):
+        '05f4f0a212480fd5327c6dfe51829d1e08cac89d1d8d8f442236547da46aab9b',
+    ('t^4-10t^2+1', 'singular:2', 1, 'weak-equiv'):
+        'c8f5bf088fa120f3f209c088299c53ae064dbaf3a10330e3f35f7187299d2c80',
+    ('t^4-10t^2+1', 'singular:2', 1, 'conj-all --cross-check'):
+        '66eb369f1b0b8c38cc904cd526d411bb2e6903427f651baad1f89e2b122adf3a',
+    ('t^5-2', 'unimodular', 0, 'weak-equiv'):
+        '80df60823888aec52ac8fa8ddbf5654055c2f61a5d726bfe59f2d6472f9e02f3',
+    ('t^5-2', 'unimodular', 0, 'conj-all --cross-check'):
+        '94d89443d8cd9dcb6dfea64904ec1a82b0e103b188e88ff360f84569f97b37b4',
+    ('t^5-2', 'unimodular', 1, 'weak-equiv'):
+        '412279a3fdec7e9f1ecbf30f1191be7b8193601894493a7d42d56d53ce516e3f',
+    ('t^5-2', 'unimodular', 1, 'conj-all --cross-check'):
+        'e68bf72b3fff0cdc8e9b919a5be7d9b3b397955759c716b0bf6002c5bb3bf1c6',
+    ('t^5-2', 'singular:2', 0, 'weak-equiv'):
+        'de2b7897f5fb638d15a42dcf61c03fecec33adb46239013bc93c2421e970c819',
+    ('t^5-2', 'singular:2', 0, 'conj-all --cross-check'):
+        'bdb1410c136359e77a024962fdcc8228d76782fd558f790ef3986d1516dfa077',
+    ('t^5-2', 'singular:2', 1, 'weak-equiv'):
+        'caa34cdfe6b01193747488e346f24b6ea8da145c569acb3e62679536bec0fcaa',
+    ('t^5-2', 'singular:2', 1, 'conj-all --cross-check'):
+        '6294ba7d13f0213ee779a028ecfab9c25b8765179657ff445ecc6d69916b2dcb',
+    ('t^6-2', 'unimodular', 0, 'weak-equiv'):
+        '897a8d02193c539e0e2fcb8b4456629761b471dc3aafdb9711829be2e480d6c6',
+    ('t^6-2', 'unimodular', 0, 'conj-all --cross-check'):
+        'c4b7fc0507888629676f3348ae32eed0e09b9554588b10157812596562380a4f',
+}
+
 
 class TestReportBytes:
     @pytest.mark.parametrize("field,strategy,seed", sorted({k[:3] for k in GOLDEN_REPORTS}))
@@ -352,6 +440,31 @@ class TestReportBytes:
             )
         want = {k: v for k, v in GOLDEN_REPORTS.items() if k[:3] == (field, strategy, seed)}
         assert got == want
+
+    @pytest.mark.parametrize(
+        "field,strategy,seed", sorted({k[:3] for k in GOLDEN_IDEAL_REPORTS})
+    )
+    def test_ideal_side_reports_unchanged(self, field, strategy, seed):
+        pair = generate_pair(parse_poly(field), strategy, seed)
+        got = {
+            (field, strategy, seed, "weak-equiv"): report_digest(
+                weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
+            ),
+            (field, strategy, seed, "conj-all --cross-check"): report_digest(
+                conj_all_report(pair.a, pair.b, "a.txt", "b.txt", cross_check=True)
+            ),
+        }
+        want = {
+            k: v for k, v in GOLDEN_IDEAL_REPORTS.items() if k[:3] == (field, strategy, seed)
+        }
+        assert got == want
+
+    def test_weak_equiv_builds_only_narrow_smith_forms(self, snf_builds):
+        # each colon ideal intersects n lattices: n - 1 kernels of n x 2n
+        pair = generate_pair(parse_poly("t^6-2"), "unimodular", 0)
+        snf_builds.clear()
+        weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
+        assert snf_builds == [(6, 12)] * 10
 
     def test_verify_rebuilds_every_unit_mod_check(self, snf_builds):
         pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)

@@ -32,6 +32,7 @@ from localconj import (
 )
 
 from conftest import CLASSIC_A, CLASSIC_B, M
+from oracles import kernel_system_quotient
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,43 @@ class TestQuotient:
                 for den in (1, 2, 3):
                     x = K.element([c0, c1], den)
                     assert q.contains(x) == all(S.contains(x * g) for g in gens)
+
+
+# (field, prime p, g): g(beta) generates the p-radical of Z[beta] together
+# with p, and Z[beta] is not p-maximal, so the radical's coefficient ring is
+# a strictly larger order
+OVERORDER_FIELDS = (
+    ("t^2+3", 2, [1, 1]),
+    ("t^3-t^2-2t-8", 2, [0, 1, 1]),
+    ("t^4-10t^2+1", 2, [1, 1]),
+    ("t^5-8", 2, [0, 1]),
+    ("t^6-24", 2, [0, 1]),
+)
+
+
+class TestQuotientAgainstKernelSystem:
+    @pytest.mark.parametrize("f_text,p,g", OVERORDER_FIELDS)
+    def test_sub_ideals_and_overorders(self, f_text, p, g):
+        field = NumberField(parse_poly(f_text))
+        s = zbeta_order(field)
+        base = s.lattice.basis_elements()
+        radical = IdealLattice.from_elements(
+            field, [e * p for e in base] + [field.element(g) * e for e in base]
+        )
+        r = coeff_ring(radical)
+        assert index(s.lattice, r.lattice) > 1
+        rng = random.Random(f_text)
+        lattices = [
+            s.lattice,
+            r.lattice,
+            random_ideal(s, p, 1, rng),
+            random_ideal(s, 3, 1, rng),
+            random_ideal(r, p, 2, rng),
+            random_ideal(r, 3, 1, rng),
+        ]
+        for i in lattices:
+            for j in lattices:
+                assert quotient(j, i) == kernel_system_quotient(j, i)
 
 
 class TestCoeffRing:
