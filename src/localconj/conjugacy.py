@@ -2,13 +2,19 @@
 
 The decision for one prime works modulo p^(mu+1), where mu is the largest
 p-adic valuation among the nonzero invariant factors of the intertwining
-operator: the solution module of A X = X B mod p^(mu+1) is projected to
-mod-p coordinates and searched for an element of unit determinant.  A hit is
-returned as a certificate and lifts to an exact intertwiner with determinant
-prime to p; a miss is a sound rejection.
+operator.  A negative verdict has two routes:
 
-`verify_cert` re-checks every certificate from scratch; stored flags are never
-trusted.
+- a rank mismatch: conjugacy over Z_p implies similarity mod p, so when
+  rank_p h(A)^j differs from rank_p h(B)^j for h the product of the linear
+  factors t - lambda that divide the characteristic polynomial mod p more
+  than once, the pair is not conjugate and nothing is searched;
+- an exhausted walk: otherwise the solution module of A X = X B mod p^(mu+1)
+  is projected to mod-p coordinates and searched for an element of unit
+  determinant.  A hit is returned as a certificate and lifts to an exact
+  intertwiner with determinant prime to p; a miss is a sound rejection.
+
+Negative verdicts carry no certificate.  `verify_cert` re-checks every
+certificate from scratch; stored flags are never trusted.
 """
 
 from __future__ import annotations
@@ -20,7 +26,13 @@ from math import gcd
 from typing import Optional, Union
 
 from .intmat import IntMatrix, Vector
-from .polyfield import IntPoly, charpoly, discriminant, is_irreducible
+from .polyfield import (
+    IntPoly,
+    _repeated_linear_part_mod_p,
+    charpoly,
+    discriminant,
+    is_irreducible,
+)
 from .primes import factorize, is_prime
 from .sylvester import SylvesterOperator, unvec, vec
 
@@ -209,15 +221,56 @@ def _unit_det_witness(
     return enumerate_all()
 
 
+def _rank_fp(m: IntMatrix, p: int) -> int:
+    return len(_echelon_fp(list(m.entries), p)[0])
+
+
+def _linear_ranks_differ(f: IntPoly, a: IntMatrix, b: IntMatrix, p: int) -> bool:
+    """True when rank_p h(a)^j != rank_p h(b)^j for some j: then a and b are
+    not similar mod p, so not conjugate over Z_p.
+
+    h is the product of the linear factors t - lambda of f mod p whose
+    square divides f mod p.  The simple roots are left out: each gives both
+    matrices a one-dimensional generalized eigenspace, so adding their
+    factors to h would shift both ranks alike.  The powers run until the
+    ranks for a stop falling; past that point both sequences are constant."""
+    h = _repeated_linear_part_mod_p(f, p)
+    if len(h) == 1:
+        return False
+    hp = IntPoly(h)
+    ha, hb = hp.eval_matrix(a.mod(p)).mod(p), hp.eval_matrix(b.mod(p)).mod(p)
+    pa, pb = ha, hb
+    prev = a.rows
+    while True:
+        rank = _rank_fp(pa, p)
+        if rank != _rank_fp(pb, p):
+            return True
+        if rank == prev:
+            return False
+        prev = rank
+        pa, pb = (pa @ ha).mod(p), (pb @ hb).mod(p)
+
+
 def _decide_at_prime(
-    op: SylvesterOperator, a: IntMatrix, b: IntMatrix, p: int
+    op: SylvesterOperator, f: IntPoly, a: IntMatrix, b: IntMatrix, p: int
 ) -> Verdict:
+    """Decide a ~ b over Z_p on the shared operator; f is their
+    characteristic polynomial.
+
+    Equal matrices are conjugate.  Otherwise a mismatch of the mod-p ranks
+    of h(a)^j and h(b)^j (`_linear_ranks_differ`) is a negative without a
+    search; when the ranks agree, the unit-determinant walk decides, and an
+    exhausted walk is a negative too.  mu is read off the operator's Smith
+    form on every route.
+    """
     n = a.rows
     mu = op.mu(p)
     modulus = p ** (mu + 1)
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
         return Verdict(True, p, cert, mu)
+    if _linear_ranks_differ(f, a, b, p):
+        return Verdict(False, p, None, mu)
     gens = op.solution_generators_mod(modulus)
     witness = _unit_det_witness(gens, p, modulus, n)
     if witness is None:
@@ -232,8 +285,8 @@ def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
     """Decide similarity of a and b over the p-adic integers."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _check_pair(a, b)
-    return _decide_at_prime(SylvesterOperator(a, b), a, b, p)
+    f = _check_pair(a, b)
+    return _decide_at_prime(SylvesterOperator(a, b), f, a, b, p)
 
 
 def screen_primes(f: IntPoly) -> list[int]:
@@ -258,15 +311,19 @@ def conjugate_over_all_Zp(a: IntMatrix, b: IntMatrix) -> Verdict:
     f = _check_pair(a, b)
     screen = screen_primes(f)
     op = SylvesterOperator(a, b)
-    per = tuple(_decide_at_prime(op, a, b, p) for p in screen)
+    per = tuple(_decide_at_prime(op, f, a, b, p) for p in screen)
     ok = all(v.conjugate for v in per)
     mu_used = max((v.mu_used for v in per), default=0)
-    cert = _pair_cert(op, a, b, per) if ok else None
+    cert = _pair_cert(op, f, a, b, per) if ok else None
     return Verdict(ok, "all", cert, mu_used, per_prime=per, screened=tuple(screen))
 
 
 def _pair_cert(
-    op: SylvesterOperator, a: IntMatrix, b: IntMatrix, per: tuple[Verdict, ...]
+    op: SylvesterOperator,
+    f: IntPoly,
+    a: IntMatrix,
+    b: IntMatrix,
+    per: tuple[Verdict, ...],
 ) -> IntegerPairCert:
     """Two exact intertwiners with coprime determinants.
 
@@ -287,7 +344,7 @@ def _pair_cert(
     combined = [0] * len(mats)
     mod_all = 1
     for p in sorted(factorize(q.det())):
-        verdict = decided.get(p) or _decide_at_prime(op, a, b, p)
+        verdict = decided.get(p) or _decide_at_prime(op, f, a, b, p)
         if not verdict.conjugate:
             raise AssertionError(f"no unit-determinant intertwiner mod {p}")
         coords = dec.t.mul_vec(vec(verdict.certificate.x))[rank:]
@@ -355,8 +412,7 @@ def companion_test(a: IntMatrix, p: int) -> bool:
     if not is_irreducible(f):
         raise ValueError("characteristic polynomial is reducible over Q")
     n = a.rows
-    basis, _ = _echelon_fp(list(SylvesterOperator(a, a).l.entries), p)
-    return len(basis) == n * n - n
+    return _rank_fp(SylvesterOperator(a, a).l, p) == n * n - n
 
 
 def ell_invariant(a: IntMatrix, p: int) -> EllInvariant:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import count, product
 from math import gcd, isqrt
 
@@ -322,6 +322,13 @@ def _pow_t_mod(f, q, p):
         q >>= 1
     return result
 
+def _t_power_minus_t(fp, q, p):
+    """t^q - t reduced mod (fp, p), trimmed."""
+    d = list(_pow_t_mod(fp, q, p))
+    d += [0] * (2 - len(d))
+    d[1] -= 1
+    return _poly_mod_p(d, p)
+
 def _irreducible_mod_p(f: IntPoly, p: int) -> bool:
     fp = _poly_mod_p(f.coeffs, p)
     n = f.degree
@@ -329,26 +336,20 @@ def _irreducible_mod_p(f: IntPoly, p: int) -> bool:
         return False  # degree dropped mod p
     # f irreducible over F_p iff t^(p^n) = t mod f and
     # gcd(t^(p^(n/q)) - t, f) = 1 for every prime divisor q of n
-    xq = _pow_t_mod(fp, p**n, p)
-    tsub = list(xq)
-    while len(tsub) < 2:
-        tsub.append(0)
-    tsub[1] = (tsub[1] - 1) % p
-    while tsub and tsub[-1] == 0:
-        tsub.pop()
-    if tuple(tsub):
+    if _t_power_minus_t(fp, p**n, p):
         return False
     for q in set(_small_prime_divisors(n)):
-        xe = _pow_t_mod(fp, p ** (n // q), p)
-        diff = list(xe)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if _polgcd_p(fp, tuple(diff), p) != (1,):
+        if _polgcd_p(fp, _t_power_minus_t(fp, p ** (n // q), p), p) != (1,):
             return False
     return True
+
+def _repeated_linear_part_mod_p(f: IntPoly, p: int) -> tuple[int, ...]:
+    """gcd(f mod p, t^p - t, f' mod p): the product of the distinct linear
+    factors t - lambda whose square divides monic f over F_p, as a monic
+    ascending coefficient tuple; (1,) when f has no repeated root mod p."""
+    fp = _poly_mod_p(f.coeffs, p)
+    h = _polgcd_p(fp, _t_power_minus_t(fp, p, p), p)
+    return _polgcd_p(h, _poly_mod_p(f.derivative().coeffs, p), p)
 
 def _small_prime_divisors(n: int) -> list[int]:
     out = []
@@ -448,6 +449,15 @@ def is_irreducible(f: IntPoly) -> bool:
         raise ValueError("irreducibility test requires a nonconstant polynomial")
     if n == 1:
         return True
+    return _irreducible_monic(f.coeffs)
+
+
+@lru_cache(maxsize=32)
+def _irreducible_monic(coeffs: tuple[int, ...]) -> bool:
+    """The test behind `is_irreducible`, memoized per coefficient tuple so
+    that one command tests each polynomial once."""
+    f = IntPoly(coeffs)
+    n = f.degree
     a0 = f.coeff(0)
     if a0 == 0:
         return False  # divisible by t

@@ -25,6 +25,16 @@ from localconj.gen import conjugate_exact
 
 QUADRATIC_FIELDS = ("t^2-t-1", "t^2+3", "t^2-2", "t^2+2")
 BRIDGE_FIELDS = ("t^2-t-1", "t^2+3", "t^3-t-1", "t^3-4t-1")
+# (field, generate_pair strategy) at n = 4, 5, generated with seeds 0 and 1,
+# on which both decision paths are compared prime by prime
+PRIME_BY_PRIME_PAIRS = (
+    ("t^4+3", "singular:2"),
+    ("t^4-10t^2+1", "singular:2"),
+    ("t^4+3", "singular:3"),
+    ("t^5-2", "singular:2"),
+    ("t^5-2", "singular:3"),
+    ("t^5-2", "unimodular"),
+)
 
 
 def M(*rows) -> IntMatrix:

@@ -27,7 +27,7 @@ from localconj import (
 from localconj.gen import conjugate_exact
 from localconj import random_unimodular
 
-from conftest import CLASSIC_B
+from conftest import CLASSIC_B, PRIME_BY_PRIME_PAIRS
 from oracles import field_elimination_eigenvector
 
 
@@ -224,17 +224,7 @@ class TestPrimeByPrimeAgreement:
     """At n = 4, 5 the primes where the matrix side fails are exactly the
     prime factors of c, where (I_A : I_B)(I_B : I_A) meets Z in cZ."""
 
-    @pytest.mark.parametrize(
-        "f_text,strategy",
-        [
-            ("t^4+3", "singular:2"),
-            ("t^4-10t^2+1", "singular:2"),
-            ("t^4+3", "singular:3"),
-            ("t^5-2", "singular:2"),
-            ("t^5-2", "singular:3"),
-            ("t^5-2", "unimodular"),
-        ],
-    )
+    @pytest.mark.parametrize("f_text,strategy", PRIME_BY_PRIME_PAIRS)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_failing_primes_divide_colon_product(self, f_text, strategy, seed):
         pair = generate_pair(parse_poly(f_text), strategy, seed)

@@ -25,6 +25,7 @@ from localconj import (
     screen_primes,
     verify_cert,
 )
+import localconj.conjugacy as conjugacy
 from localconj.conjugacy import _echelon_fp
 from localconj.gen import conjugate_exact
 
@@ -32,6 +33,7 @@ from conftest import (
     CLASSIC_A,
     CLASSIC_B,
     M,
+    PRIME_BY_PRIME_PAIRS,
     pair_with_conjugate,
     scalar_shifted,
 )
@@ -236,19 +238,91 @@ class TestSearchStopsAtFirstUnit:
         assert conjugate_over_Zp(pair.a, pair.b, 7).conjugate
         assert det_mod_calls == [7]
 
-    def test_negative_visits_every_point(self, det_mod_calls):
+    def test_rank_mismatch_skips_the_walk(self, det_mod_calls):
         # a is scalar mod 5; its conjugate by diag(5, 1, 1) is integral and
-        # not scalar mod 5, so the pair is not conjugate over Z_5
+        # not scalar mod 5, so the ranks of a - 1 and b - 1 mod 5 differ
         p = 5
         a = scalar_shifted(1, p, 1, "t^3-t-1")
         b = conjugate_exact(a, IntMatrix.diagonal([p, 1, 1]))
         assert b is not None and b.mod(p) != IntMatrix.identity(3)
+        assert not conjugate_over_Zp(a, b, p).conjugate
+        assert det_mod_calls == []
+
+    def test_negative_visits_every_point(self, det_mod_calls):
+        # a = I + 25 C and its conjugate by diag(5, 1, 1) are both the
+        # identity mod 5, so the ranks agree and only the walk can reject
+        p = 5
+        a = scalar_shifted(1, p, 2, "t^3-t-1")
+        b = conjugate_exact(a, IntMatrix.diagonal([p, 1, 1]))
+        assert b is not None and b != a and b.mod(p) == IntMatrix.identity(3)
         op = SylvesterOperator(a, b)
         gens = op.solution_generators_mod(p ** (op.mu(p) + 1))
         dim = len(_echelon_fp(gens, p)[0])
         det_mod_calls.clear()
         assert not conjugate_over_Zp(a, b, p).conjugate
-        assert len(det_mod_calls) == (p**dim - 1) // (p - 1)
+        assert len(det_mod_calls) == (p**dim - 1) // (p - 1) == 31
+
+
+def _walk_only(monkeypatch, decide, *args):
+    """The verdict of `decide` with the rank filter taken out, so that only
+    the unit-determinant walk can reject."""
+    with monkeypatch.context() as m:
+        m.setattr(conjugacy, "_linear_ranks_differ", lambda *_: False)
+        return decide(*args)
+
+
+class TestLinearRankFilter:
+    """Negatives by a mismatch of rank_p h(A)^j and rank_p h(B)^j, where h
+    is the product of the repeated linear factors of f mod p."""
+
+    @pytest.mark.parametrize("n,p", [(7, 11), (6, 13), (8, 11)])
+    def test_mid_prime_negatives_without_search(self, det_mod_calls, n, p):
+        # the walk would visit (p^dim - 1) / (p - 1) points: 1.95M at n = 7,
+        # p = 11
+        a = scalar_shifted(1, p, 1, f"t^{n}-t-1")
+        b = conjugate_exact(a, IntMatrix.diagonal([p] + [1] * (n - 1)))
+        assert b is not None
+        assert not conjugate_over_Zp(a, b, p).conjugate
+        v = conjugate_over_all_Zp(a, b)
+        assert not v.conjugate and v.screened == (p,)
+        assert det_mod_calls == []
+
+    # the pairs of test_bridge.py::TestPrimeByPrimeAgreement, then
+    # unimodular positives
+    PAIRS = [
+        *((f, s, seed) for seed in (0, 1) for f, s in PRIME_BY_PRIME_PAIRS),
+        *((f, "unimodular", seed) for seed in (0, 1)
+          for f in ("t^3-t-1", "t^3-4t-1", "t^4+3", "t^4-10t^2+1")),
+    ]
+
+    @pytest.mark.parametrize("f_text,strategy,seed", PAIRS)
+    def test_agrees_with_walk_and_never_fires_on_conjugates(
+        self, monkeypatch, f_text, strategy, seed
+    ):
+        pair = generate_pair(parse_poly(f_text), strategy, seed)
+        a, b = pair.a, pair.b
+        f = charpoly(a)
+        primes = sorted({2, 3, 5, 7, *screen_primes(f)})
+        for p in primes:
+            fired = conjugacy._linear_ranks_differ(f, a, b, p)
+            walk = _walk_only(monkeypatch, conjugate_over_Zp, a, b, p)
+            assert not (fired and walk.conjugate), p
+            assert conjugate_over_Zp(a, b, p) == walk
+            if strategy == "unimodular":
+                assert walk.conjugate
+        assert conjugate_over_all_Zp(a, b) == _walk_only(
+            monkeypatch, conjugate_over_all_Zp, a, b
+        )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_agrees_with_walk_on_scalar_shifted(self, monkeypatch, k):
+        p = 5
+        a = scalar_shifted(1, p, k, "t^3-t-1")
+        b = conjugate_exact(a, IntMatrix.diagonal([p, 1, 1]))
+        assert conjugate_over_Zp(a, b, p) == _walk_only(
+            monkeypatch, conjugate_over_Zp, a, b, p
+        )
+        assert conjugacy._linear_ranks_differ(charpoly(a), a, b, p) == (k == 1)
 
 
 class TestVerifyCert:

@@ -19,7 +19,9 @@ from localconj import (
     random_unimodular,
     resultant,
 )
-from localconj.gen import conjugate_exact
+from localconj.cli import conj_all_report, weak_equiv_report
+from localconj.gen import conjugate_exact, generate_pair
+from localconj.polyfield import _irreducible_monic, _repeated_linear_part_mod_p
 
 from conftest import M, P
 from oracles import has_monic_factor_bruteforce, rational_poly_gcd_is_constant
@@ -111,6 +113,45 @@ class TestIrreducibility:
                 continue
             seen += 1
             assert is_irreducible(f) == (not has_monic_factor_bruteforce(f))
+
+
+class TestRepeatedLinearPart:
+    @pytest.mark.parametrize("text,p,expected", [
+        # (t-1)^2 (t-2) (t^2+1), t^2+1 irreducible mod 7: only t - 1 repeats
+        ("t^5-4t^4+6t^3-6t^2+5t-2", 7, (6, 1)),
+        # mod 5, where t^2+1 = (t-2)(t-3): t - 1 and t - 2 repeat
+        ("t^5-4t^4+6t^3-6t^2+5t-2", 5, (2, 2, 1)),
+        # roots 1, 2, 3 mod 7 are all simple
+        ("t^3-6t^2+11t-6", 7, (1,)),
+        # t^2+1 = (t+1)^2 mod 2 while f' = 2t vanishes mod 2
+        ("t^2+1", 2, (1, 1)),
+    ])
+    def test_golden(self, text, p, expected):
+        assert _repeated_linear_part_mod_p(P(text), p) == expected
+
+
+class TestIrreducibilityMemo:
+    """One command tests each polynomial once: the public `is_irreducible`
+    is asked several times per decision, the test behind it runs once."""
+
+    @pytest.mark.parametrize("field", ["t^5-2", "t^4-10t^2+1"])
+    def test_one_real_test_per_command(self, field):
+        pair = generate_pair(P(field), "unimodular", 1)
+        for report, asks in [
+            (lambda: conj_all_report(pair.a, pair.b, "a", "b", cross_check=True), 6),
+            (lambda: weak_equiv_report(pair.a, pair.b, "a", "b"), 4),
+        ]:
+            _irreducible_monic.cache_clear()
+            report()
+            info = _irreducible_monic.cache_info()
+            assert (info.misses, info.hits) == (1, asks - 1)
+
+    def test_precondition_errors_bypass_the_memo(self):
+        _irreducible_monic.cache_clear()
+        for f in (IntPoly([1, 1, 2]), IntPoly([5]), IntPoly([])):
+            with pytest.raises(ValueError):
+                is_irreducible(f)
+        assert _irreducible_monic.cache_info().currsize == 0
 
 
 class TestFieldArithmetic:
