@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .ideals import IdealLattice
-from .intmat import IntMatrix, integer_coordinates
+from .intmat import IntMatrix
 from .polyfield import FieldElement, NumberField, charpoly, is_irreducible
 
 
@@ -108,21 +108,15 @@ def verify_multiplication_rep(a: IntMatrix, ideal: IdealLattice, data: EigenData
     """True iff a is the matrix of x -> beta * x on the ideal in the basis
     given by the eigenvector coordinates.
 
-    The multiplication matrix is recomputed from the eigenvector and the
-    field alone, so tampering with a is detected.
+    With V the coordinate rows and C the companion matrix (multiplication by
+    beta on coordinates), that matrix is V C V^(-1), so the test is the exact
+    identity a V = V C; V is invertible because the rows span a full-rank
+    lattice.  The multiplication matrix is recomputed from the eigenvector
+    and the field alone, so tampering with a is detected.
     """
     rows = primitive_rows(data)
-    n = len(rows)
     if IdealLattice(data.field, rows, 1) != ideal:
         return False
-    c = data.field.modulus.companion()  # multiplication by beta on coordinates
     v = IntMatrix(rows)
-    target = v @ c
-    basis_vectors = [v.row(i) for i in range(n)]
-    m_rows = []
-    for i in range(n):
-        coeffs = integer_coordinates(basis_vectors, target.row(i))
-        if coeffs is None:
-            return False
-        m_rows.append(coeffs)
-    return IntMatrix(m_rows) == a
+    c = data.field.modulus.companion()
+    return a.shape == v.shape and a @ v == v @ c

@@ -93,20 +93,13 @@ def _check_pair(a: IntMatrix, b: IntMatrix) -> IntPoly:
     return f
 
 
-def _echelon_fp(vectors: list[Vector], p: int) -> tuple[list[Vector], list[Vector]]:
-    """Row basis of the F_p-span plus the combination rows expressing each
-    basis vector in terms of the input vectors."""
-    if not vectors:
-        return [], []
-    width = len(vectors[0])
-    count = len(vectors)
-    rows = [list(v) + [1 if k == i else 0 for k in range(count)]
-            for i, v in enumerate(vectors)]
+def _echelon_fp(rows: list[Vector], p: int, width: int) -> list[Vector]:
+    """Reduced row echelon form over F_p of the rows, pivoting only in the
+    first `width` columns: the nonzero pivot rows, full length."""
     rows = [[x % p for x in row] for row in rows]
-    basis, combos = [], []
     r = 0
     for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -117,10 +110,7 @@ def _echelon_fp(vectors: list[Vector], p: int) -> tuple[list[Vector], list[Vecto
                 f = rows[i][c]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         r += 1
-    for i in range(r):
-        basis.append(tuple(rows[i][:width]))
-        combos.append(tuple(rows[i][width:]))
-    return basis, combos
+    return [tuple(row) for row in rows[:r]]
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
@@ -154,7 +144,14 @@ def _unit_det_witness(
     stops at the first unit; otherwise uniform sampling runs first, falling
     back to the same walk once the failure budget is spent.
     """
-    basis, combos = _echelon_fp([tuple(x % p for x in g) for g in gens], p)
+    # an identity block records each basis row as a combination of gens
+    count, width = len(gens), n * n
+    reduced = _echelon_fp(
+        [tuple(g) + tuple(int(k == i) for k in range(count)) for i, g in enumerate(gens)],
+        p, width,
+    )
+    basis = [row[:width] for row in reduced]
+    combos = [row[width:] for row in reduced]
     dim = len(basis)
     if dim == 0:
         return None
@@ -222,7 +219,7 @@ def _unit_det_witness(
 
 
 def _rank_fp(m: IntMatrix, p: int) -> int:
-    return len(_echelon_fp(list(m.entries), p)[0])
+    return len(_echelon_fp(m.entries, p, m.cols))
 
 
 def _linear_ranks_differ(f: IntPoly, a: IntMatrix, b: IntMatrix, p: int) -> bool:

@@ -3,10 +3,11 @@
 An ideal is stored as a positive denominator plus a row-style Hermite normal
 form basis with respect to the power basis 1, beta, ..., beta^(n-1).  The
 canonical form (HNF, positive pivots, reduced entries, minimal denominator)
-makes equality structural.  An intersection is the kernel of an n x 2n
-integer system, and a colon ideal (j : i) is the intersection of the n
-lattices s^(-1) * j over the basis elements s of i, so nothing here ever
-needs factorization of ideals or a system larger than n x 2n.
+makes equality structural.  That one Hermite form is the only elimination
+here: an intersection is read off the HNF of a 2n x 2n block (Zassenhaus),
+L intersected with Z is the same meet with den * Z, and a colon ideal
+(j : i) is the intersection of the n lattices s^(-1) * j over the basis
+elements s of i, so nothing here needs a Smith form or a factorization.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .intmat import IntMatrix, kernel_basis_Z
+from .intmat import IntMatrix
 from .polyfield import FieldElement, NumberField, charpoly
 from .primes import is_prime
 
@@ -57,6 +58,17 @@ def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
                 for j in range(pcol, ncols):
                     out[earlier][j] -= q * piv[j]
     return out
+
+
+def _meet_rows(li: list[list[int]], lj: list[list[int]], n: int) -> list[list[int]]:
+    """Basis of rowspan(li) intersected with rowspan(lj) (Zassenhaus).
+
+    The rows of [[li, li], [lj, 0]] combine to (x + y, x) with x in li's
+    span and y in lj's, so the first half vanishes exactly when x = -y lies
+    in both; the HNF rows whose first half is zero carry a basis of the
+    meet in their second half."""
+    block = [r + r for r in li] + [r + [0] * n for r in lj]
+    return [r[n:] for r in _hnf_rows(block, 2 * n) if not any(r[:n])]
 
 
 class IdealLattice:
@@ -161,21 +173,13 @@ class IdealLattice:
         )
 
     def smallest_positive_integer(self) -> int:
-        """Generator of (this lattice) intersected with Z."""
+        """Generator of (this lattice) intersected with Z: the meet of the
+        integer basis with den * Z * 1 is the single row c * den * e_1."""
         n = self.field.degree
-        # kernel of the n x (n+1) system  a^T basis - c * den * e_1 = 0
-        rows = []
-        for j in range(n):
-            row = [self.basis[i, j] for i in range(n)]
-            row.append(-self.den if j == 0 else 0)
-            rows.append(row)
-        kernel = kernel_basis_Z(IntMatrix(rows))
-        if len(kernel) != 1:
-            raise AssertionError("integer-intersection kernel should be rank one")
-        c = abs(kernel[0][-1])
-        if c == 0:
-            raise AssertionError("full-rank lattice misses all rational integers")
-        return c
+        meet = _meet_rows(self.basis.to_lists(), [[self.den] + [0] * (n - 1)], n)
+        if len(meet) != 1:
+            raise AssertionError("integer-intersection meet should be rank one")
+        return meet[0][0] // self.den
 
     def __eq__(self, other) -> bool:
         return (
@@ -252,29 +256,13 @@ def quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
 
 
 def intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:
-    """Lattice intersection via the kernel of the stacked-basis system."""
+    """Lattice intersection: both bases over the common denominator, met by
+    one HNF of the stacked 2n x 2n block."""
     _require_same_field(i, j)
-    field = i.field
-    n = field.degree
     den = lcm(i.den, j.den)
     li = [[(den // i.den) * x for x in row] for row in i.basis.entries]
     lj = [[(den // j.den) * x for x in row] for row in j.basis.entries]
-    rows = []
-    for coord in range(n):
-        rows.append(
-            [li[r][coord] for r in range(n)] + [-lj[r][coord] for r in range(n)]
-        )
-    kernel = kernel_basis_Z(IntMatrix(rows))
-    out = []
-    for v in kernel:
-        acc = [0] * n
-        for r in range(n):
-            c = v[r]
-            if c:
-                for idx in range(n):
-                    acc[idx] += c * li[r][idx]
-        out.append(acc)
-    return IdealLattice(field, out, den)
+    return IdealLattice(i.field, _meet_rows(li, lj, i.field.degree), den)
 
 
 def coeff_ring(i: IdealLattice) -> Order:

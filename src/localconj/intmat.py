@@ -422,43 +422,3 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:
                 f = aug[i][k]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
     return [row[n : n + w] for row in aug]
-
-
-def integer_coordinates(basis: list[Vector], target) -> list[int] | None:
-    """Integer coefficients c with sum c_i * basis_i = target, or None.
-
-    The basis vectors must be linearly independent over Q.
-    """
-    target = tuple(target)
-    if not basis:
-        return [] if all(x == 0 for x in target) else None
-    dim = len(target)
-    cols = len(basis)
-    aug = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])]
-           for i in range(dim)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, dim) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if r < cols:
-        raise ValueError("basis vectors are linearly dependent")
-    for i in range(r, dim):
-        if aug[i][cols] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for row_idx, c in enumerate(pivots):
-        coeffs[c] = aug[row_idx][cols]
-    if any(x.denominator != 1 for x in coeffs):
-        return None
-    return [int(x) for x in coeffs]

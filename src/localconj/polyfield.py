@@ -294,18 +294,7 @@ def _polmod_p(a, f, p):
 
 def _polgcd_p(a, b, p):
     while b:
-        inv = pow(b[-1], -1, p)
-        bm = tuple(x * inv % p for x in b)
-        r = list(a)
-        db = len(bm) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] % p
-            if c:
-                for j in range(db + 1):
-                    r[i - db + j] = (r[i - db + j] - c * bm[j]) % p
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, tuple(r)
+        a, b = b, _polmod_p(a, b, p)
     if a:
         inv = pow(a[-1], -1, p)
         a = tuple(x * inv % p for x in a)

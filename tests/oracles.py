@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from localconj import (
     EigenData,
@@ -216,6 +216,37 @@ def kernel_system_quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
                 acc[idx] += v[k] * r_rows[k][idx]
         out_rows.append(acc)
     return IdealLattice(field, out_rows, e)
+
+
+def kernel_intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:
+    """Lattice intersection as the integer kernel of the n x 2n system
+    sum_r a_r li_r = sum_r b_r lj_r over the common denominator."""
+    field = i.field
+    n = field.degree
+    den = lcm(i.den, j.den)
+    li = [[(den // i.den) * x for x in row] for row in i.basis.entries]
+    lj = [[(den // j.den) * x for x in row] for row in j.basis.entries]
+    rows = [
+        [li[r][coord] for r in range(n)] + [-lj[r][coord] for r in range(n)]
+        for coord in range(n)
+    ]
+    out = []
+    for v in kernel_basis_Z(IntMatrix(rows)):
+        out.append([sum(v[r] * li[r][idx] for r in range(n)) for idx in range(n)])
+    return IdealLattice(field, out, den)
+
+
+def kernel_smallest_positive_integer(lat: IdealLattice) -> int:
+    """Generator of the lattice intersected with Z, from the rank-one kernel
+    of the n x (n + 1) system a^T basis - c * den * e_1 = 0."""
+    n = lat.field.degree
+    rows = [
+        [lat.basis[i, j] for i in range(n)] + [-lat.den if j == 0 else 0]
+        for j in range(n)
+    ]
+    kernel = kernel_basis_Z(IntMatrix(rows))
+    assert len(kernel) == 1, "integer-intersection kernel should be rank one"
+    return abs(kernel[0][-1])
 
 
 def field_elimination_eigenvector(a: IntMatrix) -> EigenData:

@@ -460,11 +460,18 @@ class TestReportBytes:
         assert got == want
 
     def test_weak_equiv_builds_only_narrow_smith_forms(self, snf_builds):
-        # each colon ideal intersects n lattices: n - 1 kernels of n x 2n
+        # colon ideals and L meet Z are Hermite-form meets: no Smith form
         pair = generate_pair(parse_poly("t^6-2"), "unimodular", 0)
         snf_builds.clear()
         weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
-        assert snf_builds == [(6, 12)] * 10
+        assert snf_builds == []
+
+    def test_cross_check_builds_only_the_operator_smith_form(self, snf_builds):
+        # one operator for both primes; the cross-check's ideal side builds none
+        pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
+        snf_builds.clear()
+        conj_all_report(pair.a, pair.b, "a.txt", "b.txt", cross_check=True)
+        assert snf_builds == [(25, 25)]
 
     def test_verify_rebuilds_every_unit_mod_check(self, snf_builds):
         pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)

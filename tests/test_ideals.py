@@ -32,7 +32,11 @@ from localconj import (
 )
 
 from conftest import CLASSIC_A, CLASSIC_B, M
-from oracles import kernel_system_quotient
+from oracles import (
+    kernel_intersection,
+    kernel_smallest_positive_integer,
+    kernel_system_quotient,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,29 +153,55 @@ OVERORDER_FIELDS = (
 )
 
 
+def overorder_lattices(f_text, p, g):
+    """Z[beta], the coefficient ring of the p-radical, and random ideals of
+    both."""
+    field = NumberField(parse_poly(f_text))
+    s = zbeta_order(field)
+    base = s.lattice.basis_elements()
+    radical = IdealLattice.from_elements(
+        field, [e * p for e in base] + [field.element(g) * e for e in base]
+    )
+    r = coeff_ring(radical)
+    assert index(s.lattice, r.lattice) > 1
+    rng = random.Random(f_text)
+    return [
+        s.lattice,
+        r.lattice,
+        random_ideal(s, p, 1, rng),
+        random_ideal(s, 3, 1, rng),
+        random_ideal(r, p, 2, rng),
+        random_ideal(r, 3, 1, rng),
+    ]
+
+
 class TestQuotientAgainstKernelSystem:
     @pytest.mark.parametrize("f_text,p,g", OVERORDER_FIELDS)
     def test_sub_ideals_and_overorders(self, f_text, p, g):
-        field = NumberField(parse_poly(f_text))
-        s = zbeta_order(field)
-        base = s.lattice.basis_elements()
-        radical = IdealLattice.from_elements(
-            field, [e * p for e in base] + [field.element(g) * e for e in base]
-        )
-        r = coeff_ring(radical)
-        assert index(s.lattice, r.lattice) > 1
-        rng = random.Random(f_text)
-        lattices = [
-            s.lattice,
-            r.lattice,
-            random_ideal(s, p, 1, rng),
-            random_ideal(s, 3, 1, rng),
-            random_ideal(r, p, 2, rng),
-            random_ideal(r, 3, 1, rng),
-        ]
+        lattices = overorder_lattices(f_text, p, g)
         for i in lattices:
             for j in lattices:
                 assert quotient(j, i) == kernel_system_quotient(j, i)
+
+
+class TestMeetAgainstKernels:
+    """The Hermite-form meets against the Smith-form kernels they replaced."""
+
+    @pytest.mark.parametrize("f_text,p,g", OVERORDER_FIELDS)
+    def test_intersection(self, f_text, p, g):
+        lattices = overorder_lattices(f_text, p, g)
+        for i in lattices:
+            for j in lattices:
+                assert intersection(i, j) == kernel_intersection(i, j)
+
+    @pytest.mark.parametrize("f_text,p,g", OVERORDER_FIELDS)
+    def test_smallest_positive_integer(self, f_text, p, g):
+        lattices = overorder_lattices(f_text, p, g)
+        for i in lattices:
+            for j in lattices:
+                for lat in (intersection(i, j), quotient(j, i)):
+                    c = lat.smallest_positive_integer()
+                    assert c == kernel_smallest_positive_integer(lat)
 
 
 class TestCoeffRing:

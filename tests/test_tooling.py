@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
+import json
 from pathlib import Path
 
 import localconj
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -32,6 +35,29 @@ def test_traced_methods_are_defined_in_their_class():
 def test_traced_layers_import():
     for layer in load_tracing().LAYERS:
         importlib.import_module(f"localconj.{layer}")
+
+
+def test_benchmark_layer_metrics_name_traced_spans():
+    # a per-layer metric reads a span the tracer installs: a public function
+    # of the layer, a traced method or an alias of one; a deleted or renamed
+    # function would otherwise read 0 without a failing test
+    tracing = load_tracing()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    methods = {f"{layer}.{cls}.{meth}" for layer, cls, meth in tracing.METHODS}
+    for metric in spec["per_layer"]:
+        name = metric["name"].rpartition(".")[0]
+        layer, _, func = name.partition(".")
+        assert layer in tracing.LAYERS, metric["name"]
+        if not func:
+            continue
+        mod = importlib.import_module(f"localconj.{layer}")
+        obj = getattr(mod, func, None)
+        public = (
+            not func.startswith("_")
+            and inspect.isfunction(obj)
+            and obj.__module__ == mod.__name__
+        )
+        assert public or name in methods or tracing.ALIASES.get(name) in methods, metric["name"]
 
 
 def test_public_names_resolve():
