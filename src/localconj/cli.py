@@ -442,77 +442,39 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="localconj",
-        description="decide p-adic conjugacy of integer matrices and weak "
-        "equivalence of their fractional ideals, with verifiable certificates",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("json", "text"), default="json",
-            help="output format (default json)",
-        )
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial of a matrix file")
+def _matrix(p) -> None:
     p.add_argument("matrix")
-    add_format(p)
-    p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("snf", help="Smith normal form of a matrix file")
-    p.add_argument("matrix")
-    add_format(p)
-    p.set_defaults(func=cmd_snf)
 
-    p = sub.add_parser("conj-p", help="conjugacy over the p-adic integers")
+def _pair(p) -> None:
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
+
+
+def _pair_at_prime(p) -> None:
+    _pair(p)
     p.add_argument("--prime", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_conj_p)
 
-    p = sub.add_parser("conj-all", help="conjugacy over Z_p for every prime")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
+
+def _matrix_at_prime(p) -> None:
+    _matrix(p)
+    p.add_argument("--prime", type=int, required=True)
+
+
+def _conj_all_args(p) -> None:
+    _pair(p)
     p.add_argument(
         "--cross-check", action="store_true",
         help="also run the ideal-side weak-equivalence test and report agreement",
     )
-    add_format(p)
-    p.set_defaults(func=cmd_conj_all)
 
-    p = sub.add_parser("weak-equiv", help="weak equivalence of the associated ideals")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    add_format(p)
-    p.set_defaults(func=cmd_weak_equiv)
 
-    p = sub.add_parser("ideal-of", help="fractional ideal attached to a matrix")
-    p.add_argument("matrix")
-    add_format(p)
-    p.set_defaults(func=cmd_ideal_of)
-
-    p = sub.add_parser("screen-primes", help="primes whose square divides disc(f)")
+def _screen_primes_args(p) -> None:
     p.add_argument("matrix", nargs="?")
     p.add_argument("--field", help="polynomial, e.g. 't^2-t-1' or '-1,-1,1'")
-    add_format(p)
-    p.set_defaults(func=cmd_screen_primes)
 
-    p = sub.add_parser("ell", help="scalar-congruence invariant of a 2x2 matrix")
-    p.add_argument("matrix")
-    p.add_argument("--prime", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_ell)
 
-    p = sub.add_parser("companion-test", help="similarity to the companion matrix at p")
-    p.add_argument("matrix")
-    p.add_argument("--prime", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_companion_test)
-
-    p = sub.add_parser("gen", help="generate a deterministic matrix pair")
+def _gen_args(p) -> None:
     p.add_argument("--field", required=True)
     p.add_argument(
         "--strategy", default="unimodular",
@@ -522,22 +484,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-a", default="gen_a.txt")
     p.add_argument("--out-b", default="gen_b.txt")
     p.add_argument("--file-format", choices=("text", "json"), default="text")
-    add_format(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="re-verify a serialized report")
+
+def _verify_args(p) -> None:
     p.add_argument("report")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
+    _pair(p)
 
+
+def _commands() -> tuple:
+    """(name, help, argument setup, handler) of every subcommand, in usage
+    order; every subcommand also takes --format.  Handlers are looked up on
+    each call, so a wrapper installed on the module is the one that runs."""
+    return (
+        ("charpoly", "characteristic polynomial of a matrix file", _matrix,
+         cmd_charpoly),
+        ("snf", "Smith normal form of a matrix file", _matrix, cmd_snf),
+        ("conj-p", "conjugacy over the p-adic integers", _pair_at_prime, cmd_conj_p),
+        ("conj-all", "conjugacy over Z_p for every prime", _conj_all_args,
+         cmd_conj_all),
+        ("weak-equiv", "weak equivalence of the associated ideals", _pair,
+         cmd_weak_equiv),
+        ("ideal-of", "fractional ideal attached to a matrix", _matrix, cmd_ideal_of),
+        ("screen-primes", "primes whose square divides disc(f)", _screen_primes_args,
+         cmd_screen_primes),
+        ("ell", "scalar-congruence invariant of a 2x2 matrix", _matrix_at_prime,
+         cmd_ell),
+        ("companion-test", "similarity to the companion matrix at p", _matrix_at_prime,
+         cmd_companion_test),
+        ("gen", "generate a deterministic matrix pair", _gen_args, cmd_gen),
+        ("verify", "re-verify a serialized report", _verify_args, cmd_verify),
+    )
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with a known subcommand name, only that
+    subcommand's parser is built (usage and help read the same)."""
+    parser = argparse.ArgumentParser(
+        prog="localconj",
+        description="decide p-adic conjugacy of integer matrices and weak "
+        "equivalence of their fractional ideals, with verifiable certificates",
+    )
+    commands = _commands()
+    chosen = [c for c in commands if c[0] == command]
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        # a lone subparser still lists every command in the top-level usage
+        metavar="{" + ",".join(c[0] for c in commands) + "}" if chosen else None,
+    )
+    for name, help_text, setup, handler in chosen or commands:
+        p = sub.add_parser(name, help=help_text)
+        setup(p)
+        p.add_argument(
+            "--format", choices=("json", "text"), default="json",
+            help="output format (default json)",
+        )
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParseFailure as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index, mul
 
 from .primes import is_prime, prime_power_split
 
@@ -23,7 +24,11 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries) -> None:
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            data = tuple(tuple(map(index, row)) for row in entries)
+        except TypeError as exc:
+            # a float or a numeric string is refused, never truncated
+            raise ValueError(f"matrix entries must be integers: {exc}") from None
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(data[0])
@@ -33,6 +38,18 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
 
+    @classmethod
+    def _of(cls, rows) -> "IntMatrix":
+        """Wrap equal-length rows of ints computed in this module, unchecked."""
+        data = tuple(map(tuple, rows))
+        if not data or not data[0]:
+            raise ValueError("matrix needs at least one row and one column")
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", data)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", len(data[0]))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -40,11 +57,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._of([[0] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, diag) -> "IntMatrix":
@@ -84,7 +101,7 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._of(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -93,7 +110,7 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._of(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -101,12 +118,12 @@ class IntMatrix:
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.entries])
+        return IntMatrix._of([[-a for a in row] for row in self.entries])
 
     def __mul__(self, scalar: int) -> "IntMatrix":
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntMatrix([[scalar * a for a in row] for row in self.entries])
+        return IntMatrix._of([[scalar * a for a in row] for row in self.entries])
 
     __rmul__ = __mul__
 
@@ -114,8 +131,8 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         bt = list(zip(*other.entries))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
+        return IntMatrix._of(
+            [[sum(map(mul, row, col)) for col in bt] for row in self.entries]
         )
 
     @property
@@ -126,10 +143,10 @@ class IntMatrix:
         v = tuple(v)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)))
+        return IntMatrix._of(zip(*self.entries))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -137,14 +154,14 @@ class IntMatrix:
         return sum(self.entries[i][i] for i in range(self.rows))
 
     def mod(self, modulus: int) -> "IntMatrix":
-        return IntMatrix([[a % modulus for a in row] for row in self.entries])
+        return IntMatrix._of([[a % modulus for a in row] for row in self.entries])
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         out = []
         for arow in self.entries:
             for brow in other.entries:
                 out.append([a * b for a in arow for b in brow])
-        return IntMatrix(out)
+        return IntMatrix._of(out)
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.shape != other.shape:
@@ -185,8 +202,10 @@ def det(m: IntMatrix) -> int:
 class SNFDecomposition:
     """m = s @ d @ t with s, t unimodular and d diagonal, d_i | d_{i+1}.
 
-    t_inv is the exact integer inverse of t (tracked during reduction), and
-    det_t = det(t) in {1, -1}.  Both are needed by the kernel constructions.
+    t_inv is the exact integer inverse of t (tracked during reduction); the
+    kernel constructions read it.  Construction checks the decomposition at
+    the cost of two matrix products and one determinant: t @ t_inv = I makes
+    t unimodular with inverse t_inv, so m = s d t is m @ t_inv = s d.
     """
 
     s: IntMatrix
@@ -194,28 +213,23 @@ class SNFDecomposition:
     t: IntMatrix
     original: IntMatrix
     t_inv: IntMatrix
-    det_s: int
-    det_t: int
 
     def __post_init__(self) -> None:
         d = self.d.entries
         if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
             raise AssertionError("SNF: d is not diagonal")
-        # with d diagonal, d @ t is t with row i scaled by d_i (zero past t)
-        t = self.t
-        dt = IntMatrix(
-            [[d[i][i] * x for x in t.row(i)] if i < t.rows else [0] * t.cols
-             for i in range(self.d.rows)]
-        )
-        if self.s @ dt != self.original:
-            raise AssertionError("SNF: s*d*t != original")
         if self.t @ self.t_inv != IntMatrix.identity(self.t.rows):
             raise AssertionError("SNF: tracked inverse of t is wrong")
-        if det(self.s) != self.det_s or abs(self.det_s) != 1:
-            raise AssertionError("SNF: s is not unimodular")
-        if det(self.t) != self.det_t or abs(self.det_t) != 1:
-            raise AssertionError("SNF: t is not unimodular")
+        # with d diagonal, s @ d is s with column j scaled by d_j (zero past s)
         diag = self.diagonal()
+        pad = [0] * (self.d.cols - len(diag))
+        sd = IntMatrix._of(
+            [[x * dj for x, dj in zip(row, diag)] + pad for row in self.s.entries]
+        )
+        if self.original @ self.t_inv != sd:
+            raise AssertionError("SNF: original @ t_inv != s*d")
+        if abs(det(self.s)) != 1:
+            raise AssertionError("SNF: s is not unimodular")
         for a, b in zip(diag, diag[1:]):
             if a < 0 or b < 0:
                 raise AssertionError("SNF: negative invariant factor")
@@ -264,57 +278,49 @@ class PrimePartProfile:
 def snf(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form with both transforms.
 
-    Pivoting picks the minimal-absolute-value nonzero entry, which keeps
-    coefficient growth acceptable at the matrix sizes this library targets.
+    Pivoting picks the minimal-absolute-value nonzero entry (the first in
+    row-major order), which keeps coefficient growth acceptable at the matrix
+    sizes this library targets.
     """
     nr, nc = m.rows, m.cols
     a = m.to_lists()
     s = IntMatrix.identity(nr).to_lists()
     t = IntMatrix.identity(nc).to_lists()
     t_inv = IntMatrix.identity(nc).to_lists()
-    det_s = 1
-    det_t = 1
 
     def swap_rows(i: int, j: int) -> None:
-        nonlocal det_s
         a[i], a[j] = a[j], a[i]
         for row in s:
             row[i], row[j] = row[j], row[i]
-        det_s = -det_s
 
     def addmul_row(i: int, j: int, q: int) -> None:
         # a: row_i += q * row_j ; mirror keeps s @ a @ t constant
-        ai, aj = a[i], a[j]
-        for col in range(nc):
-            ai[col] += q * aj[col]
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         for row in s:
-            row[j] -= q * row[i]
+            if row[i]:
+                row[j] -= q * row[i]
 
     def negate_row(i: int) -> None:
-        nonlocal det_s
         a[i] = [-x for x in a[i]]
         for row in s:
             row[i] = -row[i]
-        det_s = -det_s
 
     def swap_cols(i: int, j: int) -> None:
-        nonlocal det_t
         for row in a:
             row[i], row[j] = row[j], row[i]
         t[i], t[j] = t[j], t[i]
         for row in t_inv:
             row[i], row[j] = row[j], row[i]
-        det_t = -det_t
 
     def addmul_col(j: int, i: int, q: int) -> None:
         # a: col_j += q * col_i
         for row in a:
-            row[j] += q * row[i]
-        ti, tj = t[i], t[j]
-        for col in range(nc):
-            ti[col] -= q * tj[col]
+            if row[i]:
+                row[j] += q * row[i]
+        t[i] = [x - q * y for x, y in zip(t[i], t[j])]
         for row in t_inv:
-            row[j] += q * row[i]
+            if row[i]:
+                row[j] += q * row[i]
 
     limit = min(nr, nc)
     for k in range(limit):
@@ -322,11 +328,16 @@ def snf(m: IntMatrix) -> SNFDecomposition:
             piv = None
             best = None
             for i in range(k, nr):
+                row = a[i]
                 for j in range(k, nc):
-                    v = a[i][j]
+                    v = row[j]
                     if v != 0 and (best is None or abs(v) < best):
                         best = abs(v)
                         piv = (i, j)
+                        if best == 1:
+                            break
+                if best == 1:
+                    break  # nothing is smaller, so this is the first minimum
             if piv is None:
                 break
             if piv[0] != k:
@@ -351,6 +362,8 @@ def snf(m: IntMatrix) -> SNFDecomposition:
                     dirty = True
             if dirty:
                 continue
+            if p == 1:
+                break
             # pivot must divide everything that is left
             bad = None
             for i in range(k + 1, nr):
@@ -364,13 +377,11 @@ def snf(m: IntMatrix) -> SNFDecomposition:
             break
 
     return SNFDecomposition(
-        s=IntMatrix(s),
-        d=IntMatrix(a),
-        t=IntMatrix(t),
+        s=IntMatrix._of(s),
+        d=IntMatrix._of(a),
+        t=IntMatrix._of(t),
         original=m,
-        t_inv=IntMatrix(t_inv),
-        det_s=det_s,
-        det_t=det_t,
+        t_inv=IntMatrix._of(t_inv),
     )
 
 

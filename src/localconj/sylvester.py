@@ -77,9 +77,10 @@ def lift_kernel(
     Given l @ x' = 0 mod p^(mu+lam), returns x with l @ x = 0 exactly and
     x = x' mod p^lam.  Construction: with l = s d t, put y = t @ x', choose w
     with w_j = 0 on the nonzero-invariant-factor coordinates and
-    det(t) * w_i = y_i mod p^lam on the rest, and return det(t) * t^(-1) @ w.
-    Constrained coordinates take the minimal nonnegative residue, so the
-    output is deterministic.
+    w_i = y_i mod p^lam on the rest, and return t^(-1) @ w: then d w = 0, and
+    w = y mod p^lam because y_j = 0 mod p^lam wherever d_j != 0.  Free
+    coordinates take the minimal nonnegative residue, so the output is
+    deterministic.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -105,8 +106,8 @@ def lift_kernel(
             if y[i] % plam:
                 raise AssertionError("constrained coordinate fails the congruence")
         else:
-            w[i] = dec.det_t * y[i] % plam
-    x = tuple(dec.det_t * c for c in dec.t_inv.mul_vec(w))
+            w[i] = y[i] % plam
+    x = dec.t_inv.mul_vec(w)
     # exact postconditions, rechecked on every call
     if any(c != 0 for c in m.mul_vec(x)):
         raise AssertionError("lifted vector is not in the exact kernel")

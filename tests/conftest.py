@@ -21,6 +21,7 @@ from localconj import (
     random_unimodular,
 )
 import localconj.conjugacy as conjugacy
+import localconj.intmat as intmat
 from localconj.gen import conjugate_exact
 
 QUADRATIC_FIELDS = ("t^2-t-1", "t^2+3", "t^2-2", "t^2+2")
@@ -57,6 +58,22 @@ def snf_builds(monkeypatch):
 
     monkeypatch.setattr(SNFDecomposition, "__post_init__", counting)
     return built
+
+
+@pytest.fixture
+def det_shapes(monkeypatch):
+    """Shapes of the Bareiss determinants taken while the test runs."""
+    taken = []
+    bareiss = intmat.det
+
+    def counting(m):
+        taken.append(m.shape)
+        return bareiss(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localconj.") and getattr(module, "det", None) is bareiss:
+            monkeypatch.setattr(module, "det", counting)
+    return taken
 
 
 @pytest.fixture

@@ -285,3 +285,94 @@ def field_elimination_eigenvector(a: IntMatrix) -> EigenData:
         u[c] = -rows[rr][free]
     inv = next(x for x in u if not x.is_zero).inverse()
     return EigenData(field=field, u=tuple(x * inv for x in u))
+
+
+def reference_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """(s, d, t, t_inv) by the plain Smith-form elimination: scan every entry
+    for the first one of minimal absolute value, clear its row and column
+    with full-length updates, and check that it divides what is left.  It
+    fixes the exact transforms `snf` must return."""
+    nr, nc = m.rows, m.cols
+    a = m.to_lists()
+    s = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    t = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    t_inv = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(i, j, q):
+        ai, aj = a[i], a[j]
+        for col in range(nc):
+            ai[col] += q * aj[col]
+        for row in s:
+            row[j] -= q * row[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        for row in s:
+            row[i] = -row[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        t[i], t[j] = t[j], t[i]
+        for row in t_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_col(j, i, q):
+        for row in a:
+            row[j] += q * row[i]
+        ti, tj = t[i], t[j]
+        for col in range(nc):
+            ti[col] -= q * tj[col]
+        for row in t_inv:
+            row[j] += q * row[i]
+
+    for k in range(min(nr, nc)):
+        while True:
+            piv = None
+            best = None
+            for i in range(k, nr):
+                for j in range(k, nc):
+                    v = a[i][j]
+                    if v != 0 and (best is None or abs(v) < best):
+                        best = abs(v)
+                        piv = (i, j)
+            if piv is None:
+                break
+            if piv[0] != k:
+                swap_rows(k, piv[0])
+            if piv[1] != k:
+                swap_cols(k, piv[1])
+            if a[k][k] < 0:
+                negate_row(k)
+            p = a[k][k]
+            dirty = False
+            for i in range(k + 1, nr):
+                q = a[i][k] // p
+                if q:
+                    addmul_row(i, k, -q)
+                if a[i][k]:
+                    dirty = True
+            for j in range(k + 1, nc):
+                q = a[k][j] // p
+                if q:
+                    addmul_col(j, k, -q)
+                if a[k][j]:
+                    dirty = True
+            if dirty:
+                continue
+            bad = None
+            for i in range(k + 1, nr):
+                if any(a[i][j] % p for j in range(k + 1, nc)):
+                    bad = i
+                    break
+            if bad is None:
+                break
+            addmul_row(k, bad, 1)
+        if a[k][k] == 0:
+            break
+    return IntMatrix(s), IntMatrix(a), IntMatrix(t), IntMatrix(t_inv)

@@ -15,6 +15,7 @@ import pytest
 import localconj
 from localconj import IntMatrix, charpoly, generate_pair, parse_poly, screen_primes
 from localconj.cli import (
+    _commands,
     conj_all_report,
     conj_p_report,
     main,
@@ -82,6 +83,51 @@ class TestParsing:
 
     def test_missing_file_exits_one(self):
         assert main(["charpoly", "/nonexistent/never.txt"]) == 1
+
+    def test_float_entry_exits_one(self, tmp_path, capsys):
+        # a float is refused, never truncated to [[1, 1], [1, 0]]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": 2, "rows": [[1.7, 1], [1, 0]]}))
+        assert main(["conj-p", str(p), str(p), "--prime", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be integers" in captured.err
+
+    def test_float_in_certificate_is_malformed(self, classic_files, tmp_path, capsys):
+        pa, pb = classic_files
+        report = conj_p_report(CLASSIC_A, CLASSIC_B, pa, pb, 3)
+        assert report["verdict"]["conjugate"]
+        exits = []
+        for tamper in ("float", "ragged"):
+            blob = json.loads(json.dumps(report))
+            matrix = blob["certificate"]["matrix"]
+            if tamper == "float":
+                matrix[0][0] += 0.5
+            else:
+                matrix[0].pop()
+            path = tmp_path / f"{tamper}.json"
+            path.write_text(json.dumps(blob))
+            exits.append(main(["verify", str(path), pa, pb]))
+            assert capsys.readouterr().err.startswith("precondition violated")
+        assert exits == [2, 2]
+
+
+# top-level and subcommand help, and usage errors, as `main` printed them
+# before the parser was built per subcommand (80 columns)
+CLI_TEXTS = json.loads((Path(__file__).parent / "cli_texts.json").read_text())
+
+
+class TestParserTexts:
+    @pytest.mark.parametrize("argv", sorted(CLI_TEXTS))
+    def test_text_unchanged(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert [exc.value.code, captured.out, captured.err] == CLI_TEXTS[argv]
+
+    def test_every_subcommand_help_recorded(self):
+        assert {f"{c[0]} --help" for c in _commands()} <= set(CLI_TEXTS)
 
 
 class TestExitCodes:

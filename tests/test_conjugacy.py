@@ -203,6 +203,14 @@ class TestOneSmithFormPerDecision:
         n = pair.a.rows
         assert snf_builds == [(n * n, n * n)]
 
+    def test_one_operator_determinant(self, det_shapes):
+        # t @ t_inv == I proves t unimodular; only s takes a determinant
+        pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
+        for p in screen_primes(charpoly(pair.a)):
+            det_shapes.clear()
+            assert conjugate_over_Zp(pair.a, pair.b, p).conjugate
+            assert det_shapes.count((25, 25)) == 1, det_shapes
+
     def test_verify_cert_rebuilds_once(self, snf_builds):
         pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
         cert = conjugate_over_Zp(pair.a, pair.b, 5).certificate

@@ -11,15 +11,26 @@ from hypothesis import given, settings, strategies as st
 from localconj import (
     IntMatrix,
     SNFDecomposition,
+    SylvesterOperator,
     det,
+    generate_pair,
     kernel_basis_Z,
     kernel_mod,
     p_part,
+    parse_poly,
     snf,
 )
 
-from conftest import M
-from oracles import brute_solutions_mod, laplace_det, minor_gcds, span_of_generators_mod
+from conftest import PRIME_BY_PRIME_PAIRS, M
+from oracles import (
+    brute_solutions_mod,
+    laplace_det,
+    minor_gcds,
+    reference_snf,
+    span_of_generators_mod,
+)
+
+EYE = IntMatrix.identity(2)
 
 
 def small_matrix(rows, cols, lo=-4, hi=4):
@@ -92,25 +103,100 @@ class TestSNF:
         assert dec.s @ dec.d @ dec.t == m
 
     @pytest.mark.parametrize(
-        "d,original,message",
+        "s,d,t_inv,original,message",
         [
             # s @ d @ t == original holds, but d is not diagonal
-            (M([1, 1], [0, 1]), M([1, 1], [0, 1]), "not diagonal"),
-            (M([1, 0], [0, 2]), M([1, 0], [0, 3]), "original"),
+            pytest.param(
+                EYE, M([1, 1], [0, 1]), EYE, M([1, 1], [0, 1]), "not diagonal",
+                id="d0-original0-not diagonal",
+            ),
+            pytest.param(
+                EYE, M([1, 0], [0, 2]), EYE, M([1, 0], [0, 3]), "original",
+                id="d1-original1-original",
+            ),
+            # s @ d @ t == original holds, but t_inv is not the inverse of t
+            pytest.param(
+                EYE, M([1, 0], [0, 2]), M([1, 1], [0, 1]), M([1, 0], [0, 2]), "inverse",
+                id="wrong-t_inv",
+            ),
+            # original @ t_inv == s @ d, but det s = 2
+            pytest.param(
+                M([2, 0], [0, 1]), EYE, EYE, M([2, 0], [0, 1]), "unimodular", id="det-s-2"
+            ),
+            pytest.param(
+                EYE, M([2, 0], [0, 3]), EYE, M([2, 0], [0, 3]), "divisibility",
+                id="chain-2-3",
+            ),
         ],
     )
-    def test_bad_decomposition_rejected(self, d, original, message):
-        eye = IntMatrix.identity(2)
+    def test_bad_decomposition_rejected(self, s, d, t_inv, original, message):
         with pytest.raises(AssertionError, match=message):
-            SNFDecomposition(
-                s=eye, d=d, t=eye, original=original, t_inv=eye, det_s=1, det_t=1
-            )
+            SNFDecomposition(s=s, d=d, t=EYE, original=original, t_inv=t_inv)
 
     def test_transform_sizes(self):
         dec = snf(M([2, 4, 4], [-6, 6, 12]))
         assert dec.s.shape == (2, 2)
         assert dec.t.shape == (3, 3)
         assert dec.d.shape == (2, 3)
+
+
+def wide_random_matrices(count: int, seed: int):
+    """Seeded matrices of 1-6 rows and columns, some entries of 30 bits or
+    more, some rows and columns zero."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        bits = rng.choice((2, 4, 30, 40))
+        rows = [
+            [rng.randint(-(2**bits), 2**bits) if rng.random() < 0.7 else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        if rng.random() < 0.25:
+            rows[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.25:
+            col = rng.randrange(nc)
+            for row in rows:
+                row[col] = 0
+        out.append(IntMatrix(rows))
+    return out
+
+
+class TestSNFAgainstReference:
+    """snf returns exactly the transforms of the plain elimination, so reports
+    that print s, d or t, and every kernel read off t_inv, stay the same."""
+
+    @staticmethod
+    def assert_same(m):
+        dec = snf(m)
+        assert (dec.s, dec.d, dec.t, dec.t_inv) == reference_snf(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_matrices(self, seed):
+        for m in wide_random_matrices(50, seed):
+            self.assert_same(m)
+
+    def test_zero_and_unit_corners(self):
+        for m in (IntMatrix.zeros(3, 2), M([0, 0, 5]), M([7], [-1], [0]), M([-3])):
+            self.assert_same(m)
+
+    @pytest.mark.parametrize("field,strategy", PRIME_BY_PRIME_PAIRS)
+    def test_sylvester_operators(self, field, strategy):
+        for seed in (0, 1):
+            pair = generate_pair(parse_poly(field), strategy, seed)
+            self.assert_same(SylvesterOperator(pair.a, pair.b).l)
+
+
+class TestEntries:
+    @pytest.mark.parametrize("bad", [1.7, 2.0, "3", None, [1]])
+    def test_non_integer_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            IntMatrix([[bad, 1], [1, 0]])
+
+    def test_index_types_accepted(self):
+        m = IntMatrix([[True, 0], [0, 2**70]])
+        assert m.entries == ((1, 0), (0, 2**70))
+        assert type(m[0, 0]) is int
 
 
 class TestPPart:
