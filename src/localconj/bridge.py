@@ -6,6 +6,9 @@ normalized eigenvector span a full-rank lattice on which the matrix acts as
 multiplication by beta.  The eigenvector is a Krylov column of h(a, beta),
 where f(t) - f(beta) = (t - beta) h(t, beta), so it needs integer
 matrix-vector products and one field inverse, no elimination over the field.
+It is checked, like a multiplication representation in a report, by the
+integer identity a V = V C on its coordinate rows V, with C the companion
+matrix of f.
 """
 
 from __future__ import annotations
@@ -67,14 +70,17 @@ def eigenvector(a: IntMatrix) -> EigenData:
 
 
 def _check_eigen(a: IntMatrix, data: EigenData) -> None:
-    beta = data.field.beta()
-    n = a.rows
-    for i in range(n):
-        lhs = data.field.zero()
-        for j in range(n):
-            lhs = lhs + data.u[j] * a[i, j]
-        if lhs != beta * data.u[i]:
-            raise AssertionError("eigenvector equation fails")
+    if not _acts_as_beta(a, primitive_rows(data), data.field):
+        raise AssertionError("eigenvector equation fails")
+
+
+def _acts_as_beta(a: IntMatrix, rows: list[list[int]], field: NumberField) -> bool:
+    """True iff a V = V C, with V the integer coordinate rows and C the
+    companion matrix: row i of a V holds the coordinates of
+    sum_j a_ij u_j and row i of V C those of beta u_i, over one common
+    positive denominator."""
+    v = IntMatrix(rows)
+    return a.shape == v.shape and a @ v == v @ field.modulus.companion()
 
 
 def primitive_rows(data: EigenData) -> list[list[int]]:
@@ -117,6 +123,4 @@ def verify_multiplication_rep(a: IntMatrix, ideal: IdealLattice, data: EigenData
     rows = primitive_rows(data)
     if IdealLattice(data.field, rows, 1) != ideal:
         return False
-    v = IntMatrix(rows)
-    c = data.field.modulus.companion()
-    return a.shape == v.shape and a @ v == v @ c
+    return _acts_as_beta(a, rows, data.field)

@@ -221,7 +221,7 @@ def weak_equiv_report(a: IntMatrix, b: IntMatrix, path_a: str, path_b: str) -> d
     return {
         "command": "weak-equiv",
         "inputs": {"a": _input_stanza(path_a, a), "b": _input_stanza(path_b, b)},
-        "field": {"coefficients": list(charpoly(a).coeffs)},
+        "field": {"coefficients": list(ia.field.modulus.coeffs)},
         "verdict": {"weakly_equivalent": ok},
         "ideal_a": _serialize_ideal(ia),
         "ideal_b": _serialize_ideal(ib),
@@ -272,7 +272,7 @@ def cmd_ideal_of(args) -> int:
     payload = {
         "command": "ideal-of",
         "input": _input_stanza(args.matrix, a),
-        "field": {"coefficients": list(charpoly(a).coeffs)},
+        "field": {"coefficients": list(ideal.field.modulus.coeffs)},
         "ideal": _serialize_ideal(ideal),
     }
     _emit(

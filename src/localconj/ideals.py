@@ -6,16 +6,17 @@ canonical form (HNF, positive pivots, reduced entries, minimal denominator)
 makes equality structural.  That one Hermite form is the only elimination
 here: an intersection is read off the HNF of a 2n x 2n block (Zassenhaus),
 L intersected with Z is the same meet with den * Z, and a colon ideal
-(j : i) is the intersection of the n lattices s^(-1) * j over the basis
-elements s of i, so nothing here needs a Smith form or a factorization.
+(j : i) is a scaled dual of the lattice spanned by the n^2 columns of
+M_k adj(B_j) (M_k multiplication by the k-th basis element of i, B_j the
+basis of j), read off one HNF of n^2 rows by triangular back substitution.
+So nothing here needs a Smith form, a factorization or a field inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .intmat import IntMatrix
 from .polyfield import FieldElement, NumberField, charpoly
@@ -246,13 +247,54 @@ def mul(i: IdealLattice, j: IdealLattice) -> IdealLattice:
 
 
 def quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
-    """Colon ideal (j : i) = {x in K : x * i inside j}.
+    """Colon ideal (j : i) = {x in K : x * i inside j}, from one Hermite form.
 
-    x * i lies in j iff x * s does for every basis element s of i, so the
-    colon ideal is the intersection of the n lattices s^(-1) * j.
+    With M_k the multiplication matrix of the k-th basis row of i, B the HNF
+    basis of j and D = det B, x * i lies in j iff x * G lies in
+    (d_i * D / d_j) * Z^(n^2) for G = [M_1 adj(B) | ... | M_n adj(B)].  So
+    (j : i) is d_i * D / d_j times the dual of the lattice spanned by the
+    columns of G.  With H the HNF of those columns, taken as rows, the dual
+    is spanned by the rows of adj(H)^T / det H.  No field inverse, scaling
+    or meet is needed.
     """
     _require_same_field(j, i)
-    return reduce(intersection, [j.scaled(s.inverse()) for s in i.basis_elements()])
+    field = i.field
+    n = field.degree
+    adj_b = IntMatrix(_adjugate_upper(j.basis.entries))
+    cols = []
+    for s in i.basis.entries:
+        cols.extend((field.mult_matrix(s) @ adj_b).transpose().entries)
+    h = _hnf_rows(cols, n)
+    if len(h) != n:
+        raise AssertionError("colon-ideal constraint lattice is not of full rank")
+    scale = i.den * _diagonal_product(j.basis.entries)
+    adj_h = _adjugate_upper(h)
+    rows = [[scale * adj_h[c][r] for c in range(n)] for r in range(n)]
+    return IdealLattice(field, rows, j.den * _diagonal_product(h))
+
+
+def _diagonal_product(rows) -> int:
+    return prod(row[k] for k, row in enumerate(rows))
+
+
+def _adjugate_upper(rows) -> list[list[int]]:
+    """Adjugate of an upper-triangular integer matrix with nonzero diagonal,
+    by back substitution of h X = det(h) I.  The adjugate is integral, so
+    every division is exact; a remainder raises AssertionError."""
+    n = len(rows)
+    d = _diagonal_product(rows)
+    out = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for r in range(c, -1, -1):
+            acc = d if r == c else 0
+            row = rows[r]
+            for k in range(r + 1, c + 1):
+                acc -= row[k] * out[k][c]
+            q, rem = divmod(acc, row[r])
+            if rem:
+                raise AssertionError("inexact division in a triangular adjugate")
+            out[r][c] = q
+    return out
 
 
 def intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:

@@ -10,7 +10,9 @@ from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_LIMIT = 10**6
+# Trial division only strips small primes; larger cofactors go straight to
+# Miller-Rabin and Brent's rho, which split them faster than a long wheel.
+_TRIAL_LIMIT = 2**10
 
 
 def is_prime(n: int) -> bool:

@@ -11,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from localconj import (
+    FieldElement,
     IntMatrix,
     NumberField,
     SNFDecomposition,
@@ -58,6 +59,20 @@ def snf_builds(monkeypatch):
 
     monkeypatch.setattr(SNFDecomposition, "__post_init__", counting)
     return built
+
+
+@pytest.fixture
+def field_inversions(monkeypatch):
+    """Number-field elements inverted while the test runs."""
+    inverted = []
+    inverse = FieldElement.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    return inverted
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from localconj import (
     weak_equivalence_data,
     weakly_equivalent,
 )
+from localconj.bridge import EigenData, _check_eigen
 from localconj.gen import conjugate_exact
 from localconj import random_unimodular
 
@@ -80,6 +81,25 @@ class TestEigenvector:
                 pair = generate_pair(f, strategy, seed)
                 for m in (pair.a, pair.b):
                     assert eigenvector(m) == field_elimination_eigenvector(m)
+
+    @pytest.mark.parametrize("f_text", ["t^3-t-1", "t^4-10t^2+1", "t^5-2"])
+    def test_perturbed_eigenvector_rejected(self, f_text):
+        a = generate_pair(parse_poly(f_text), "unimodular", 0).a
+        data = eigenvector(a)
+        field = data.field
+        _check_eigen(a, data)
+        # u_0 = 1 is the normalized entry; every other entry is perturbed
+        # once, by an integer and by a fraction, and scaled once
+        for k in range(1, a.rows):
+            for tamper in (
+                data.u[k] + field.one(),
+                data.u[k] + field.element([0, 1], 7),
+                data.u[k] * 2,
+            ):
+                u = list(data.u)
+                u[k] = tamper
+                with pytest.raises(AssertionError, match="eigenvector equation fails"):
+                    _check_eigen(a, EigenData(field=field, u=tuple(u)))
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):

@@ -512,6 +512,12 @@ class TestReportBytes:
         weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
         assert snf_builds == []
 
+    def test_weak_equiv_inverts_once_per_eigenvector(self, field_inversions):
+        # the colon ideals take no field inverse
+        pair = generate_pair(parse_poly("t^6-2"), "unimodular", 0)
+        weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
+        assert len(field_inversions) == 2
+
     def test_cross_check_builds_only_the_operator_smith_form(self, snf_builds):
         # one operator for both primes; the cross-check's ideal side builds none
         pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)

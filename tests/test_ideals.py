@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import localconj.ideals as ideals
 from localconj import (
     IdealLattice,
     IntMatrix,
@@ -16,6 +17,8 @@ from localconj import (
     Order,
     coeff_ring,
     down_map,
+    generate_pair,
+    ideal_of_matrix,
     in_Id_p,
     index,
     intersection,
@@ -108,6 +111,20 @@ class TestProduct:
 
 
 class TestQuotient:
+    def test_no_field_inverse_scaling_or_meet(self, monkeypatch, field_inversions):
+        lattices = overorder_lattices("t^4-10t^2+1", 2, [1, 1])
+
+        def forbidden(*args):
+            raise AssertionError("quotient must not scale or meet lattices")
+
+        monkeypatch.setattr(IdealLattice, "scaled", forbidden)
+        monkeypatch.setattr(ideals, "intersection", forbidden)
+        monkeypatch.setattr(ideals, "_meet_rows", forbidden)
+        for i in lattices:
+            for j in lattices:
+                assert j.contains_lattice(mul(quotient(j, i), i))
+        assert field_inversions == []
+
     def test_self_quotient_contains_ring(self, K, I2):
         q = quotient(I2, I2)
         assert q.contains(K.one())
@@ -175,10 +192,28 @@ def overorder_lattices(f_text, p, g):
     ]
 
 
+# (field, generate_pair strategy, seed) at n = 7, 8; on random and singular
+# pairs the kernel-system oracle takes from seconds to minutes
+LARGE_MATRIX_PAIRS = (
+    ("t^7-3", "unimodular", 0),
+    ("t^7-3", "unimodular", 1),
+    ("t^8-3", "unimodular", 0),
+    ("t^8-3", "unimodular", 2),
+)
+
+
 class TestQuotientAgainstKernelSystem:
     @pytest.mark.parametrize("f_text,p,g", OVERORDER_FIELDS)
     def test_sub_ideals_and_overorders(self, f_text, p, g):
         lattices = overorder_lattices(f_text, p, g)
+        for i in lattices:
+            for j in lattices:
+                assert quotient(j, i) == kernel_system_quotient(j, i)
+
+    @pytest.mark.parametrize("f_text,strategy,seed", LARGE_MATRIX_PAIRS)
+    def test_matrix_ideals_at_degree_7_and_8(self, f_text, strategy, seed):
+        pair = generate_pair(parse_poly(f_text), strategy, seed)
+        lattices = (ideal_of_matrix(pair.a), ideal_of_matrix(pair.b))
         for i in lattices:
             for j in lattices:
                 assert quotient(j, i) == kernel_system_quotient(j, i)

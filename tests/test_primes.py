@@ -1,0 +1,97 @@
+"""Integer factorization against trial division, on both sides of the trial
+limit, and the prime-power split."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from localconj import factorize, is_prime
+from localconj.primes import _TRIAL_LIMIT, prime_power_split
+
+
+def trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def random_prime(rng: random.Random, lo: int, hi: int) -> int:
+    while True:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            return p
+
+
+def product(fac: dict[int, int]) -> int:
+    n = 1
+    for p, e in fac.items():
+        n *= p**e
+    return n
+
+
+class TestFactorize:
+    def test_matches_trial_division_up_to_20000(self):
+        for n in range(1, 20001):
+            assert factorize(n) == trial_division(n), n
+
+    def test_sign_is_dropped(self):
+        assert factorize(-360) == {2: 3, 3: 2, 5: 1}
+        assert factorize(-1) == {}
+
+    def test_zero_raises(self):
+        with pytest.raises(ValueError):
+            factorize(0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_products_across_the_trial_limit(self, seed):
+        # primes below the limit, just above it, and far above it
+        rng = random.Random(seed)
+        ranges = [
+            (2, _TRIAL_LIMIT),
+            (_TRIAL_LIMIT, 4 * _TRIAL_LIMIT),
+            (2**16, 2**20),
+            (2**28, 2**32),
+        ]
+        for _ in range(20):
+            want: dict[int, int] = {}
+            for _ in range(rng.randint(1, 4)):
+                p = random_prime(rng, *rng.choice(ranges))
+                want[p] = want.get(p, 0) + rng.randint(1, 3)
+            assert factorize(product(want)) == want
+
+    @pytest.mark.parametrize("p", [1031, 1033, 8191, 65537, 1000003])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_prime_powers_above_the_limit(self, p, k):
+        assert p > _TRIAL_LIMIT
+        assert factorize(p**k) == {p: k}
+        assert factorize(2 * 1009 * p**k) == {2: 1, 1009: 1, p: k}
+
+    def test_wide_determinant_from_a_decision(self):
+        # det q of a wide-entry conj-all pair: two primes near 2^30 and 2^24
+        assert factorize(7 * 862578601 * 12100729) == {
+            7: 1,
+            862578601: 1,
+            12100729: 1,
+        }
+
+
+class TestPrimePowerSplit:
+    @pytest.mark.parametrize(
+        "q,want", [(2, (2, 1)), (1024, (2, 10)), (3**7, (3, 7)), (1031**4, (1031, 4))]
+    )
+    def test_prime_powers(self, q, want):
+        assert prime_power_split(q) == want
+
+    @pytest.mark.parametrize("q", [-8, 0, 1, 12, 1031 * 1033, 2 * 65537**2])
+    def test_other_numbers_rejected(self, q):
+        with pytest.raises(ValueError):
+            prime_power_split(q)
