@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .intmat import IntMatrix, Vector
+from .intmat import IntMatrix, Vector, det
 from .polyfield import (
     IntPoly,
     _repeated_linear_part_mod_p,
@@ -114,23 +114,7 @@ def _echelon_fp(rows: list[Vector], p: int, width: int) -> list[Vector]:
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    m = [[x % p for x in row] for row in rows]
-    det = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det % p
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return det % p
+    return det(IntMatrix._of(rows)) % p
 
 
 def _unit_det_witness(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, solve_exact
+from .intmat import IntMatrix, solve
 from .polyfield import IntPoly, is_irreducible
 
 STRATEGIES = ("unimodular", "singular", "random")
@@ -53,12 +53,10 @@ def random_unimodular(n: int, rng: random.Random, ops: int | None = None) -> Int
 
 def conjugate_exact(a: IntMatrix, m: IntMatrix) -> IntMatrix | None:
     """m^(-1) @ a @ m when it is an integer matrix, else None."""
-    if m.det() == 0:
+    d, x = solve(m, a @ m)
+    if x is None or any(v % d for row in x.entries for v in row):
         return None
-    sol = solve_exact(m, a @ m)
-    if any(x.denominator != 1 for row in sol for x in row):
-        return None
-    return IntMatrix([[int(x) for x in row] for row in sol])
+    return IntMatrix([[v // d for v in row] for row in x.entries])
 
 
 def generate_pair(f: IntPoly, strategy: str, seed: int) -> GeneratedPair:

@@ -8,17 +8,18 @@ here: an intersection is read off the HNF of a 2n x 2n block (Zassenhaus),
 L intersected with Z is the same meet with den * Z, and a colon ideal
 (j : i) is a scaled dual of the lattice spanned by the n^2 columns of
 M_k adj(B_j) (M_k multiplication by the k-th basis element of i, B_j the
-basis of j), read off one HNF of n^2 rows by triangular back substitution.
-So nothing here needs a Smith form, a factorization or a field inverse.
+basis of j), read off one HNF of n^2 rows by the exact back substitution of
+`intmat`.  An index is an exact quotient of denominators and diagonal
+products.  So nothing here needs a Smith form, a factorization, a field
+inverse or a rational number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, back_substitute
 from .polyfield import FieldElement, NumberField, charpoly
 from .primes import is_prime
 
@@ -278,23 +279,10 @@ def _diagonal_product(rows) -> int:
 
 
 def _adjugate_upper(rows) -> list[list[int]]:
-    """Adjugate of an upper-triangular integer matrix with nonzero diagonal,
-    by back substitution of h X = det(h) I.  The adjugate is integral, so
-    every division is exact; a remainder raises AssertionError."""
-    n = len(rows)
-    d = _diagonal_product(rows)
-    out = [[0] * n for _ in range(n)]
-    for c in range(n):
-        for r in range(c, -1, -1):
-            acc = d if r == c else 0
-            row = rows[r]
-            for k in range(r + 1, c + 1):
-                acc -= row[k] * out[k][c]
-            q, rem = divmod(acc, row[r])
-            if rem:
-                raise AssertionError("inexact division in a triangular adjugate")
-            out[r][c] = q
-    return out
+    """Adjugate of an upper-triangular integer matrix with nonzero diagonal:
+    the exact back substitution of h X = det(h) I."""
+    identity = IntMatrix.identity(len(rows)).entries
+    return back_substitute(rows, identity, _diagonal_product(rows))
 
 
 def intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:
@@ -353,12 +341,15 @@ def index(sub: IdealLattice, super_: IdealLattice) -> int:
     _require_same_field(sub, super_)
     if not super_.contains_lattice(sub):
         raise ValueError("first lattice is not contained in the second")
-    ratio = Fraction(super_.den, sub.den) ** sub.field.degree * Fraction(
-        sub.basis.det(), super_.basis.det()
+    # the bases are triangular, so their determinants are diagonal products
+    n = sub.field.degree
+    q, r = divmod(
+        super_.den**n * _diagonal_product(sub.basis.entries),
+        sub.den**n * _diagonal_product(super_.basis.entries),
     )
-    if ratio.denominator != 1:
+    if r:
         raise AssertionError("index of nested lattices must be an integer")
-    return abs(int(ratio))
+    return q
 
 
 def _valuation(n: int, p: int) -> int:

@@ -1,15 +1,16 @@
 """Exact dense integer matrices.
 
-Arbitrary-precision arithmetic, Bareiss determinants, Smith normal form with
-unimodular transforms, and integer/modular kernels.  Matrices are immutable;
-every operation returns a fresh value.  There is no floating point and no
-word-size fast path anywhere.
+Arbitrary-precision arithmetic, one Bareiss elimination for determinants and
+exact solves (its back substitution also serves triangular adjugates
+elsewhere), Smith normal form with unimodular transforms, and integer/modular
+kernels.  Matrices are immutable; every operation returns a fresh value.
+There is no floating point, no rational arithmetic and no word-size fast
+path anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import index, mul
 
@@ -40,7 +41,7 @@ class IntMatrix:
 
     @classmethod
     def _of(cls, rows) -> "IntMatrix":
-        """Wrap equal-length rows of ints computed in this module, unchecked."""
+        """Wrap equal-length rows of ints computed in this package, unchecked."""
         data = tuple(map(tuple, rows))
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
@@ -175,8 +176,29 @@ def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
+    return _bareiss(m.to_lists(), m.rows)
+
+
+def solve(m: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """(det m, det(m) * m^(-1) @ rhs) for square m, by one Bareiss elimination
+    of [m | rhs] and an exact back substitution; (0, None) when m is
+    singular.  The second matrix is adj(m) @ rhs, so it is integral."""
+    if not m.is_square or m.rows != rhs.rows:
+        raise ValueError("bad shapes for an exact solve")
     n = m.rows
-    a = m.to_lists()
+    a = [list(mr) + list(br) for mr, br in zip(m.entries, rhs.entries)]
+    d = _bareiss(a, n)
+    if d == 0:
+        return 0, None
+    return d, IntMatrix._of(back_substitute([r[:n] for r in a], [r[n:] for r in a], d))
+
+
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Bareiss elimination of the first n columns of the n rows a, in place;
+    any further columns are carried along.  Returns the determinant of the
+    leading n x n block.  When it is nonzero, a is upper triangular in those
+    columns and its rows span the same space over Q as before."""
+    width = len(a[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -186,16 +208,35 @@ def det(m: IntMatrix) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        akk = a[k][k]
+        row_k = a[k]
+        akk = row_k[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
+            aik = row_i[k]
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1]
+
+
+def back_substitute(u, rhs, scale: int) -> list[list[int]]:
+    """The integer x with u @ x = scale * rhs, for an upper-triangular u with
+    nonzero diagonal, by exact back substitution.  Every division must be
+    exact; a remainder raises AssertionError."""
+    n, w = len(u), len(rhs[0])
+    x = [[0] * w for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        row = u[r]
+        for c in range(w):
+            acc = scale * rhs[r][c]
+            for k in range(r + 1, n):
+                acc -= row[k] * x[k][c]
+            q, rem = divmod(acc, row[r])
+            if rem:
+                raise AssertionError("inexact division in a back substitution")
+            x[r][c] = q
+    return x
 
 
 @dataclass(frozen=True)
@@ -412,24 +453,3 @@ def kernel_mod(m: IntMatrix, modulus: int) -> list[Vector]:
     modulus."""
     prime_power_split(modulus)  # validates the modulus shape
     return snf(m).kernel_mod(modulus)
-
-
-def solve_exact(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:
-    """Solve a @ x = b exactly over Q; a must be square and invertible."""
-    if not a.is_square or a.rows != b.rows:
-        raise ValueError("bad shapes for exact solve")
-    n, w = a.rows, b.cols
-    aug = [[Fraction(x) for x in arow] + [Fraction(x) for x in brow]
-           for arow, brow in zip(a.entries, b.entries)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        pk = aug[k][k]
-        aug[k] = [x / pk for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [row[n : n + w] for row in aug]

@@ -1,19 +1,21 @@
 """Integer polynomials and exact arithmetic in Q[t]/(f).
 
 Covers characteristic polynomials, resultants/discriminants, irreducibility
-over Q, and field arithmetic on residue classes with exact rational
-normalization.
+over Q, and field arithmetic on residue classes: an integer numerator over a
+positive denominator.  The field inverse and the Kronecker interpolation are
+exact integer solves (`intmat.solve`), so nothing here computes with
+rationals.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count, product
 from math import gcd, isqrt
+from operator import mul
 
-from .intmat import IntMatrix, det
+from .intmat import IntMatrix, det, solve
 from .primes import is_prime
 
 
@@ -373,7 +375,9 @@ def _mignotte_bound(f: IntPoly, k: int) -> int:
 
 def _kronecker_has_factor(f: IntPoly, k: int) -> bool:
     """Search for a monic degree-k factor by interpolation through divisor
-    combinations of f at k+1 small integer points."""
+    combinations of f at k+1 small integer points.  One Vandermonde solve
+    gives D = det V and W = D V^(-1); the values y interpolate to W y / D,
+    so each combination costs one integer product."""
     points = [0]
     for m in count(1):
         points.extend((m, -m))
@@ -384,44 +388,23 @@ def _kronecker_has_factor(f: IntPoly, k: int) -> bool:
     if any(v == 0 for v in values):
         return True  # integer root, linear factor
     bound = _mignotte_bound(f, k)
+    vandermonde = IntMatrix([[x**j for j in range(k + 1)] for x in points])
+    d, w = solve(vandermonde, IntMatrix.identity(k + 1))
+    *lower, lead = w.entries
     divisor_lists = []
     for v in values:
         ds = _divisors(v)
-        divisor_lists.append([d for d in ds] + [-d for d in ds])
+        divisor_lists.append(ds + [-e for e in ds])
     for combo in product(*divisor_lists):
-        cand = _interpolate_int(points, combo)
-        if cand is None or cand.degree != k or not cand.is_monic:
+        if sum(map(mul, lead, combo)) != d:
+            continue  # not monic of degree k
+        coeffs = [divmod(sum(map(mul, row, combo)), d) for row in lower]
+        if any(r or abs(c) > bound for c, r in coeffs):
             continue
-        if any(abs(c) > bound for c in cand.coeffs):
-            continue
-        _, rem = f.divmod_monic(cand)
+        _, rem = f.divmod_monic(IntPoly([c for c, _ in coeffs] + [1]))
         if rem.is_zero:
             return True
     return False
-
-
-def _interpolate_int(xs, ys) -> IntPoly | None:
-    """Lagrange interpolation; None unless all coefficients are integers."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xs[j]
-                new[d + 1] += c
-            basis = new
-            denom *= xs[i] - xs[j]
-        w = Fraction(ys[i]) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += w * c
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return IntPoly([int(c) for c in coeffs])
 
 
 def is_irreducible(f: IntPoly) -> bool:
@@ -618,28 +601,14 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Inverse by the extended Euclidean algorithm in Q[t]."""
-        if self.is_zero:
+        """Inverse by one exact solve: with M the multiplication matrix of
+        num, the coordinates x of num^(-1) satisfy M^T x = e_1."""
+        n = self.field.degree
+        m = self.field.mult_matrix(self.num.coeffs).transpose()
+        d, x = solve(m, IntMatrix([[int(i == 0)] for i in range(n)]))
+        if x is None:
             raise ZeroDivisionError("inverting zero field element")
-        f = [Fraction(c) for c in self.field.modulus.coeffs]
-        a = [Fraction(c) for c in self.num.coeffs]
-        # invariant: s * num = r (mod f)
-        r0, r1 = f, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _ftrim(r1)
-            if len(r1) == 1:
-                break
-            q, rem = _fdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fsub(s0, _fmul(q, s1))
-        c = r1[0]  # nonzero constant: gcd(num, f) = 1 since f is irreducible
-        inv = [x / c for x in s1]
-        denom = 1
-        for x in inv:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        num = IntPoly([int(x * denom) for x in inv])
-        return FieldElement(self.field, num * self.den, denom)
+        return FieldElement(self.field, IntPoly(x.col(0)) * self.den, d)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -659,39 +628,3 @@ class FieldElement:
     def __repr__(self) -> str:
         body = self.num.pretty()
         return f"({body})/{self.den}" if self.den != 1 else f"({body})"
-
-
-def _ftrim(a):
-    a = list(a)
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-def _fmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ftrim(out)
-
-def _fsub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i in range(n):
-        out[i] = (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-    return _ftrim(out)
-
-def _fdivmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    quo = [Fraction(0)] * max(len(a) - db, 1)
-    lead = b[-1]
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        c = a[i] / lead
-        quo[i - db] = c
-        for j in range(db + 1):
-            a[i - db + j] -= c * b[j]
-    return _ftrim(quo), _ftrim(a)

@@ -92,6 +92,22 @@ def det_shapes(monkeypatch):
 
 
 @pytest.fixture
+def solve_shapes(monkeypatch):
+    """Shapes of the matrices exact solves ran on while the test runs."""
+    taken = []
+    solve = intmat.solve
+
+    def counting(m, rhs):
+        taken.append(m.shape)
+        return solve(m, rhs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localconj.") and getattr(module, "solve", None) is solve:
+            monkeypatch.setattr(module, "solve", counting)
+    return taken
+
+
+@pytest.fixture
 def det_mod_calls(monkeypatch):
     """Primes of the determinants mod p taken while the test runs: one per
     point the unit-determinant search visits."""

@@ -13,6 +13,7 @@ from math import gcd, isqrt, lcm
 
 from localconj import (
     EigenData,
+    FieldElement,
     IdealLattice,
     IntMatrix,
     IntPoly,
@@ -175,6 +176,101 @@ def rational_poly_gcd_is_constant(f: IntPoly, g: IntPoly) -> bool:
                 r[i - db + j] -= c * b[j]
         a, b = b, trim(r)
     return len(a) == 1
+
+
+def solve_exact(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]]:
+    """Solve a @ x = b over Q by Gauss-Jordan elimination with Fractions; a
+    must be square and invertible."""
+    if not a.is_square or a.rows != b.rows:
+        raise ValueError("bad shapes for exact solve")
+    n, w = a.rows, b.cols
+    aug = [[Fraction(x) for x in arow] + [Fraction(x) for x in brow]
+           for arow, brow in zip(a.entries, b.entries)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        pk = aug[k][k]
+        aug[k] = [x / pk for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    return [row[n : n + w] for row in aug]
+
+
+def _trim(a: list[Fraction]) -> list[Fraction]:
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def euclid_inverse(x: FieldElement) -> FieldElement:
+    """Inverse of a nonzero field element by the extended Euclidean
+    algorithm in Q[t] with Fractions."""
+    assert not x.is_zero
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return _trim(out)
+
+    def sub(a, b):
+        n = max(len(a), len(b))
+        return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                      for i in range(n)])
+
+    def divmod_q(a, b):
+        a = list(a)
+        db = len(b) - 1
+        quo = [Fraction(0)] * max(len(a) - db, 1)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] / b[-1]
+            quo[i - db] = c
+            for j in range(db + 1):
+                a[i - db + j] -= c * b[j]
+        return _trim(quo), _trim(a)
+
+    # invariant: s * num = r (mod f)
+    r0 = [Fraction(c) for c in x.field.modulus.coeffs]
+    r1 = _trim([Fraction(c) for c in x.num.coeffs])
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = divmod_q(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub(s0, mul(q, s1))
+    inv = [c / r1[0] for c in s1]
+    den = lcm(*(c.denominator for c in inv))
+    num = IntPoly([int(c * den) for c in inv])
+    return FieldElement(x.field, num * x.den, den)
+
+
+def lagrange_interpolate(xs, ys) -> IntPoly | None:
+    """Lagrange interpolation with Fractions; None unless every coefficient
+    is an integer."""
+    n = len(xs)
+    coeffs = [Fraction(0)] * n
+    for i in range(n):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                new[d] -= c * xs[j]
+                new[d + 1] += c
+            basis = new
+            denom *= xs[i] - xs[j]
+        w = Fraction(ys[i]) / denom
+        for d, c in enumerate(basis):
+            coeffs[d] += w * c
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return IntPoly([int(c) for c in coeffs])
 
 
 def kernel_system_quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:

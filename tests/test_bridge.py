@@ -29,7 +29,7 @@ from localconj.gen import conjugate_exact
 from localconj import random_unimodular
 
 from conftest import CLASSIC_B, PRIME_BY_PRIME_PAIRS
-from oracles import field_elimination_eigenvector
+from oracles import field_elimination_eigenvector, solve_exact
 
 
 FIELDS = ("t^2-t-1", "t^2+3", "t^3-t-1", "t^3-4t-1")
@@ -140,8 +140,6 @@ def _scaling_from_conjugator(a, p_mat, b):
     """The exact alpha with alpha * I_a = I_b for b = p^(-1) a p with p
     unimodular: transport the eigenvector through p^(-1) and track the
     normalization and clearing scalars on both sides."""
-    from localconj.intmat import solve_exact
-
     data = eigenvector(a)
     k = data.field
     n = p_mat.rows

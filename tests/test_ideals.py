@@ -375,6 +375,15 @@ class TestIndex:
         with pytest.raises(ValueError):
             index(S, I2)
 
+    def test_both_denominators_above_one(self, K, S, I2):
+        # (1/3) I2 = (1/6) (2 I2) inside (1/6) S: index [S : 2 I2] = 4 * 2
+        sub = I2.scaled(K.element([1], 3))
+        sup = S.scaled(K.element([1], 6))
+        assert (sub.den, sup.den) == (3, 6)
+        assert index(sub, sup) == 8
+        with pytest.raises(ValueError):
+            index(sup, sub)
+
 
 class TestIdP:
     def test_self_index_one(self, K, S):

@@ -4,6 +4,7 @@ oracles."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from localconj import (
     parse_poly,
     snf,
 )
+from localconj.intmat import back_substitute, solve
 
 from conftest import PRIME_BY_PRIME_PAIRS, M
 from oracles import (
@@ -27,6 +29,7 @@ from oracles import (
     laplace_det,
     minor_gcds,
     reference_snf,
+    solve_exact,
     span_of_generators_mod,
 )
 
@@ -62,6 +65,60 @@ class TestDet:
     @settings(max_examples=60, deadline=None)
     def test_matches_cofactor_expansion(self, m):
         assert det(m) == laplace_det(m.to_lists())
+
+
+class TestSolve:
+    """solve(m, rhs) = (det m, det(m) m^(-1) rhs) against Gauss-Jordan over
+    the rationals."""
+
+    @staticmethod
+    def rows(rng, n, w, bits):
+        return [[rng.randint(-(2**bits), 2**bits) for _ in range(w)] for _ in range(n)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_rational_elimination(self, n):
+        rng = random.Random(n)
+        singular = 0
+        for w in (1, 2, 3):
+            # entries in [-2, 2] put zeros on the pivots, so rows get swapped
+            for bits in (1, 12, 40):
+                m = IntMatrix(self.rows(rng, n, n, bits))
+                rhs = IntMatrix(self.rows(rng, n, w, bits))
+                d, x = solve(m, rhs)
+                assert d == det(m)
+                if d == 0:
+                    assert x is None
+                    singular += 1
+                    continue
+                expected = solve_exact(m, rhs)
+                assert x.shape == (n, w)
+                assert [[Fraction(v, d) for v in row] for row in x.entries] == expected
+        assert singular < 3
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_singular(self, n):
+        rng = random.Random(100 + n)
+        rhs = IntMatrix(self.rows(rng, n, 2, 40))
+        assert solve(IntMatrix.zeros(n, n), rhs) == (0, None)
+        if n == 1:
+            return
+        rows = self.rows(rng, n - 1, n, 40)
+        c = [rng.randint(-9, 9) for _ in rows]
+        dependent = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)]
+        rows.insert(rng.randrange(n), dependent)
+        assert solve(IntMatrix(rows), rhs) == (0, None)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            solve(M([1, 2, 3], [4, 5, 6]), M([1], [1]))
+        with pytest.raises(ValueError):
+            solve(EYE, M([1], [1], [1]))
+
+    def test_inexact_back_substitution_raises(self):
+        u = [[2, 1], [0, 3]]
+        assert back_substitute(u, [[1], [1]], 6) == [[2], [2]]
+        with pytest.raises(AssertionError):
+            back_substitute(u, [[1], [1]], 1)
 
 
 class TestSNF:

@@ -21,10 +21,16 @@ from localconj import (
 )
 from localconj.cli import conj_all_report, weak_equiv_report
 from localconj.gen import conjugate_exact, generate_pair
+from localconj.intmat import solve
 from localconj.polyfield import _irreducible_monic, _repeated_linear_part_mod_p
 
 from conftest import M, P
-from oracles import has_monic_factor_bruteforce, rational_poly_gcd_is_constant
+from oracles import (
+    euclid_inverse,
+    has_monic_factor_bruteforce,
+    lagrange_interpolate,
+    rational_poly_gcd_is_constant,
+)
 
 
 class TestCharpoly:
@@ -115,6 +121,36 @@ class TestIrreducibility:
             assert is_irreducible(f) == (not has_monic_factor_bruteforce(f))
 
 
+class TestKronecker:
+    # sqrt(2) + sqrt(3) + sqrt(5): irreducible over Q, but it factors modulo
+    # every prime, so only the Kronecker search can accept it
+    SWINNERTON_DYER = "t^8-40t^6+352t^4-960t^2+576"
+
+    def test_swinnerton_dyer_octic_is_irreducible(self, solve_shapes):
+        _irreducible_monic.cache_clear()
+        assert is_irreducible(P(self.SWINNERTON_DYER))
+        # one Vandermonde solve per candidate degree 2, 3, 4
+        assert solve_shapes == [(3, 3), (4, 4), (5, 5)]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_vandermonde_interpolation_matches_lagrange(self, k):
+        # the points of the Kronecker search: 0, 1, -1, 2, -2, ...
+        points = [(i + 1) // 2 * (-1) ** (i + 1) for i in range(k + 1)]
+        d, w = solve(IntMatrix([[x**j for j in range(k + 1)] for x in points]),
+                     IntMatrix.identity(k + 1))
+        rng = random.Random(k)
+        for trial in range(40):
+            g = IntPoly([rng.randint(-99, 99) for _ in range(k + 1)])
+            ys = [g(x) + (rng.randint(-3, 3) if trial % 2 else 0) for x in points]
+            num = w.mul_vec(ys)
+            expected = lagrange_interpolate(points, ys)
+            if any(c % d for c in num):
+                assert expected is None
+            else:
+                assert IntPoly([c // d for c in num]) == expected
+                assert trial % 2 or expected == g
+
+
 class TestRepeatedLinearPart:
     @pytest.mark.parametrize("text,p,expected", [
         # (t-1)^2 (t-2) (t^2+1), t^2+1 irreducible mod 7: only t - 1 repeats
@@ -182,6 +218,21 @@ class TestFieldArithmetic:
                     continue
                 count += 1
                 assert x.inverse() * x == k.one()
+
+    @pytest.mark.parametrize(
+        "text", ["t^2-t-1", "t^3-4t-1", "t^4-10t^2+1", "t^5-2", "t^6-2", "t^7-3", "t^8-3"]
+    )
+    def test_inverse_matches_euclid(self, text):
+        k = NumberField(P(text))
+        rng = random.Random(text)
+        count = 0
+        while count < 12:
+            x = k.element([rng.randint(-10**6, 10**6) for _ in range(k.degree)],
+                          rng.randint(2, 10**4))
+            if x.den == 1:
+                continue
+            count += 1
+            assert x.inverse() == euclid_inverse(x)
 
     def test_zero_inverse_rejected(self):
         k = NumberField(P("t^2+3"))

@@ -6,6 +6,7 @@ method would otherwise break it without a failing test here.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -63,3 +64,20 @@ def test_benchmark_layer_metrics_name_traced_spans():
 def test_public_names_resolve():
     missing = [name for name in localconj.__all__ if not hasattr(localconj, name)]
     assert missing == []
+
+
+def test_package_does_not_import_fractions():
+    # every elimination in the package runs over Z or F_p; rational
+    # arithmetic is left to the test oracles
+    offenders = []
+    for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "fractions" for m in modules):
+                offenders.append(path.name)
+    assert offenders == []
