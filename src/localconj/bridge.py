@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .ideals import IdealLattice
+from .ideals import IdealLattice, coeff_ring
 from .intmat import IntMatrix
 from .polyfield import FieldElement, NumberField, charpoly, is_irreducible
+from .primes import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ def eigenvector(a: IntMatrix) -> EigenData:
     """
     f = charpoly(a)
     if not is_irreducible(f):
-        raise ValueError("characteristic polynomial is reducible")
+        raise PreconditionError("characteristic polynomial is reducible")
     field = NumberField(f)
     n = a.rows
     c = f.coeffs
@@ -124,3 +125,17 @@ def verify_multiplication_rep(a: IntMatrix, ideal: IdealLattice, data: EigenData
     if IdealLattice(data.field, rows, 1) != ideal:
         return False
     return _acts_as_beta(a, rows, data.field)
+
+
+def theta_membership(theta: FieldElement, a: IntMatrix) -> bool:
+    """True iff theta(a) is an integer matrix; equivalently, theta lies in
+    the coefficient ring of the ideal attached to a.  Both sides are computed
+    and compared, so a disagreement (a bug) cannot pass silently."""
+    if charpoly(a) != theta.field.modulus:
+        raise PreconditionError("matrix does not match the element's field")
+    value = theta.num.eval_matrix(a)
+    direct = all(x % theta.den == 0 for row in value.entries for x in row)
+    ring = coeff_ring(ideal_of_matrix(a))
+    if direct != ring.lattice.contains(theta):
+        raise AssertionError("matrix test and coefficient-ring test disagree")
+    return direct

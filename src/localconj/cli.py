@@ -5,9 +5,9 @@ screen-primes, ell, companion-test, gen, verify.
 
 One JSON document goes to stdout (or a short text rendering with
 --format text); diagnostics go to stderr.  Exit codes: 0 a verdict was
-computed (either answer), 1 parse or I/O failure, 2 a mathematical
-precondition was violated, 3 an internal error (a failed self-check or an
-arithmetic failure inside the engine), reported on one stderr line.
+computed (either answer), 1 parse or I/O failure, 2 a violated mathematical
+precondition (`PreconditionError`), 3 an internal error (any other ValueError,
+a failed self-check or an arithmetic failure), reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from operator import index
 from pathlib import Path
 
 from .bridge import ideal_of_matrix
@@ -36,6 +37,7 @@ from .gen import generate_pair
 from .ideals import IdealLattice, mul as ideal_mul, weak_equivalence_data
 from .intmat import IntMatrix, snf
 from .polyfield import charpoly, parse_poly
+from .primes import PreconditionError
 
 
 class ParseFailure(Exception):
@@ -54,7 +56,7 @@ def read_matrix(path: str) -> IntMatrix:
     try:
         if stripped.startswith("{"):
             data = json.loads(text)
-            n = int(data["n"])
+            n = index(data["n"])
             rows = data["rows"]
         else:
             tokens = text.split()
@@ -113,14 +115,17 @@ def _serialize_cert(cert) -> dict | None:
 
 def _parse_cert(blob: dict):
     kind = blob.get("type")
-    if kind == "unit_mod":
-        return UnitModCert(
-            IntMatrix(blob["matrix"]), int(blob["prime"]), int(blob["modulus"])
-        )
-    if kind == "integer_pair":
-        return IntegerPairCert(IntMatrix(blob["q"]), IntMatrix(blob["s"]))
-    if kind == "global":
-        return GlobalCert(IntMatrix(blob["matrix"]))
+    try:
+        if kind == "unit_mod":
+            return UnitModCert(
+                IntMatrix(blob["matrix"]), index(blob["prime"]), index(blob["modulus"])
+            )
+        if kind == "integer_pair":
+            return IntegerPairCert(IntMatrix(blob["q"]), IntMatrix(blob["s"]))
+        if kind == "global":
+            return GlobalCert(IntMatrix(blob["matrix"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed certificate: {exc}") from None
     raise ParseFailure(f"unknown certificate type {kind!r}")
 
 
@@ -414,8 +419,8 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         ib = ideal_of_matrix(b)
         field = ia.field
         try:
-            x = IdealLattice(field, blob["x"]["rows"], int(blob["x"]["den"]))
-            y = IdealLattice(field, blob["y"]["rows"], int(blob["y"]["den"]))
+            x = IdealLattice(field, blob["x"]["rows"], index(blob["x"]["den"]))
+            y = IdealLattice(field, blob["y"]["rows"], index(blob["y"]["den"]))
         except (KeyError, TypeError, ValueError):
             return False, "malformed witness ideals"
         if ideal_mul(x, ib) != ia or ideal_mul(y, ia) != ib:
@@ -551,10 +556,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
+    except (ValueError, AssertionError, ArithmeticError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -33,7 +33,7 @@ from .polyfield import (
     discriminant,
     is_irreducible,
 )
-from .primes import factorize, is_prime
+from .primes import PreconditionError, factorize, is_prime, valuation
 from .sylvester import SylvesterOperator, unvec, vec
 
 
@@ -84,12 +84,12 @@ class EllInvariant:
 
 def _check_pair(a: IntMatrix, b: IntMatrix) -> IntPoly:
     if not a.is_square or not b.is_square or a.rows != b.rows:
-        raise ValueError("matrices must be square and of equal size")
+        raise PreconditionError("matrices must be square and of equal size")
     f = charpoly(a)
     if charpoly(b) != f:
-        raise ValueError("characteristic polynomials differ")
+        raise PreconditionError("characteristic polynomials differ")
     if not is_irreducible(f):
-        raise ValueError("characteristic polynomial is reducible over Q")
+        raise PreconditionError("characteristic polynomial is reducible over Q")
     return f
 
 
@@ -265,7 +265,7 @@ def _decide_at_prime(
 def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
     """Decide similarity of a and b over the p-adic integers."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise PreconditionError(f"{p} is not prime")
     f = _check_pair(a, b)
     return _decide_at_prime(SylvesterOperator(a, b), f, a, b, p)
 
@@ -274,7 +274,7 @@ def screen_primes(f: IntPoly) -> list[int]:
     """Primes whose square divides disc(f): outside this set, all matrices
     with characteristic polynomial f are conjugate p-adically."""
     if not is_irreducible(f):
-        raise ValueError("polynomial must be irreducible")
+        raise PreconditionError("polynomial must be irreducible")
     disc = discriminant(f)
     if disc == 0:
         raise AssertionError("irreducible polynomial with zero discriminant")
@@ -388,26 +388,23 @@ def companion_test(a: IntMatrix, p: int) -> bool:
     is, its centralizer has dimension n, so X -> a X - X a has rank n^2 - n
     over F_p."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise PreconditionError(f"{p} is not prime")
     f = charpoly(a)
     if not is_irreducible(f):
-        raise ValueError("characteristic polynomial is reducible over Q")
+        raise PreconditionError("characteristic polynomial is reducible over Q")
     n = a.rows
     return _rank_fp(SylvesterOperator(a, a).l, p) == n * n - n
 
 
 def ell_invariant(a: IntMatrix, p: int) -> EllInvariant:
     """For 2x2 matrices: the largest k with a = lambda*I mod p^k for some
-    integer lambda, found by iterating k (the diagonal forces lambda)."""
+    integer lambda.  The diagonal forces lambda, so k is the valuation at p
+    of gcd(a_01, a_10, a_00 - a_11)."""
     if a.shape != (2, 2):
-        raise ValueError("the scalar-congruence invariant is defined for 2x2 input")
+        raise PreconditionError("the scalar-congruence invariant needs 2x2 input")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if a[0, 1] == 0 and a[1, 0] == 0 and a[0, 0] == a[1, 1]:
-        raise ValueError("scalar matrix: the invariant is unbounded")
-    k = 0
-    while True:
-        q = p ** (k + 1)
-        if a[0, 1] % q or a[1, 0] % q or (a[0, 0] - a[1, 1]) % q:
-            return EllInvariant(prime=p, ell=k)
-        k += 1
+        raise PreconditionError(f"{p} is not prime")
+    g = gcd(a[0, 1], a[1, 0], a[0, 0] - a[1, 1])
+    if g == 0:
+        raise PreconditionError("scalar matrix: the invariant is unbounded")
+    return EllInvariant(prime=p, ell=valuation(g, p))

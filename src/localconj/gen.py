@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .intmat import IntMatrix, solve
 from .polyfield import IntPoly, is_irreducible
+from .primes import PreconditionError
 
 STRATEGIES = ("unimodular", "singular", "random")
 
@@ -61,7 +62,7 @@ def conjugate_exact(a: IntMatrix, m: IntMatrix) -> IntMatrix | None:
 
 def generate_pair(f: IntPoly, strategy: str, seed: int) -> GeneratedPair:
     if not f.is_monic or not is_irreducible(f):
-        raise ValueError("the field polynomial must be monic and irreducible")
+        raise PreconditionError("the field polynomial must be monic and irreducible")
     n = f.degree
     rng = random.Random((seed, strategy, f.coeffs).__repr__())
     base = f.companion()
@@ -71,7 +72,7 @@ def generate_pair(f: IntPoly, strategy: str, seed: int) -> GeneratedPair:
 
     name, _, param = strategy.partition(":")
     if name not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise PreconditionError(f"unknown strategy {strategy!r}")
 
     if name == "unimodular":
         m = random_unimodular(n, rng)
@@ -80,7 +81,10 @@ def generate_pair(f: IntPoly, strategy: str, seed: int) -> GeneratedPair:
         return GeneratedPair(a, b, m, m.det(), strategy, seed)
 
     if name == "singular":
-        p = int(param) if param else 2
+        try:
+            p = int(param) if param else 2
+        except ValueError:
+            raise PreconditionError(f"unknown strategy {strategy!r}") from None
         targets = {p, p * p}
         for _ in range(20000):
             m = IntMatrix(

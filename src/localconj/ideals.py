@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .intmat import IntMatrix, back_substitute
-from .polyfield import FieldElement, NumberField, charpoly
-from .primes import is_prime
+from .polyfield import FieldElement, NumberField
+from .primes import PreconditionError, is_prime, valuation
 
 
 def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -232,7 +232,7 @@ def zbeta_order(field: NumberField) -> Order:
 
 def _require_same_field(i: IdealLattice, j: IdealLattice) -> None:
     if i.field != j.field:
-        raise ValueError("ideals live in different fields")
+        raise PreconditionError("ideals live in different fields")
 
 
 def mul(i: IdealLattice, j: IdealLattice) -> IdealLattice:
@@ -352,14 +352,6 @@ def index(sub: IdealLattice, super_: IdealLattice) -> int:
     return q
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def in_Id_p(i: IdealLattice, r: Order, p: int) -> bool:
     """True iff [r : i] is a power of p.
 
@@ -368,9 +360,9 @@ def in_Id_p(i: IdealLattice, r: Order, p: int) -> bool:
     counterexample to either cannot pass silently.
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise PreconditionError(f"{p} is not prime")
     idx = index(i, r.lattice)
-    e = _valuation(idx, p)
+    e = valuation(idx, p)
     answer = idx == p**e
     stable = i.is_stable_under(r.lattice)
     if answer:
@@ -380,7 +372,7 @@ def in_Id_p(i: IdealLattice, r: Order, p: int) -> bool:
                 raise AssertionError("p^k * order escapes the ideal")
     if stable:
         c0 = i.smallest_positive_integer()
-        if answer != (c0 == p ** _valuation(c0, p)):
+        if answer != (c0 == p ** valuation(c0, p)):
             raise AssertionError(
                 f"index {idx} vs integer intersection {c0}Z: the p-power "
                 "characterizations disagree"
@@ -396,19 +388,3 @@ def up_map(i: IdealLattice, r: Order) -> IdealLattice:
 def down_map(j: IdealLattice, s: Order) -> IdealLattice:
     """Contraction to the smaller order: j intersected with s."""
     return intersection(j, s.lattice)
-
-
-def theta_membership(theta: FieldElement, a: IntMatrix) -> bool:
-    """True iff theta(a) is an integer matrix; equivalently, theta lies in
-    the coefficient ring of the ideal attached to a.  Both sides are computed
-    and compared, so a disagreement (a bug) cannot pass silently."""
-    from .bridge import ideal_of_matrix  # local import breaks the module cycle
-
-    if charpoly(a) != theta.field.modulus:
-        raise ValueError("matrix does not match the element's field")
-    value = theta.num.eval_matrix(a)
-    direct = all(x % theta.den == 0 for row in value.entries for x in row)
-    ring = coeff_ring(ideal_of_matrix(a))
-    if direct != ring.lattice.contains(theta):
-        raise AssertionError("matrix test and coefficient-ring test disagree")
-    return direct

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import index, mul
 
-from .primes import is_prime, prime_power_split
+from .primes import PreconditionError, is_prime, prime_power_split, valuation
 
 Vector = tuple[int, ...]
 
@@ -429,17 +429,8 @@ def snf(m: IntMatrix) -> SNFDecomposition:
 def p_part(decomp: SNFDecomposition, p: int) -> PrimePartProfile:
     """p-adic valuation profile of the nonzero invariant factors."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    exps = []
-    for d in decomp.diagonal():
-        if d == 0:
-            continue
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        exps.append(e)
-    exps.sort()
+        raise PreconditionError(f"{p} is not prime")
+    exps = sorted(valuation(d, p) for d in decomp.diagonal() if d)
     return PrimePartProfile(prime=p, exponents=tuple(exps), mu=exps[-1] if exps else 0)
 
 

@@ -13,10 +13,10 @@ import re
 from functools import lru_cache, reduce
 from itertools import count, product
 from math import gcd, isqrt
-from operator import mul
+from operator import index, mul
 
 from .intmat import IntMatrix, det, solve
-from .primes import is_prime
+from .primes import PreconditionError, divisors, factorize, next_prime
 
 
 class IntPoly:
@@ -25,7 +25,10 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs) -> None:
-        c = [int(x) for x in coeffs]
+        try:
+            c = [index(x) for x in coeffs]
+        except TypeError as exc:
+            raise ValueError(f"coefficients must be integers: {exc}") from None
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -177,22 +180,24 @@ def parse_poly(text: str) -> IntPoly:
     """Parse 't^3 - 4t - 1' or an ascending comma-separated coefficient list."""
     text = text.strip()
     if not text:
-        raise ValueError("empty polynomial")
+        raise PreconditionError("empty polynomial")
     if not re.search(r"[a-zA-Z]", text):
         sep = "," if "," in text else None
-        coeffs = [int(tok) for tok in text.split(sep)]
-        return IntPoly(coeffs)
+        try:
+            return IntPoly([int(tok) for tok in text.split(sep)])
+        except ValueError:
+            raise PreconditionError(f"cannot parse polynomial {text!r}") from None
     pos = 0
     acc: dict[int, int] = {}
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+            raise PreconditionError(f"cannot parse polynomial near {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         coef = m.group("coef")
         var = m.group("var")
         if coef is None and var is None:
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+            raise PreconditionError(f"cannot parse polynomial near {text[pos:]!r}")
         c = sign * (int(coef) if coef else 1)
         e = 0
         if var is not None:
@@ -329,7 +334,7 @@ def _irreducible_mod_p(f: IntPoly, p: int) -> bool:
     # gcd(t^(p^(n/q)) - t, f) = 1 for every prime divisor q of n
     if _t_power_minus_t(fp, p**n, p):
         return False
-    for q in set(_small_prime_divisors(n)):
+    for q in factorize(n):
         if _polgcd_p(fp, _t_power_minus_t(fp, p ** (n // q), p), p) != (1,):
             return False
     return True
@@ -341,31 +346,6 @@ def _repeated_linear_part_mod_p(f: IntPoly, p: int) -> tuple[int, ...]:
     fp = _poly_mod_p(f.coeffs, p)
     h = _polgcd_p(fp, _t_power_minus_t(fp, p, p), p)
     return _polgcd_p(h, _poly_mod_p(f.derivative().coeffs, p), p)
-
-def _small_prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, big = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-    return small + big[::-1]
-
 
 def _mignotte_bound(f: IntPoly, k: int) -> int:
     # any monic degree-k divisor of monic f has coefficients below 2^k * ||f||_2
@@ -393,7 +373,7 @@ def _kronecker_has_factor(f: IntPoly, k: int) -> bool:
     *lower, lead = w.entries
     divisor_lists = []
     for v in values:
-        ds = _divisors(v)
+        ds = divisors(v)
         divisor_lists.append(ds + [-e for e in ds])
     for combo in product(*divisor_lists):
         if sum(map(mul, lead, combo)) != d:
@@ -410,15 +390,17 @@ def _kronecker_has_factor(f: IntPoly, k: int) -> bool:
 def is_irreducible(f: IntPoly) -> bool:
     """Irreducibility over Q for monic nonconstant f.
 
-    Pipeline: rational-root screen, then irreducibility modulo the first ten
-    primes not dividing disc(f) as a fast accept, then a complete Kronecker
-    factor search as the deterministic fallback.
+    Pipeline: irreducibility modulo the first ten primes not dividing
+    disc(f) as a fast accept, so a polynomial it certifies is never factored;
+    then the rational-root screen over the divisors of f(0), which settles
+    degree 3 and below; then a complete Kronecker factor search as the
+    deterministic fallback.
     """
     if f.is_zero or not f.is_monic:
-        raise ValueError("irreducibility test requires a monic polynomial")
+        raise PreconditionError("irreducibility test requires a monic polynomial")
     n = f.degree
     if n < 1:
-        raise ValueError("irreducibility test requires a nonconstant polynomial")
+        raise PreconditionError("irreducibility test requires a nonconstant polynomial")
     if n == 1:
         return True
     return _irreducible_monic(f.coeffs)
@@ -433,11 +415,6 @@ def _irreducible_monic(coeffs: tuple[int, ...]) -> bool:
     a0 = f.coeff(0)
     if a0 == 0:
         return False  # divisible by t
-    for d in _divisors(a0):
-        if f(d) == 0 or f(-d) == 0:
-            return False
-    if n <= 3:
-        return True  # any factorization would include a linear factor
     disc = discriminant(f)
     if disc != 0:
         tried = 0
@@ -447,18 +424,16 @@ def _irreducible_monic(coeffs: tuple[int, ...]) -> bool:
                 if _irreducible_mod_p(f, p):
                     return True
                 tried += 1
-            p = _next_prime(p)
+            p = next_prime(p)
+    for d in divisors(a0):
+        if f(d) == 0 or f(-d) == 0:
+            return False
+    if n <= 3:
+        return True  # any factorization would include a linear factor
     for k in range(2, n // 2 + 1):
         if _kronecker_has_factor(f, k):
             return False
     return True
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 def squarefree_mod_p(f: IntPoly, p: int) -> bool:
@@ -480,9 +455,9 @@ class NumberField:
 
     def __init__(self, modulus: IntPoly) -> None:
         if modulus.degree < 2:
-            raise ValueError("field modulus must have degree at least 2")
+            raise PreconditionError("field modulus must have degree at least 2")
         if not is_irreducible(modulus):
-            raise ValueError(f"{modulus.pretty()} is reducible over Q")
+            raise PreconditionError(f"{modulus.pretty()} is reducible over Q")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", modulus.degree)
         object.__setattr__(self, "_beta_mul", modulus.companion())

@@ -1,11 +1,14 @@
 """Primality testing and integer factorization at desk scale.
 
 Deterministic throughout: Miller-Rabin with a fixed base set (exact below
-3.3e24) and Brent's rho with a fixed parameter schedule.
+3.3e24) and Brent's rho with a fixed parameter schedule.  This is the only
+module that factors integers or takes p-adic valuations: divisors,
+valuations and the next prime are all read from here.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -13,6 +16,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Trial division only strips small primes; larger cofactors go straight to
 # Miller-Rabin and Brent's rho, which split them faster than a long wheel.
 _TRIAL_LIMIT = 2**10
+
+
+class PreconditionError(ValueError):
+    """The input violates a mathematical precondition: not an engine failure."""
 
 
 def is_prime(n: int) -> bool:
@@ -106,6 +113,30 @@ def factorize(n: int) -> dict[int, int]:
         d = _brent_rho(m)
         stack.extend((d, m // d))
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of |n| in increasing order; n must be nonzero."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in n; n must be nonzero."""
+    if n == 0 or p < 2:
+        raise ValueError(f"no valuation of {n} at {p}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def next_prime(p: int) -> int:
+    """The least prime above p."""
+    return next(q for q in count(p + 1) if is_prime(q))
 
 
 def prime_power_split(q: int) -> tuple[int, int]:

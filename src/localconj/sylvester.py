@@ -22,7 +22,7 @@ from .intmat import (
     p_part,
     snf,
 )
-from .primes import is_prime
+from .primes import PreconditionError, is_prime
 
 
 def vec(m: IntMatrix) -> Vector:
@@ -54,15 +54,12 @@ class SylvesterOperator:
     def decomposition(self) -> SNFDecomposition:
         return snf(self.l)
 
-    def apply(self, x: IntMatrix) -> IntMatrix:
-        return self.a @ x - x @ self.b
-
     def mu(self, p: int) -> int:
         return self.p_profile(p).mu
 
     def p_profile(self, p: int) -> PrimePartProfile:
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise PreconditionError(f"{p} is not prime")
         return p_part(self.decomposition, p)
 
     def solution_generators_mod(self, modulus: int) -> list[Vector]:
@@ -83,7 +80,7 @@ def lift_kernel(
     deterministic.
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise PreconditionError(f"{p} is not prime")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     x_approx = tuple(int(v) for v in x_approx)

@@ -23,6 +23,7 @@ from localconj import (
 )
 import localconj.conjugacy as conjugacy
 import localconj.intmat as intmat
+import localconj.primes as primes
 from localconj.gen import conjugate_exact
 
 QUADRATIC_FIELDS = ("t^2-t-1", "t^2+3", "t^2-2", "t^2+2")
@@ -108,6 +109,22 @@ def solve_shapes(monkeypatch):
 
 
 @pytest.fixture
+def divisor_calls(monkeypatch):
+    """Integers whose divisors were listed while the test runs."""
+    listed = []
+    divisors = primes.divisors
+
+    def counting(n):
+        listed.append(n)
+        return divisors(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localconj.") and getattr(module, "divisors", None) is divisors:
+            monkeypatch.setattr(module, "divisors", counting)
+    return listed
+
+
+@pytest.fixture
 def det_mod_calls(monkeypatch):
     """Primes of the determinants mod p taken while the test runs: one per
     point the unit-determinant search visits."""
@@ -165,6 +182,16 @@ def pair_with_conjugate(a: IntMatrix, seed: int, singular: int | None = None):
     b = conjugate_exact(a, m)
     assert b is not None
     return a, b, m
+
+
+def wide_pair(n: int, seed: int, bits: int = 32) -> tuple[IntMatrix, IntMatrix]:
+    """A seeded n x n matrix with entries below 2^bits in absolute value,
+    and a unimodular conjugate of it."""
+    rng = random.Random(seed)
+    bound = 2**bits
+    a = IntMatrix([[rng.randrange(-bound, bound) for _ in range(n)] for _ in range(n)])
+    a, b, _ = pair_with_conjugate(a, seed)
+    return a, b
 
 
 def quadratic_corpus(max_mu_budget: int = 600_000) -> list[tuple[IntMatrix, IntMatrix]]:

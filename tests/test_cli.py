@@ -13,9 +13,29 @@ from pathlib import Path
 import pytest
 
 import localconj
-from localconj import IntMatrix, charpoly, generate_pair, parse_poly, screen_primes
+from localconj import (
+    IdealLattice,
+    IntMatrix,
+    IntPoly,
+    NumberField,
+    PreconditionError,
+    SylvesterOperator,
+    charpoly,
+    companion_test,
+    conjugate_over_Zp,
+    eigenvector,
+    ell_invariant,
+    generate_pair,
+    in_Id_p,
+    is_irreducible,
+    lift_kernel,
+    parse_poly,
+    screen_primes,
+    zbeta_order,
+)
 from localconj.cli import (
     _commands,
+    _parse_cert,
     conj_all_report,
     conj_p_report,
     main,
@@ -26,7 +46,7 @@ from localconj.cli import (
     write_matrix,
 )
 
-from conftest import CLASSIC_A, CLASSIC_B
+from conftest import CLASSIC_A, CLASSIC_B, wide_pair
 
 
 # The directory holding the package this session imported, made absolute so
@@ -98,18 +118,35 @@ class TestParsing:
         report = conj_p_report(CLASSIC_A, CLASSIC_B, pa, pb, 3)
         assert report["verdict"]["conjugate"]
         exits = []
-        for tamper in ("float", "ragged"):
+        for tamper in ("float", "ragged", "modulus", "prime"):
             blob = json.loads(json.dumps(report))
             matrix = blob["certificate"]["matrix"]
             if tamper == "float":
                 matrix[0][0] += 0.5
-            else:
+            elif tamper == "ragged":
                 matrix[0].pop()
+            else:
+                blob["certificate"][tamper] += 0.5
             path = tmp_path / f"{tamper}.json"
             path.write_text(json.dumps(blob))
             exits.append(main(["verify", str(path), pa, pb]))
             assert capsys.readouterr().err.startswith("precondition violated")
-        assert exits == [2, 2]
+        assert exits == [2, 2, 2, 2]
+
+    def test_float_size_exits_one(self, tmp_path, capsys):
+        # refused, never truncated to a 2x2 matrix
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": 2.9, "rows": [[0, 1], [-3, 0]]}))
+        assert main(["charpoly", str(p)]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_float_witness_denominator_is_malformed(self, tmp_path):
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        report = weak_equiv_report(pair.a, pair.b, "a", "b")
+        report["witnesses"]["x"]["den"] += 0.5
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "malformed witness ideals"
+        )
 
 
 # top-level and subcommand help, and usage errors, as `main` printed them
@@ -130,12 +167,54 @@ class TestParserTexts:
         assert {f"{c[0]} --help" for c in _commands()} <= set(CLI_TEXTS)
 
 
+# every check a user's file or flag can trip, one call each
+REDUCIBLE = IntMatrix([[1, 0], [0, 2]])
+PRECONDITIONS = {
+    "unequal sizes": lambda: conjugate_over_Zp(CLASSIC_A, IntMatrix.identity(3), 2),
+    "charpolys differ": lambda: conjugate_over_Zp(CLASSIC_A, REDUCIBLE, 2),
+    "reducible pair": lambda: conjugate_over_Zp(REDUCIBLE, REDUCIBLE, 2),
+    "conj-p prime": lambda: conjugate_over_Zp(CLASSIC_A, CLASSIC_B, 6),
+    "companion prime": lambda: companion_test(CLASSIC_A, 1),
+    "companion reducible": lambda: companion_test(REDUCIBLE, 2),
+    "mu prime": lambda: SylvesterOperator(CLASSIC_A, CLASSIC_B).mu(4),
+    "lift prime": lambda: lift_kernel(
+        SylvesterOperator(CLASSIC_A, CLASSIC_B), (0,) * 4, 9, 1),
+    "ideal prime": lambda: in_Id_p(
+        IdealLattice.zbeta(NumberField(parse_poly("t^2+3"))),
+        zbeta_order(NumberField(parse_poly("t^2+3"))), 10),
+    "ell prime": lambda: ell_invariant(CLASSIC_A, 0),
+    "ell shape": lambda: ell_invariant(IntMatrix.identity(3), 2),
+    "ell scalar": lambda: ell_invariant(IntMatrix.identity(2), 2),
+    "screen reducible": lambda: screen_primes(parse_poly("t^2-1")),
+    "eigenvector reducible": lambda: eigenvector(REDUCIBLE),
+    "field degree": lambda: NumberField(parse_poly("t+1")),
+    "field reducible": lambda: NumberField(parse_poly("t^2-1")),
+    "fields differ": lambda: localconj.mul(
+        IdealLattice.zbeta(NumberField(parse_poly("t^2+3"))),
+        IdealLattice.zbeta(NumberField(parse_poly("t^2-2")))),
+    "not monic": lambda: is_irreducible(IntPoly([1, 0, 2])),
+    "constant": lambda: is_irreducible(IntPoly([3])),
+    "gen reducible": lambda: generate_pair(parse_poly("t^2-1"), "unimodular", 0),
+    "gen strategy": lambda: generate_pair(parse_poly("t^2+3"), "other", 0),
+    "gen strategy parameter": lambda: generate_pair(parse_poly("t^2+3"), "singular:x", 0),
+    "empty polynomial": lambda: parse_poly(" "),
+    "bad term": lambda: parse_poly("t^2 + *"),
+    "bad coefficient list": lambda: parse_poly("1,,2"),
+    "malformed certificate": lambda: _parse_cert({"type": "unit_mod", "matrix": [[1]]}),
+}
+
+
 class TestExitCodes:
     def test_verdict_either_way_is_zero(self, classic_files, capsys):
         pa, pb = classic_files
         assert main(["conj-p", pa, pb, "--prime", "2"]) == 0
         assert main(["conj-p", pa, pb, "--prime", "3"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("check", sorted(PRECONDITIONS))
+    def test_user_checks_raise_precondition_error(self, check):
+        with pytest.raises(PreconditionError):
+            PRECONDITIONS[check]()
 
     def test_precondition_exits_two(self, classic_files, tmp_path, capsys):
         pa, _ = classic_files
@@ -146,7 +225,9 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-    @pytest.mark.parametrize("error", [AssertionError, ArithmeticError])
+    @pytest.mark.parametrize(
+        "error", [AssertionError, ArithmeticError, ValueError, ZeroDivisionError]
+    )
     def test_internal_error_exits_three(self, classic_files, monkeypatch, capsys, error):
         def broken(i, j):
             raise error("self-check failed")
@@ -293,6 +374,18 @@ class TestReportsRoundTrip:
         report = conj_p_report(a, b, pa, pb, 3)
         ok, reason = verify_report(report, b, b)
         assert not ok and "digest" in reason
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wide_entry_reports_verify(self, n):
+        # 32-bit entries give f(0) of 60 bits and more, which the
+        # irreducibility test accepts without factoring it
+        a, b = wide_pair(n, 0)
+        for report in (
+            conj_p_report(a, b, "a", "b", 2),
+            weak_equiv_report(a, b, "a", "b"),
+        ):
+            ok, reason = verify_report(report, a, b)
+            assert ok, reason
 
     def test_tampered_certificate_rejected(self, classic_files):
         pa, pb = classic_files

@@ -22,9 +22,14 @@ from localconj import (
 from localconj.cli import conj_all_report, weak_equiv_report
 from localconj.gen import conjugate_exact, generate_pair
 from localconj.intmat import solve
-from localconj.polyfield import _irreducible_monic, _repeated_linear_part_mod_p
+from localconj.polyfield import (
+    _irreducible_mod_p,
+    _irreducible_monic,
+    _repeated_linear_part_mod_p,
+)
+from localconj.primes import next_prime
 
-from conftest import M, P
+from conftest import M, P, wide_pair
 from oracles import (
     euclid_inverse,
     has_monic_factor_bruteforce,
@@ -104,6 +109,11 @@ class TestIrreducibility:
         f = P("t^2+1") * P("t^2+3")
         assert not is_irreducible(f)
 
+    def test_float_coefficient_rejected(self):
+        # refused, never truncated to t + 1
+        with pytest.raises(ValueError):
+            IntPoly([1.7, 1])
+
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             is_irreducible(IntPoly([1, 1, 2]))
@@ -119,6 +129,34 @@ class TestIrreducibility:
                 continue
             seen += 1
             assert is_irreducible(f) == (not has_monic_factor_bruteforce(f))
+
+
+class TestModPAcceptFirst:
+    """The ten-prime mod-p accept runs before the rational-root screen, so a
+    polynomial it certifies is never factored, however wide f(0) is."""
+
+    @pytest.mark.parametrize("f", [
+        IntPoly([2**61 - 1, 0, 1]),
+        charpoly(wide_pair(4, 0)[0]),
+    ], ids=["t^2+2^61-1", "wide-4x4"])
+    def test_certified_polynomial_lists_no_divisors(self, divisor_calls, f):
+        disc = discriminant(f)
+        tried, p = [], 2
+        while len(tried) < 10:
+            if disc % p:
+                tried.append(p)
+            p = next_prime(p)
+        assert any(_irreducible_mod_p(f, q) for q in tried)
+        _irreducible_monic.cache_clear()
+        assert is_irreducible(f)
+        assert divisor_calls == []
+
+    def test_rejected_polynomial_still_screens_roots(self, divisor_calls):
+        # (t - 3)(t^2 + 5) keeps the factor t - 3 modulo every prime, so
+        # the mod-p test never accepts it and the root screen decides it
+        _irreducible_monic.cache_clear()
+        assert not is_irreducible(P("t^3-3t^2+5t-15"))
+        assert divisor_calls == [-15]
 
 
 class TestKronecker:

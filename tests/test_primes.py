@@ -1,5 +1,5 @@
-"""Integer factorization against trial division, on both sides of the trial
-limit, and the prime-power split."""
+"""Integer factorization, divisors and valuations against trial division, on
+both sides of the trial limit, and the prime-power split."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 import pytest
 
 from localconj import factorize, is_prime
-from localconj.primes import _TRIAL_LIMIT, prime_power_split
+from localconj.primes import _TRIAL_LIMIT, divisors, prime_power_split, valuation
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -82,6 +82,51 @@ class TestFactorize:
             862578601: 1,
             12100729: 1,
         }
+
+
+def seeded_products(seed: int, count: int = 20):
+    """Products of primes drawn below the trial limit, just above it and far
+    above it, with their factorizations."""
+    rng = random.Random(seed)
+    ranges = [(2, _TRIAL_LIMIT), (_TRIAL_LIMIT, 4 * _TRIAL_LIMIT), (2**28, 2**32)]
+    for _ in range(count):
+        want: dict[int, int] = {}
+        for _ in range(rng.randint(1, 3)):
+            p = random_prime(rng, *rng.choice(ranges))
+            want[p] = want.get(p, 0) + rng.randint(1, 3)
+        yield product(want), want
+
+
+class TestDivisorsAndValuation:
+    def test_divisors_match_brute_force_up_to_2000(self):
+        for n in range(1, 2001):
+            want = [d for d in range(1, n + 1) if n % d == 0]
+            assert divisors(n) == want == divisors(-n), n
+
+    def test_valuation_matches_brute_force_up_to_2000(self):
+        for n in range(1, 2001):
+            for p in (2, 3, 5, 7, 1009):
+                want = max(k for k in range(12) if n % p**k == 0)
+                assert valuation(n, p) == want == valuation(-n, p), (n, p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_products_across_the_trial_limit(self, seed):
+        for n, fac in seeded_products(seed):
+            count = 1
+            for e in fac.values():
+                count *= e + 1
+            ds = divisors(n)
+            assert len(ds) == count and ds == sorted(ds)
+            assert all(n % d == 0 for d in ds) and ds[-1] == n
+            for p, e in fac.items():
+                assert valuation(n, p) == e
+                assert valuation(7 * n, p) == e + (p == 7)
+
+    def test_zero_raises(self):
+        with pytest.raises(ValueError):
+            valuation(0, 2)
+        with pytest.raises(ValueError):
+            divisors(0)
 
 
 class TestPrimePowerSplit:

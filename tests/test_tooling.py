@@ -81,3 +81,29 @@ def test_package_does_not_import_fractions():
             if any(m.partition(".")[0] == "fractions" for m in modules):
                 offenders.append(path.name)
     assert offenders == []
+
+
+def _strips_a_factor(test) -> bool:
+    """True for a loop condition of the form `x % y == 0`."""
+    return (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.BinOp)
+        and isinstance(test.left.op, ast.Mod)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Eq)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value == 0
+    )
+
+
+def test_only_primes_strips_prime_factors():
+    # divisors and valuations are taken in `primes` alone; a private
+    # `while x % y == 0` loop elsewhere duplicates them
+    offenders = []
+    for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
+        if path.name == "primes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.While) and _strips_a_factor(node.test):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
