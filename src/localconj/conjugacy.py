@@ -2,16 +2,21 @@
 
 The decision for one prime works modulo p^(mu+1), where mu is the largest
 p-adic valuation among the nonzero invariant factors of the intertwining
-operator.  A negative verdict has two routes:
+operator.  mu is read off a Smith form of the operator over Z/p^K with
+K = v_p(disc f) + 1, which bounds every one of those valuations, so the
+operator's integer Smith form is never built.  A negative verdict has two
+routes:
 
 - a rank mismatch: conjugacy over Z_p implies similarity mod p, so when
   rank_p h(A)^j differs from rank_p h(B)^j for h the product of the linear
   factors t - lambda that divide the characteristic polynomial mod p more
   than once, the pair is not conjugate and nothing is searched;
-- an exhausted walk: otherwise the solution module of A X = X B mod p^(mu+1)
-  is projected to mod-p coordinates and searched for an element of unit
-  determinant.  A hit is returned as a certificate and lifts to an exact
-  intertwiner with determinant prime to p; a miss is a sound rejection.
+- an exhausted walk: otherwise the mod-p span of an exact basis of the
+  intertwiners {X : A X = X B} (n matrices, `SylvesterOperator.intertwiners`)
+  is searched for an element of unit determinant.  The basis is saturated,
+  so that span is every solution mod p that lifts.  A hit is realized from
+  the exact basis, reduced mod p^(mu+1), as the certificate; a miss is a
+  sound rejection.
 
 Negative verdicts carry no certificate.  `verify_cert` re-checks every
 certificate from scratch; stored flags are never trusted.
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .intmat import IntMatrix, Vector, det
+from .intmat import IntMatrix, Vector, _pair_reduced, det
 from .polyfield import (
     IntPoly,
     _repeated_linear_part_mod_p,
@@ -93,24 +98,63 @@ def _check_pair(a: IntMatrix, b: IntMatrix) -> IntPoly:
     return f
 
 
-def _echelon_fp(rows: list[Vector], p: int, width: int) -> list[Vector]:
-    """Reduced row echelon form over F_p of the rows, pivoting only in the
-    first `width` columns: the nonzero pivot rows, full length."""
-    rows = [[x % p for x in row] for row in rows]
+def _echelon_fp(
+    rows: list[Vector], p: int, width: int, k: int = 1
+) -> list[Vector]:
+    """Echelon form over Z/p^k of the rows, pivoting only in the first
+    `width` columns: the nonzero pivot rows, full length, in the order found.
+
+    Pivots are taken level by level: at level v, on entries of valuation
+    exactly v, each scaled to p^v and cleared from the rows below it.  No
+    entry of valuation below v is left in the unpivoted rows at level v, so
+    every pivot has the least valuation left and the levels are the p-adic
+    valuations (below k) of the invariant factors of the rows' matrix: a
+    local Smith form.  A pivot row of level v is p^v times a row with a unit
+    entry.  At k = 1 each pivot is cleared from the rows above it too, which
+    gives the reduced row echelon form over F_p."""
+    q = p**k
+    rows = [[x % q for x in row] for row in rows]
+    free = list(range(width))
     r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
+    for v in range(k):
+        pv, pv1 = p**v, p ** (v + 1)
+        for c in list(free):
+            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % pv1), None)
+            if pivot is None:
+                continue
+            free.remove(c)
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            inv = pow(rows[r][c] // pv, -1, q)
+            prow = rows[r] = [x * inv % q for x in rows[r]]
+            for i in range(0 if k == 1 else r + 1, len(rows)):
+                row = rows[i]
+                if i != r and row[c]:
+                    f = row[c] // pv
+                    rows[i] = [(x - f * y) % q for x, y in zip(row, prow)]
+            r += 1
     return [tuple(row) for row in rows[:r]]
+
+
+def _local_mu(op: SylvesterOperator, f: IntPoly, p: int) -> int:
+    """mu at p: the largest p-adic valuation of a nonzero invariant factor of
+    the operator, for a and b with the irreducible characteristic polynomial
+    f, from its Smith form over Z/p^K, K = v_p(disc f) + 1.
+
+    L = I kron a - b^T kron I has the eigenvalues theta_i - theta_j, n of
+    them zero, so its rank is r = n^2 - n and the sum of its principal r x r
+    minors is +-disc f.  The product of the nonzero invariant factors
+    divides every r x r minor, hence disc f: their valuations sum to less
+    than K, and exactly r pivots must appear below level K.
+    """
+    n = op.n
+    k = valuation(discriminant(f), p) + 1
+    pivots = _echelon_fp(op.l.entries, p, n * n, k)
+    if len(pivots) != n * n - n:
+        raise AssertionError(
+            f"{len(pivots)} local pivots below {p}^{k}, expected {n * n - n}"
+        )
+    top = p**k
+    return max((valuation(gcd(top, *row), p) for row in pivots), default=0)
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
@@ -120,8 +164,9 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
 def _unit_det_witness(
     gens: list[Vector], p: int, modulus: int, n: int
 ) -> Optional[Vector]:
-    """An element of the solution module mod `modulus` whose unvectorization
-    has determinant prime to p, or None when no such element exists.
+    """An element of the span of the exact kernel vectors `gens`, reduced mod
+    `modulus`, whose unvectorization has determinant prime to p, or None
+    when the span mod p holds no such element.
 
     For small prime and dimension the lexicographically smallest witness (as
     a mod-p vector) is found by an ordered walk of the projective span that
@@ -240,19 +285,20 @@ def _decide_at_prime(
 
     Equal matrices are conjugate.  Otherwise a mismatch of the mod-p ranks
     of h(a)^j and h(b)^j (`_linear_ranks_differ`) is a negative without a
-    search; when the ranks agree, the unit-determinant walk decides, and an
-    exhausted walk is a negative too.  mu is read off the operator's Smith
-    form on every route.
+    search; when the ranks agree, the unit-determinant walk over the mod-p
+    span of the operator's intertwiner basis decides, and an exhausted walk
+    is a negative too.  mu comes from the operator's local Smith form at p
+    (`_local_mu`) on every route.
     """
     n = a.rows
-    mu = op.mu(p)
+    mu = _local_mu(op, f, p)
     modulus = p ** (mu + 1)
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
         return Verdict(True, p, cert, mu)
     if _linear_ranks_differ(f, a, b, p):
         return Verdict(False, p, None, mu)
-    gens = op.solution_generators_mod(modulus)
+    gens = [vec(x) for x in op.intertwiners]
     witness = _unit_det_witness(gens, p, modulus, n)
     if witness is None:
         return Verdict(False, p, None, mu)
@@ -308,19 +354,21 @@ def _pair_cert(
 ) -> IntegerPairCert:
     """Two exact intertwiners with coprime determinants.
 
-    q is the first integer kernel basis matrix (nonzero determinant because
-    the characteristic polynomial is irreducible).  For each prime p dividing
-    det q, the coordinates of the mod-p witness in that basis are read off
-    the operator's Smith form as (t @ vec(x)) mod p; combining them by the
-    CRT yields s congruent to a unit-determinant witness modulo every such
-    p, so det s is prime to det q.  Witnesses at screened primes come from
-    `per`; every other prime is decided on the same operator.
+    The operator's intertwiner basis is size-reduced first, and q is the
+    basis matrix of least |det q| (nonzero because the characteristic
+    polynomial is irreducible; often 1, and then no prime is left to
+    decide).  For each prime p dividing det q, the coordinates of the mod-p
+    witness in that basis are solved for mod p on all n^2 entries (X -> X e_1
+    need not be injective mod p; the basis is saturated, so it stays
+    independent mod p).  Combining them by the CRT yields s congruent to a
+    unit-determinant witness modulo every such p, so det s is prime to
+    det q.  Witnesses at screened primes come from `per`; every other prime
+    is decided on the same operator.
     """
     n = a.rows
-    dec = op.decomposition
-    rank = dec.rank()
-    mats = [unvec(v, n) for v in dec.kernel_basis()]
-    q = mats[0]
+    mats = [unvec(v, n) for v in _pair_reduced([vec(x) for x in op.intertwiners])]
+    q = min(mats, key=lambda x: abs(x.det()))
+    entries = list(zip(*map(vec, mats)))  # row k: entry k of every basis matrix
     decided = {v.prime: v for v in per}
     combined = [0] * len(mats)
     mod_all = 1
@@ -328,7 +376,11 @@ def _pair_cert(
         verdict = decided.get(p) or _decide_at_prime(op, f, a, b, p)
         if not verdict.conjugate:
             raise AssertionError(f"no unit-determinant intertwiner mod {p}")
-        coords = dec.t.mul_vec(vec(verdict.certificate.x))[rank:]
+        system = [e + (t,) for e, t in zip(entries, vec(verdict.certificate.x))]
+        solved = _echelon_fp(system, p, n + 1)
+        if len(solved) != n:
+            raise AssertionError(f"witness mod {p} outside the intertwiner span")
+        coords = [row[n] for row in solved]
         inv = pow(mod_all, -1, p)
         for idx, target in enumerate(coords):
             # CRT step for coordinate idx: keep value mod mod_all, set mod p
@@ -358,7 +410,12 @@ def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
             x = cert.x
             if x.shape != (n, n) or b.shape != (n, n):
                 return False
-            return _unit_mod_holds(a, b, cert, SylvesterOperator(a, b).mu(p))
+            # the local bound on mu needs one shared irreducible polynomial
+            f = charpoly(a)
+            if charpoly(b) != f or not is_irreducible(f):
+                return False
+            mu = _local_mu(SylvesterOperator(a, b), f, p)
+            return _unit_mod_holds(a, b, cert, mu)
         if isinstance(cert, IntegerPairCert):
             if a @ cert.q != cert.q @ b or a @ cert.s != cert.s @ b:
                 return False

@@ -85,6 +85,9 @@ def generate_pair(f: IntPoly, strategy: str, seed: int) -> GeneratedPair:
             p = int(param) if param else 2
         except ValueError:
             raise PreconditionError(f"unknown strategy {strategy!r}") from None
+        if abs(p) < 2:
+            # no conjugator of determinant 0 exists, and +-1 is unimodular
+            raise PreconditionError(f"singular:{p} needs |p| >= 2")
         targets = {p, p * p}
         for _ in range(20000):
             m = IntMatrix(

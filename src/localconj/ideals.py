@@ -3,63 +3,31 @@
 An ideal is stored as a positive denominator plus a row-style Hermite normal
 form basis with respect to the power basis 1, beta, ..., beta^(n-1).  The
 canonical form (HNF, positive pivots, reduced entries, minimal denominator)
-makes equality structural.  That one Hermite form is the only elimination
-here: an intersection is read off the HNF of a 2n x 2n block (Zassenhaus),
-L intersected with Z is the same meet with den * Z, and a colon ideal
-(j : i) is a scaled dual of the lattice spanned by the n^2 columns of
-M_k adj(B_j) (M_k multiplication by the k-th basis element of i, B_j the
-basis of j), read off one HNF of n^2 rows by the exact back substitution of
-`intmat`.  An index is an exact quotient of denominators and diagonal
-products.  So nothing here needs a Smith form, a factorization, a field
-inverse or a rational number.
+makes equality structural.  The Hermite form of `intmat` is the only
+elimination here: an intersection is read off the HNF of a 2n x 2n block
+(Zassenhaus), L intersected with Z is the same meet with den * Z, and a
+colon ideal (j : i) is a scaled dual of the lattice spanned by the n^2
+columns of M_k adj(B_j) (M_k multiplication by the k-th basis element of i,
+B_j the basis of j), read off one HNF of n^2 rows by `intmat`'s dual-lattice
+routine, which `sylvester` shares for intertwiners.  An index is an exact
+quotient of denominators and diagonal products.  So nothing here needs a
+Smith form, a factorization, a field inverse or a rational number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
-from .intmat import IntMatrix, back_substitute
+from .intmat import (
+    IntMatrix,
+    _adjugate_upper,
+    _diagonal_product,
+    _dual_rows,
+    _hnf_rows,
+)
 from .polyfield import FieldElement, NumberField
 from .primes import PreconditionError, is_prime, valuation
-
-
-def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Row HNF: pivot rows in increasing pivot-column order, positive pivots,
-    entries above each pivot reduced into [0, pivot)."""
-    work = [list(r) for r in rows if any(r)]
-    out: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        while True:
-            live = [r for r in work if r[col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                if q:
-                    for j in range(col, ncols):
-                        r[j] -= q * base[j]
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            continue
-        pivot = live[0]
-        if pivot[col] < 0:
-            for j in range(ncols):
-                pivot[j] = -pivot[j]
-        out.append(pivot)
-        pivot_cols.append(col)
-        work = [r for r in work if r is not pivot and any(r)]
-    for idx, pcol in enumerate(pivot_cols):
-        piv = out[idx]
-        for earlier in range(idx):
-            q = out[earlier][pcol] // piv[pcol]
-            if q:
-                for j in range(pcol, ncols):
-                    out[earlier][j] -= q * piv[j]
-    return out
 
 
 def _meet_rows(li: list[list[int]], lj: list[list[int]], n: int) -> list[list[int]]:
@@ -265,24 +233,10 @@ def quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
     cols = []
     for s in i.basis.entries:
         cols.extend((field.mult_matrix(s) @ adj_b).transpose().entries)
-    h = _hnf_rows(cols, n)
-    if len(h) != n:
-        raise AssertionError("colon-ideal constraint lattice is not of full rank")
+    dual, det_h = _dual_rows(cols, n)
     scale = i.den * _diagonal_product(j.basis.entries)
-    adj_h = _adjugate_upper(h)
-    rows = [[scale * adj_h[c][r] for c in range(n)] for r in range(n)]
-    return IdealLattice(field, rows, j.den * _diagonal_product(h))
-
-
-def _diagonal_product(rows) -> int:
-    return prod(row[k] for k, row in enumerate(rows))
-
-
-def _adjugate_upper(rows) -> list[list[int]]:
-    """Adjugate of an upper-triangular integer matrix with nonzero diagonal:
-    the exact back substitution of h X = det(h) I."""
-    identity = IntMatrix.identity(len(rows)).entries
-    return back_substitute(rows, identity, _diagonal_product(rows))
+    rows = [[scale * x for x in row] for row in dual]
+    return IdealLattice(field, rows, j.den * det_h)
 
 
 def intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:

@@ -1,17 +1,17 @@
 """Exact dense integer matrices.
 
 Arbitrary-precision arithmetic, one Bareiss elimination for determinants and
-exact solves (its back substitution also serves triangular adjugates
-elsewhere), Smith normal form with unimodular transforms, and integer/modular
-kernels.  Matrices are immutable; every operation returns a fresh value.
-There is no floating point, no rational arithmetic and no word-size fast
-path anywhere.
+exact solves (its back substitution also gives triangular adjugates), one
+row Hermite form for lattices and their duals, Smith normal form with
+unimodular transforms, and integer/modular kernels.  Matrices are immutable;
+every operation returns a fresh value.  There is no floating point, no
+rational arithmetic and no word-size fast path anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import index, mul
 
 from .primes import PreconditionError, is_prime, prime_power_split, valuation
@@ -237,6 +237,94 @@ def back_substitute(u, rhs, scale: int) -> list[list[int]]:
                 raise AssertionError("inexact division in a back substitution")
             x[r][c] = q
     return x
+
+
+def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row HNF: pivot rows in increasing pivot-column order, positive pivots,
+    entries above each pivot reduced into [0, pivot)."""
+    work = [list(r) for r in rows if any(r)]
+    out: list[list[int]] = []
+    pivot_cols: list[int] = []
+    for col in range(ncols):
+        while True:
+            live = [r for r in work if r[col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda r: abs(r[col]))
+            base = live[0]
+            for r in live[1:]:
+                q = r[col] // base[col]
+                if q:
+                    for j in range(col, ncols):
+                        r[j] -= q * base[j]
+        live = [r for r in work if r[col] != 0]
+        if not live:
+            continue
+        pivot = live[0]
+        if pivot[col] < 0:
+            for j in range(ncols):
+                pivot[j] = -pivot[j]
+        out.append(pivot)
+        pivot_cols.append(col)
+        work = [r for r in work if r is not pivot and any(r)]
+    for idx, pcol in enumerate(pivot_cols):
+        piv = out[idx]
+        for earlier in range(idx):
+            q = out[earlier][pcol] // piv[pcol]
+            if q:
+                for j in range(pcol, ncols):
+                    out[earlier][j] -= q * piv[j]
+    return out
+
+
+def _diagonal_product(rows) -> int:
+    return prod(row[k] for k, row in enumerate(rows))
+
+
+def _adjugate_upper(rows) -> list[list[int]]:
+    """Adjugate of an upper-triangular integer matrix with nonzero diagonal:
+    the exact back substitution of h X = det(h) I."""
+    identity = IntMatrix.identity(len(rows)).entries
+    return back_substitute(rows, identity, _diagonal_product(rows))
+
+
+def _dual_rows(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """(adj(H)^T, det H) for H the Hermite form of the rows, which must span
+    a lattice of full rank ncols.  The dual lattice {y : r . y in Z for every
+    row r} is spanned by the rows of adj(H)^T / det H, a lower-triangular
+    basis."""
+    h = _hnf_rows(rows, ncols)
+    if len(h) != ncols:
+        raise AssertionError("the lattice to dualize is not of full rank")
+    adj_h = _adjugate_upper(h)
+    return [list(col) for col in zip(*adj_h)], _diagonal_product(h)
+
+
+def _pair_reduced(rows: list[Vector]) -> list[Vector]:
+    """Pairwise (Lagrange-Gauss) size reduction of a lattice basis: subtract
+    the nearest integer multiple of one row from another while that shortens
+    it.  The rows keep spanning the same lattice; on return no row gets
+    shorter by a multiple of any other."""
+    rows = [list(r) for r in rows]
+    norms = [sum(x * x for x in r) for r in rows]
+    changed = True
+    while changed:
+        changed = False
+        for i, ri in enumerate(rows):
+            for j, rj in enumerate(rows):
+                if i == j or not norms[j]:
+                    continue
+                dot = sum(map(mul, ri, rj))
+                c = (2 * dot + norms[j]) // (2 * norms[j])  # nearest integer
+                if not c:
+                    continue
+                new = [x - c * y for x, y in zip(ri, rj)]
+                size = sum(x * x for x in new)
+                if size < norms[i]:
+                    rows[i] = ri = new
+                    norms[i] = size
+                    changed = True
+    return [tuple(r) for r in rows]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """The intertwining operator X -> A X - X B as an n^2 x n^2 integer matrix,
-its prime-power profile, and exact kernel lifting from modular approximations.
+the lattice of exact intertwiners at n-size cost, and exact kernel lifting
+from modular approximations.
 
-Each operator builds one Smith normal form, on first use, and every reader
-shares it: mu, the kernel modulo p^k, exact lifting and the integer kernel
-basis behind the pair certificate.  Independent re-verification (`verify`)
-builds a fresh operator instead.
+The decision path reads two things here: the intertwiner basis (one Hermite
+form of n^2 + n rows of width n, through a cyclic vector of B) and the
+operator matrix itself, whose local Smith form gives mu.  Neither builds the
+operator's integer Smith form.  That form is built on first use by the
+generic operator API (mu, the kernel modulo p^k, exact lifting), which does
+not assume a shared characteristic polynomial, and is shared by its readers.
 
 Vectorization is column-major throughout the package; certificates and kernel
 vectors all share this one convention.
@@ -13,14 +16,17 @@ vectors all share this one convention.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import index
 
 from .intmat import (
     IntMatrix,
     PrimePartProfile,
     SNFDecomposition,
     Vector,
+    _dual_rows,
     p_part,
     snf,
+    solve,
 )
 from .primes import PreconditionError, is_prime
 
@@ -37,6 +43,14 @@ def unvec(v, n: int) -> IntMatrix:
     return IntMatrix([[v[j * n + i] for j in range(n)] for i in range(n)])
 
 
+def _krylov(m: IntMatrix, v) -> IntMatrix:
+    """The matrix [v, m v, ..., m^(n-1) v] of an n x n matrix m."""
+    cols = [tuple(v)]
+    for _ in range(m.rows - 1):
+        cols.append(m.mul_vec(cols[-1]))
+    return IntMatrix._of(zip(*cols))
+
+
 class SylvesterOperator:
     """Matrix of X -> a X - X b on column-major coordinates:
     l = (I kron a) - (b^T kron I)."""
@@ -49,6 +63,45 @@ class SylvesterOperator:
         self.n = a.rows
         eye = IntMatrix.identity(self.n)
         self.l = eye.kron(a) - b.transpose().kron(eye)
+
+    @cached_property
+    def intertwiners(self) -> list[IntMatrix]:
+        """A Z-basis of the exact intertwiners {X : a X = X b}: n matrices.
+
+        a and b must share one irreducible characteristic polynomial, so
+        that e_1 is a cyclic vector of b.  With K_B = [e_1, b e_1, ...,
+        b^(n-1) e_1], D = det K_B and x = X e_1, every intertwiner is
+        X = K_A(x) adj(K_B) / D, where K_A(x) = [x, a x, ..., a^(n-1) x] =
+        sum_j x_j K_A(e_j).  So X is integral iff sum_j x_j M_j = 0 mod D
+        with M_j = K_A(e_j) adj(K_B): the x form D times the dual of the
+        lattice spanned by the n^2 coefficient vectors (M_j[i, l])_j and
+        D * Z^n.  One Hermite form of those rows gives a triangular basis.
+        """
+        a, b, n = self.a, self.b, self.n
+        unit = IntMatrix.identity(n)
+        d, adj_kb = solve(_krylov(b, unit.row(0)), unit)
+        if d == 0:
+            raise PreconditionError("e_1 is not a cyclic vector of b")
+        m = [_krylov(a, unit.row(j)) @ adj_kb for j in range(n)]
+        size = abs(d)
+        rows = [[mj[i, l] % size for mj in m] for i in range(n) for l in range(n)]
+        rows += [[size * x for x in unit.row(i)] for i in range(n)]
+        dual, det_h = _dual_rows(rows, n)
+        basis = []
+        for row in dual:
+            # size * e_i lies in the span, so size * dual is integral
+            if any(size * c % det_h for c in row):
+                raise AssertionError("intertwiner coordinates are not integral")
+            total = _krylov(a, [size * c // det_h for c in row]) @ adj_kb
+            if any(v % d for r in total.entries for v in r):
+                raise AssertionError("intertwiner is not integral")
+            mat = IntMatrix._of([[v // d for v in r] for r in total.entries])
+            if a @ mat != mat @ b:
+                raise PreconditionError(
+                    "the operands do not share one characteristic polynomial"
+                )
+            basis.append(mat)
+        return basis
 
     @cached_property
     def decomposition(self) -> SNFDecomposition:
@@ -83,7 +136,11 @@ def lift_kernel(
         raise PreconditionError(f"{p} is not prime")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    x_approx = tuple(int(v) for v in x_approx)
+    try:
+        x_approx = tuple(map(index, x_approx))
+    except TypeError as exc:
+        # a float is refused, never truncated
+        raise ValueError(f"vector entries must be integers: {exc}") from None
     m = op.l
     if len(x_approx) != m.cols:
         raise ValueError("vector length mismatch")

@@ -339,6 +339,38 @@ class TestGen:
         assert payload["verdict"]["conjugate"] is True
 
 
+class TestGenSingularParameter:
+    @pytest.mark.parametrize("p", [0, 1, -1])
+    def test_no_singular_conjugator_exits_two(self, tmp_path, capsys, p):
+        # 0 has no nonsingular conjugator and +-1 would be unimodular
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        argv = ["gen", "--field", "t^2+3", f"--strategy=singular:{p}",
+                "--out-a", str(pa), "--out-b", str(pb)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition violated")
+        assert not pa.exists() and not pb.exists()
+
+
+class TestVerifyMismatchedPair:
+    def test_other_polynomial_is_rejected_not_crashed(self, tmp_path, capsys):
+        # without the input digests only the certificate check can object;
+        # mu's local bound needs one shared polynomial, so it says no
+        pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
+        report = conj_p_report(pair.a, pair.b, "a.txt", "b.txt", 5)
+        assert report["verdict"]["conjugate"]
+        for stanza in report["inputs"].values():
+            del stanza["sha256"]
+        paths = [tmp_path / name for name in ("report.json", "a.txt", "b.txt")]
+        paths[0].write_text(json.dumps(report))
+        write_matrix(str(paths[1]), pair.a)
+        write_matrix(str(paths[2]), parse_poly("t^5-3").companion())
+        assert main(["verify", *map(str, paths)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accepted"] is False
+
+
 class TestReportsRoundTrip:
     def test_conj_p_report_verifies(self, classic_files):
         pa, pb = classic_files
@@ -445,39 +477,39 @@ def report_digest(report: dict) -> str:
 # change to how the engine computes them must keep these bytes
 GOLDEN_REPORTS = {
     ("t^2+3", "unimodular", 0, "conj-all", None):
-        "9b12599e58040345cb828cc05e27fed6577e427f1de3b4b549903c9992fdcc3c",
+        "d9d2f99149c7dfcb5407e16eae25a0e018e0138b543bd1c202651f4bec3cfdb0",
     ("t^2+3", "unimodular", 0, "conj-p", 2):
         "7edf604b4823f1e702555593ffc2bcd66ddecae961f533a630ea4fb828e535d3",
     ("t^2+3", "unimodular", 1, "conj-all", None):
-        "45223666ef3d5f16836118974d642511e47252e9e47c027b995ef99912c79382",
+        "259c8a633c191e900defc2cfb1d725f2d6416103ffdfe22f257fe75b042a3c1c",
     ("t^2+3", "unimodular", 1, "conj-p", 2):
         "ad4228c5c75e5bde7f404449ab00377371df893bd0d17c385fd93b7ff59ef427",
     ("t^4-10t^2+1", "unimodular", 0, "conj-all", None):
-        "1cd9adab273c46990a4cc12093a78133db605be5edbf3cd9fc8a30a15c971d88",
+        "589589fa22bbb8a9414923a6427693f722144ec15c172680402944d026a3882e",
     ("t^4-10t^2+1", "unimodular", 0, "conj-p", 2):
         "19c34c7eabfc08243736d529a7e0b5eb22a1a4faa103e5e48aa1012bf77146b0",
     ("t^4-10t^2+1", "unimodular", 0, "conj-p", 3):
         "7afe567a0926900f4d93081f1bc14f49d8e33496c7fef1f2dd821d81055215a7",
     ("t^4-10t^2+1", "unimodular", 1, "conj-all", None):
-        "88d5a19e9e14d057b8bf6ba04ef478ecf31f85199e9bd86c7fece42e42a49fd5",
+        "a56b2178ceecbb7b366a3a9d06e8ecfe113a53e27e765374d549dca435a88727",
     ("t^4-10t^2+1", "unimodular", 1, "conj-p", 2):
         "5f7b74e5aac7ccc72b212d768914a1d56ca6bcacff09a9e37a9a7a3250cb4405",
     ("t^4-10t^2+1", "unimodular", 1, "conj-p", 3):
         "e5c49732e98ce4a9253bbfab5153f27bb3080e388fdd211e3e89c884313dce71",
     ("t^5-2", "unimodular", 0, "conj-all", None):
-        "21e15a25e465d8ac6e0c278e76d101ed4b8c73460c0656507d8164d6f9f10951",
+        "269e69d98b2a84eba4524a8d9b2afeac0fb42b8c7e65d56f8f87ef00ec369b67",
     ("t^5-2", "unimodular", 0, "conj-p", 2):
         "1974ca7cebc7394d885744c910da719cf99cf1e7995fa828836fa0cc1dbe3d96",
     ("t^5-2", "unimodular", 0, "conj-p", 5):
         "902da8438f0d850af7d46f316597ad22589abb859d725a6bf1d3ba2d60723bc0",
     ("t^5-2", "unimodular", 1, "conj-all", None):
-        "a68a198822113c37f3bc560b8af588a841049e592da7acbc679f1983b71e6b91",
+        "e3359fc3daffd42e5065bb7b5e4754775bb0f10a74967c0d69bbf1b9e5e1402c",
     ("t^5-2", "unimodular", 1, "conj-p", 2):
         "bff75ffe58da8c734e71421c456db54c7d5016f68727503b8ae7460ed22b2ada",
     ("t^5-2", "unimodular", 1, "conj-p", 5):
         "afbdc9cc70ec9fa325261479ae6e94d6b406ef40cca6c17f5437a0d9ab510129",
     ("t^7-3", "unimodular", 0, "conj-all", None):
-        "bf7ebf2c01c205868b52130600790af0fc5154686bde8ff7b5bf9ae072e53f3b",
+        "4f92390c256e32b5d6c2cf98b25ade4b22688e099f84756b165326bd2e606165",
     ("t^7-3", "unimodular", 0, "conj-p", 3):
         "6be6c03b44fed8f18a580bb51a74593d6745df646dfd644730e628e803e9062e",
     ("t^7-3", "unimodular", 0, "conj-p", 7):
@@ -498,27 +530,27 @@ GOLDEN_IDEAL_REPORTS = {
     ('t^2+3', 'unimodular', 0, 'weak-equiv'):
         '5279db6266e64854d2cf0a2ac8ac8d980e75c494f22c5a5440fb7ff27df197d9',
     ('t^2+3', 'unimodular', 0, 'conj-all --cross-check'):
-        '2b2a9d846f3df007c5c8ac7c78ee8ab57eb5acefc90c540ea3401e053e2a631e',
+        '402ffc8265dc61f735553610ceaebc3ca3e2e113560d1f61c7fde14b2f44c28d',
     ('t^2+3', 'unimodular', 1, 'weak-equiv'):
         '2c898044fa83f4979795c03d09c11306386a0b8b7cb6e6cd6cd93acd2a81b5b5',
     ('t^2+3', 'unimodular', 1, 'conj-all --cross-check'):
-        '08835b0bf5a35863c28e19535fe01e8cd352f823b267ba3727cc41d28a17a0b5',
+        'dd3f0de81ac8b6d8e2b813c72731fe661a8128a438dbeb1daf6985d8764a9b2f',
     ('t^2+3', 'singular:2', 0, 'weak-equiv'):
         '99c60fd8d88c2dc55e74ae0341022745ae04d83a02c2a2b89f530264fadac393',
     ('t^2+3', 'singular:2', 0, 'conj-all --cross-check'):
-        '9c73b05bdc7c3dd91ab0790ac86d1823e4b0ef4080f9ac0a5da3a2b5b5f84ddc',
+        '491e546734d94cffb26e7d1801cc5ef0d99517211df17595360591f21a1c2c84',
     ('t^2+3', 'singular:2', 1, 'weak-equiv'):
         '2e9b1885c6f04716d9a1fefbd261ca04a2d36da318a2cda9e1a0904537a4a429',
     ('t^2+3', 'singular:2', 1, 'conj-all --cross-check'):
-        '9c9b388c5b1b45d4fdf315c3a4ee86123d13edb6946bb125d24a3e09dcdddce7',
+        'f595219799ef73a8d2fcf6f8d2d658c83030c18ac45cb722a59f7402b5a8cb23',
     ('t^3-t^2-2t-8', 'unimodular', 0, 'weak-equiv'):
         '5dce0aac189879a04fd3f8fac51093793b6cb0dc1c69e8daa822dd2626d85835',
     ('t^3-t^2-2t-8', 'unimodular', 0, 'conj-all --cross-check'):
-        '8966a5925e0096700fd8f85d2c81958434b37146b3d6bf0e5fb056934c644c37',
+        '64acd1b32ad403de8acc6693b8629c63f739ef6a0ee5816758ec7f9f7a2d76c0',
     ('t^3-t^2-2t-8', 'unimodular', 1, 'weak-equiv'):
         'e0d6eb8cf97b042593cc5eb8410804ee5c985f073c8fe43d786335bbd9072480',
     ('t^3-t^2-2t-8', 'unimodular', 1, 'conj-all --cross-check'):
-        'ff7d6da657309e118193c574db19e65a1f808c07ac1b44e6f630122c5736c16b',
+        'ea94c500d74ed66b2bbef81e4958a6d63dca02da949c3986b4c27a9b337dc6f6',
     ('t^3-t^2-2t-8', 'singular:2', 0, 'weak-equiv'):
         '8eab63998c737b4e41ec57a57719be5a98bd467917be67e02da9f1350de1c23b',
     ('t^3-t^2-2t-8', 'singular:2', 0, 'conj-all --cross-check'):
@@ -526,15 +558,15 @@ GOLDEN_IDEAL_REPORTS = {
     ('t^3-t^2-2t-8', 'singular:2', 1, 'weak-equiv'):
         'd87bb0bacea9dd159b069eae8cdc89d1d76b4be6d60ad7a7cc20ec6a534ab753',
     ('t^3-t^2-2t-8', 'singular:2', 1, 'conj-all --cross-check'):
-        'b25808a4a83126bcd068692daeb163bfa18faa999a5d9b8bcfd5565007dc55b2',
+        'bb53c1b254220972b905745f2564472facb4be1deabe3a55bcb2f9c1f9790c5c',
     ('t^4-10t^2+1', 'unimodular', 0, 'weak-equiv'):
         '53df61e6230493e4de215e27ff6783094762d7fc69bc12b6065994a0819a9d56',
     ('t^4-10t^2+1', 'unimodular', 0, 'conj-all --cross-check'):
-        '7f6aadff35bd99905abe241d5a5e2ec956267618502407daa890987be816249d',
+        '0f983f4d191702475c4fb2d8d5fba6287c5ca34d254e48dbc82df7c92905f25e',
     ('t^4-10t^2+1', 'unimodular', 1, 'weak-equiv'):
         'c5fd5829d3886b4cd192b849e99f516bf7c38d784783bacf8eb90f9afef8b9f7',
     ('t^4-10t^2+1', 'unimodular', 1, 'conj-all --cross-check'):
-        '398f74547cc9a9537484acebf703c6fed5936cb55d9951a9caf532da7d69a451',
+        'daa37d64a2fb1048d2545bcff653ee8ee976af8d0af8eee6451a31606fd84263',
     ('t^4-10t^2+1', 'singular:2', 0, 'weak-equiv'):
         '52f22530db126bb43cf2a66d9766a5f338713ebb4301ae3d25d67ca1fa81ca94',
     ('t^4-10t^2+1', 'singular:2', 0, 'conj-all --cross-check'):
@@ -546,23 +578,23 @@ GOLDEN_IDEAL_REPORTS = {
     ('t^5-2', 'unimodular', 0, 'weak-equiv'):
         '80df60823888aec52ac8fa8ddbf5654055c2f61a5d726bfe59f2d6472f9e02f3',
     ('t^5-2', 'unimodular', 0, 'conj-all --cross-check'):
-        '94d89443d8cd9dcb6dfea64904ec1a82b0e103b188e88ff360f84569f97b37b4',
+        '3700833aed98aab621550e156043c8ada5e4935b511174c5a3fccce267e60b57',
     ('t^5-2', 'unimodular', 1, 'weak-equiv'):
         '412279a3fdec7e9f1ecbf30f1191be7b8193601894493a7d42d56d53ce516e3f',
     ('t^5-2', 'unimodular', 1, 'conj-all --cross-check'):
-        'e68bf72b3fff0cdc8e9b919a5be7d9b3b397955759c716b0bf6002c5bb3bf1c6',
+        'f4a31124e9933f2ef76c0aa58eef0bcf48c62b3d75d5e17ef862d09029a81401',
     ('t^5-2', 'singular:2', 0, 'weak-equiv'):
         'de2b7897f5fb638d15a42dcf61c03fecec33adb46239013bc93c2421e970c819',
     ('t^5-2', 'singular:2', 0, 'conj-all --cross-check'):
-        'bdb1410c136359e77a024962fdcc8228d76782fd558f790ef3986d1516dfa077',
+        '8d9470ab9c95035489fbc904feeb5a839f50736e8bd9c600ab0a96ba1c6be1e3',
     ('t^5-2', 'singular:2', 1, 'weak-equiv'):
         'caa34cdfe6b01193747488e346f24b6ea8da145c569acb3e62679536bec0fcaa',
     ('t^5-2', 'singular:2', 1, 'conj-all --cross-check'):
-        '6294ba7d13f0213ee779a028ecfab9c25b8765179657ff445ecc6d69916b2dcb',
+        '2b7f503c9fcf0df287a638d64d75c1ed168b5d6cbb74e82eeea8e5f7cc957e7c',
     ('t^6-2', 'unimodular', 0, 'weak-equiv'):
         '897a8d02193c539e0e2fcb8b4456629761b471dc3aafdb9711829be2e480d6c6',
     ('t^6-2', 'unimodular', 0, 'conj-all --cross-check'):
-        'c4b7fc0507888629676f3348ae32eed0e09b9554588b10157812596562380a4f',
+        'e16ab3dfdf0858f5ca3a1f897a65f2db91b36a7efd4a75fb6012c41ce3db9d0f',
 }
 
 
@@ -612,11 +644,12 @@ class TestReportBytes:
         assert len(field_inversions) == 2
 
     def test_cross_check_builds_only_the_operator_smith_form(self, snf_builds):
-        # one operator for both primes; the cross-check's ideal side builds none
+        # the decision reads the intertwiner basis and local Smith forms,
+        # and the cross-check's ideal side builds no Smith form either
         pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
         snf_builds.clear()
         conj_all_report(pair.a, pair.b, "a.txt", "b.txt", cross_check=True)
-        assert snf_builds == [(25, 25)]
+        assert snf_builds == []
 
     def test_verify_rebuilds_every_unit_mod_check(self, snf_builds):
         pair = generate_pair(parse_poly("t^5-2"), "unimodular", 1)
@@ -624,4 +657,6 @@ class TestReportBytes:
         snf_builds.clear()
         ok, reason = verify_report(report, pair.a, pair.b)
         assert ok, reason
-        assert len(snf_builds) == len(report["per_prime"]) == 2
+        # each unit-mod check reads mu off a local Smith form
+        assert len(report["per_prime"]) == 2
+        assert len(snf_builds) == 0

@@ -1,0 +1,242 @@
+"""The decision path without the operator's integer Smith form: the n-size
+intertwiner basis and mu from a Smith form over Z/p^K, each against the
+integer Smith form as an oracle, the counters that pin the form's absence,
+and the reports recorded before the change."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import random
+import sys
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from localconj import (
+    IntMatrix,
+    SylvesterOperator,
+    charpoly,
+    conjugate_over_Zp,
+    conjugate_over_all_Zp,
+    discriminant,
+    generate_pair,
+    lift_kernel,
+    p_part,
+    parse_poly,
+    screen_primes,
+    vec,
+    verify_cert,
+)
+from localconj.cli import conj_all_report, conj_p_report, verify_report
+from localconj.conjugacy import _echelon_fp, _local_mu
+from localconj.gen import conjugate_exact
+from localconj.intmat import _hnf_rows
+from localconj.primes import valuation
+
+from conftest import PRIME_BY_PRIME_PAIRS, pair_with_conjugate, scalar_shifted
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = Path(__file__).parent / "fixtures" / "parent_reports.json"
+
+
+@cache
+def load_corpus():
+    """The benchmark's stdlib corpus module, for the wide-entry F5 pair."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", ROOT / "perfbench" / "corpus.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve names here
+    spec.loader.exec_module(module)
+    return module
+
+
+def f5_pair(seed: int) -> tuple[IntMatrix, IntMatrix]:
+    """t^5 - 2 conjugated twice by unimodular matrices with 30-32-bit
+    entries: the operator's integer Smith form takes 0.3-0.5 s here."""
+    a, b = load_corpus().unimodular_pair(
+        (-2, 0, 0, 0, 0, 1), random.Random(seed), (30, 32)
+    )
+    return IntMatrix(a), IntMatrix(b)
+
+
+def shifted_pair(n: int, conjugate: bool) -> tuple[IntMatrix, IntMatrix]:
+    """I + 5 C(t^n - t - 1) against a unimodular conjugate (conjugate over
+    Z_5) or its conjugate by diag(5, 1, ..., 1) (not conjugate over Z_5)."""
+    a = scalar_shifted(1, 5, 1, f"t^{n}-t-1")
+    if conjugate:
+        return a, pair_with_conjugate(a, n)[1]
+    return a, conjugate_exact(a, IntMatrix.diagonal([5] + [1] * (n - 1)))
+
+
+def oracle_pairs():
+    for seed in (0, 1):
+        for field, strategy in PRIME_BY_PRIME_PAIRS:
+            pair = generate_pair(parse_poly(field), strategy, seed)
+            yield f"{field}-{strategy}-{seed}", pair.a, pair.b
+    for field, seed in (("t^7-3", 0), ("t^8-3", 1)):
+        pair = generate_pair(parse_poly(field), "unimodular", seed)
+        yield f"{field}-unimodular-{seed}", pair.a, pair.b
+    for n in (5, 6, 7):
+        for conjugate in (True, False):
+            a, b = shifted_pair(n, conjugate)
+            yield f"shifted-{n}-{conjugate}", a, b
+    for seed in range(3):
+        yield (f"f5-{seed}", *f5_pair(seed))
+
+
+ORACLE_PAIRS = {name: (a, b) for name, a, b in oracle_pairs()}
+
+
+class TestAgainstTheIntegerSmithForm:
+    @pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+    def test_basis_and_local_profile(self, name):
+        a, b = ORACLE_PAIRS[name]
+        n = a.rows
+        f = charpoly(a)
+        op = SylvesterOperator(a, b)
+        mats = op.intertwiners
+        assert len(mats) == n
+        assert all(a @ x == x @ b for x in mats)
+        # (a): the same lattice as the Smith form's saturated kernel basis
+        assert _hnf_rows([list(vec(x)) for x in mats], n * n) == _hnf_rows(
+            [list(v) for v in op.decomposition.kernel_basis()], n * n
+        )
+        # (b): the pivot levels over Z/p^K are the valuations of the
+        # nonzero invariant factors, so mu agrees
+        for p in sorted({2, 3, 5, 7, *screen_primes(f)}):
+            want = p_part(op.decomposition, p)
+            k = valuation(discriminant(f), p) + 1
+            pivots = _echelon_fp(op.l.entries, p, n * n, k)
+            levels = sorted(min(valuation(x, p) for x in row if x) for row in pivots)
+            assert levels == sorted(want.exponents), p
+            assert _local_mu(op, f, p) == want.mu, p
+
+    def test_pivot_count_is_checked(self):
+        # characteristic polynomials differ: rank n^2 - n does not hold
+        a = parse_poly("t^2+3").companion()
+        b = parse_poly("t^2+7").companion()
+        with pytest.raises(AssertionError, match="local pivots"):
+            _local_mu(SylvesterOperator(a, b), charpoly(a), 2)
+
+    def test_echelon_at_level_one_is_reduced_over_fp(self):
+        rows = [(2, 4, 1), (1, 2, 3), (0, 0, 5)]
+        assert _echelon_fp(rows, 7, 3) == [(1, 2, 0), (0, 0, 1)]
+        assert _echelon_fp(rows, 7, 3, 1) == _echelon_fp(rows, 7, 3)
+
+    def test_echelon_levels(self):
+        # diag(4, 2, 0) mixed by a unimodular matrix, over Z/2^4
+        rows = [(4, 2, 0), (4, 4, 0), (0, 2, 0)]
+        pivots = _echelon_fp(rows, 2, 3, 4)
+        assert sorted(min(valuation(x, 2) for x in r if x) for r in pivots) == [1, 2]
+
+
+def decide_everything(a, b):
+    """conj-p at every screened prime, conj-all with and without the
+    cross-check, and verify of the conj-all report."""
+    for p in screen_primes(charpoly(a)):
+        conj_p_report(a, b, "a.txt", "b.txt", p)
+    conj_all_report(a, b, "a.txt", "b.txt")
+    report = conj_all_report(a, b, "a.txt", "b.txt", cross_check=True)
+    ok, reason = verify_report(report, a, b)
+    return report, ok, reason
+
+
+class TestNoIntegerSmithForm:
+    @pytest.mark.parametrize(
+        "field,strategy,seed",
+        [("t^5-2", "unimodular", 1), ("t^3-4", "singular:2", 0),
+         ("t^4+3", "singular:2", 0), ("t^6-2", "unimodular", 0)],
+    )
+    def test_decision_commands(self, snf_builds, det_shapes, field, strategy, seed):
+        pair = generate_pair(parse_poly(field), strategy, seed)
+        n = pair.a.rows
+        snf_builds.clear()
+        det_shapes.clear()
+        report, ok, reason = decide_everything(pair.a, pair.b)
+        assert ok, reason
+        assert snf_builds == []
+        assert (n * n, n * n) not in det_shapes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_pair_per_prime(self, snf_builds, det_shapes, seed):
+        a, b = f5_pair(seed)
+        snf_builds.clear()
+        for p in (2, 5):
+            report = conj_p_report(a, b, "a.txt", "b.txt", p)
+            assert report["verdict"]["conjugate"]
+            ok, reason = verify_report(report, a, b)
+            assert ok, reason
+        assert snf_builds == []
+        assert (25, 25) not in det_shapes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_pair_needs_no_factoring_of_det_q(self, seed):
+        # the size-reduced intertwiner basis holds a unimodular matrix
+        a, b = f5_pair(seed)
+        v = conjugate_over_all_Zp(a, b)
+        assert v.conjugate and abs(v.certificate.q.det()) == 1
+        assert verify_cert(a, b, v.certificate)
+
+
+FIXTURE_ENTRIES = json.loads(FIXTURES.read_text())
+
+
+def comparable(report: dict) -> dict:
+    """The report without what the change may alter: timing, the pair
+    certificate and the certificate matrix of stanzas with mu >= 1."""
+    report = json.loads(json.dumps(report))
+    report.pop("timing_seconds")
+    report.pop("pair_certificate", None)
+    stanzas = report.get("per_prime", [])
+    if report["command"] == "conj-p":
+        stanzas = [{"mu": report["verdict"]["mu"], "certificate": report["certificate"]}]
+    for stanza in stanzas:
+        if stanza["mu"] >= 1 and stanza["certificate"]:
+            stanza["certificate"].pop("matrix")
+    return report
+
+
+class TestParentReports:
+    """Reports recorded before the decision path left the integer Smith form
+    (tests/fixtures/parent_reports.json)."""
+
+    def test_fixture_covers_mu_at_least_one(self):
+        mus = [e["report"]["verdict"]["mu"] for e in FIXTURE_ENTRIES
+               if e["report"]["command"] == "conj-p" and e["report"]["verdict"]["conjugate"]]
+        assert sum(mu >= 1 for mu in mus) >= 3
+
+    @pytest.mark.parametrize("idx", range(len(FIXTURE_ENTRIES)))
+    def test_still_verifies_and_matches(self, idx):
+        entry = FIXTURE_ENTRIES[idx]
+        a, b = IntMatrix(entry["a"]), IntMatrix(entry["b"])
+        old = entry["report"]
+        ok, reason = verify_report(old, a, b)
+        assert ok, reason
+        if old["command"] == "conj-p":
+            new = conj_p_report(a, b, "a.txt", "b.txt", old["prime"])
+        else:
+            new = conj_all_report(
+                a, b, "a.txt", "b.txt", cross_check="cross_check" in old
+            )
+        assert comparable(new) == comparable(old)
+
+
+class TestLiftKernelInput:
+    def test_float_vector_refused(self):
+        a = IntMatrix([[0, 1], [-3, 0]])
+        op = SylvesterOperator(a, a)
+        with pytest.raises(ValueError, match="must be integers"):
+            lift_kernel(op, (1.9, 0, 0, 1.2), 3, 1)
+        assert lift_kernel(op, (1, 0, 0, 1), 3, 1) == (1, 0, 0, 1)
+
+
+class TestVerifyMismatchedPair:
+    def test_unit_mod_cert_against_other_polynomial(self):
+        a = parse_poly("t^2+3").companion()
+        cert = conjugate_over_Zp(a, a, 2).certificate
+        assert verify_cert(a, a, cert)
+        assert not verify_cert(a, parse_poly("t^2+7").companion(), cert)
+        assert not verify_cert(a, IntMatrix([[1, 0], [0, 2]]), cert)
