@@ -8,6 +8,11 @@ One JSON document goes to stdout (or a short text rendering with
 computed (either answer), 1 parse or I/O failure, 2 a violated mathematical
 precondition (`PreconditionError`), 3 an internal error (any other ValueError,
 a failed self-check or an arithmetic failure), reported on one stderr line.
+
+One table (`_commands`) holds every subcommand's arguments.  A well-formed
+command line is read from it directly (`_parse_strict`); argparse, built
+from the same table, reads every other one and writes all help and usage
+errors.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .conjugacy import (
 from .gen import generate_pair
 from .ideals import IdealLattice, mul as ideal_mul, weak_equivalence_data
 from .intmat import IntMatrix, snf
-from .polyfield import charpoly, parse_poly
+from .polyfield import charpoly, is_irreducible, parse_poly
 from .primes import PreconditionError
 
 
@@ -47,6 +52,22 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # input and output helpers
 
+def _json_int(x) -> int:
+    """An integer read from a JSON file.  A boolean is refused, never read as
+    0 or 1 (operator.index accepts it); a float is refused by index."""
+    if x is True or x is False:
+        raise TypeError(f"integers expected, not the boolean {json.dumps(x)}")
+    return index(x)
+
+
+def _json_rows(rows):
+    """Matrix rows read from a JSON file, refused if an entry is a boolean;
+    IntMatrix refuses the other non-integers."""
+    if any(x is True or x is False for row in rows for x in row):
+        raise TypeError("matrix entries must be integers, not booleans")
+    return rows
+
+
 def read_matrix(path: str) -> IntMatrix:
     try:
         text = Path(path).read_text()
@@ -56,8 +77,8 @@ def read_matrix(path: str) -> IntMatrix:
     try:
         if stripped.startswith("{"):
             data = json.loads(text)
-            n = index(data["n"])
-            rows = data["rows"]
+            n = _json_int(data["n"])
+            rows = _json_rows(data["rows"])
         else:
             tokens = text.split()
             if not tokens:
@@ -118,12 +139,16 @@ def _parse_cert(blob: dict):
     try:
         if kind == "unit_mod":
             return UnitModCert(
-                IntMatrix(blob["matrix"]), index(blob["prime"]), index(blob["modulus"])
+                IntMatrix(_json_rows(blob["matrix"])),
+                _json_int(blob["prime"]),
+                _json_int(blob["modulus"]),
             )
         if kind == "integer_pair":
-            return IntegerPairCert(IntMatrix(blob["q"]), IntMatrix(blob["s"]))
+            return IntegerPairCert(
+                IntMatrix(_json_rows(blob["q"])), IntMatrix(_json_rows(blob["s"]))
+            )
         if kind == "global":
-            return GlobalCert(IntMatrix(blob["matrix"]))
+            return GlobalCert(IntMatrix(_json_rows(blob["matrix"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed certificate: {exc}") from None
     raise ParseFailure(f"unknown certificate type {kind!r}")
@@ -380,7 +405,14 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         ok = verify_cert(a, b, cert)
         return ok, "certificate verified" if ok else "certificate rejected"
     if command == "conj-all":
-        screen = screen_primes(charpoly(a))
+        # the pair's one irreducible polynomial, checked once per report (with
+        # an empty screen no certificate check would look at b) and passed on
+        f = charpoly(a)
+        if charpoly(b) != f:
+            return False, "characteristic polynomials differ"
+        if not is_irreducible(f):
+            return False, "characteristic polynomial is reducible over Q"
+        screen = screen_primes(f)
         if list(report.get("screened_primes", [])) != screen:
             return False, "screened prime list does not match the discriminant"
         per = report.get("per_prime", [])
@@ -396,7 +428,7 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
                 cert = _parse_cert(blob)
                 if not isinstance(cert, UnitModCert) or cert.prime != p:
                     return False, f"certificate mismatch at {p}"
-                if not verify_cert(a, b, cert):
+                if not verify_cert(a, b, cert, f):
                     return False, f"certificate rejected at {p}"
             elif verdict.get("conjugate"):
                 return False, "global true verdict with a failing prime"
@@ -419,8 +451,10 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         ib = ideal_of_matrix(b)
         field = ia.field
         try:
-            x = IdealLattice(field, blob["x"]["rows"], index(blob["x"]["den"]))
-            y = IdealLattice(field, blob["y"]["rows"], index(blob["y"]["den"]))
+            x, y = (
+                IdealLattice(field, _json_rows(w["rows"]), _json_int(w["den"]))
+                for w in (blob["x"], blob["y"])
+            )
         except (KeyError, TypeError, ValueError):
             return False, "malformed witness ideals"
         if ideal_mul(x, ib) != ia or ideal_mul(y, ia) != ib:
@@ -446,79 +480,66 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+#
+# Each subcommand's arguments are a tuple of (name, keyword arguments of
+# ArgumentParser.add_argument) in the order they are added: a positional's
+# name is its dest, an option's name is its one long flag.  build_parser adds
+# them to argparse; _parse_strict reads the same entries.
 
-def _matrix(p) -> None:
-    p.add_argument("matrix")
-
-
-def _pair(p) -> None:
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-
-
-def _pair_at_prime(p) -> None:
-    _pair(p)
-    p.add_argument("--prime", type=int, required=True)
-
-
-def _matrix_at_prime(p) -> None:
-    _matrix(p)
-    p.add_argument("--prime", type=int, required=True)
-
-
-def _conj_all_args(p) -> None:
-    _pair(p)
-    p.add_argument(
-        "--cross-check", action="store_true",
-        help="also run the ideal-side weak-equivalence test and report agreement",
-    )
-
-
-def _screen_primes_args(p) -> None:
-    p.add_argument("matrix", nargs="?")
-    p.add_argument("--field", help="polynomial, e.g. 't^2-t-1' or '-1,-1,1'")
-
-
-def _gen_args(p) -> None:
-    p.add_argument("--field", required=True)
-    p.add_argument(
-        "--strategy", default="unimodular",
-        help="unimodular | singular:p | random",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-a", default="gen_a.txt")
-    p.add_argument("--out-b", default="gen_b.txt")
-    p.add_argument("--file-format", choices=("text", "json"), default="text")
-
-
-def _verify_args(p) -> None:
-    p.add_argument("report")
-    _pair(p)
+_MATRIX = (("matrix", {}),)
+_PAIR = (("matrix_a", {}), ("matrix_b", {}))
+_PRIME = (("--prime", {"type": int, "required": True}),)
+_FORMAT = (
+    ("--format", {
+        "choices": ("json", "text"), "default": "json",
+        "help": "output format (default json)",
+    }),
+)
+_CONJ_ALL = _PAIR + (
+    ("--cross-check", {
+        "action": "store_true",
+        "help": "also run the ideal-side weak-equivalence test and report agreement",
+    }),
+)
+_SCREEN_PRIMES = (
+    ("matrix", {"nargs": "?"}),
+    ("--field", {"help": "polynomial, e.g. 't^2-t-1' or '-1,-1,1'"}),
+)
+_GEN = (
+    ("--field", {"required": True}),
+    ("--strategy", {"default": "unimodular", "help": "unimodular | singular:p | random"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--out-a", {"default": "gen_a.txt"}),
+    ("--out-b", {"default": "gen_b.txt"}),
+    ("--file-format", {"choices": ("text", "json"), "default": "text"}),
+)
 
 
 def _commands() -> tuple:
-    """(name, help, argument setup, handler) of every subcommand, in usage
-    order; every subcommand also takes --format.  Handlers are looked up on
-    each call, so a wrapper installed on the module is the one that runs."""
-    return (
-        ("charpoly", "characteristic polynomial of a matrix file", _matrix,
+    """(name, help, arguments, handler) of every subcommand, in usage
+    order; every subcommand's arguments end with --format.  Handlers are
+    looked up on each call, so a wrapper installed on the module is the one
+    that runs."""
+    table = (
+        ("charpoly", "characteristic polynomial of a matrix file", _MATRIX,
          cmd_charpoly),
-        ("snf", "Smith normal form of a matrix file", _matrix, cmd_snf),
-        ("conj-p", "conjugacy over the p-adic integers", _pair_at_prime, cmd_conj_p),
-        ("conj-all", "conjugacy over Z_p for every prime", _conj_all_args,
-         cmd_conj_all),
-        ("weak-equiv", "weak equivalence of the associated ideals", _pair,
+        ("snf", "Smith normal form of a matrix file", _MATRIX, cmd_snf),
+        ("conj-p", "conjugacy over the p-adic integers", _PAIR + _PRIME, cmd_conj_p),
+        ("conj-all", "conjugacy over Z_p for every prime", _CONJ_ALL, cmd_conj_all),
+        ("weak-equiv", "weak equivalence of the associated ideals", _PAIR,
          cmd_weak_equiv),
-        ("ideal-of", "fractional ideal attached to a matrix", _matrix, cmd_ideal_of),
-        ("screen-primes", "primes whose square divides disc(f)", _screen_primes_args,
+        ("ideal-of", "fractional ideal attached to a matrix", _MATRIX, cmd_ideal_of),
+        ("screen-primes", "primes whose square divides disc(f)", _SCREEN_PRIMES,
          cmd_screen_primes),
-        ("ell", "scalar-congruence invariant of a 2x2 matrix", _matrix_at_prime,
+        ("ell", "scalar-congruence invariant of a 2x2 matrix", _MATRIX + _PRIME,
          cmd_ell),
-        ("companion-test", "similarity to the companion matrix at p", _matrix_at_prime,
+        ("companion-test", "similarity to the companion matrix at p", _MATRIX + _PRIME,
          cmd_companion_test),
-        ("gen", "generate a deterministic matrix pair", _gen_args, cmd_gen),
-        ("verify", "re-verify a serialized report", _verify_args, cmd_verify),
+        ("gen", "generate a deterministic matrix pair", _GEN, cmd_gen),
+        ("verify", "re-verify a serialized report", (("report", {}),) + _PAIR,
+         cmd_verify),
     )
+    return tuple((name, text, args + _FORMAT, fn) for name, text, args, fn in table)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -536,21 +557,86 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # a lone subparser still lists every command in the top-level usage
         metavar="{" + ",".join(c[0] for c in commands) + "}" if chosen else None,
     )
-    for name, help_text, setup, handler in chosen or commands:
+    for name, help_text, arguments, handler in chosen or commands:
         p = sub.add_parser(name, help=help_text)
-        setup(p)
-        p.add_argument(
-            "--format", choices=("json", "text"), default="json",
-            help="output format (default json)",
-        )
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
         p.set_defaults(func=handler)
     return parser
+
+
+def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read from the
+    command table without argparse, whose first use in a process costs more
+    than the rest of a `verify`; None when argparse has to read argv.
+
+    Accepted: a subcommand name, then tokens each of which is a positional
+    that does not start with '-' or an exact long option of that subcommand,
+    given once, whose value (a flag takes none) is the next token, does not
+    start with '-' and passes the option's type and choices; every required
+    positional and option present, no positional left over.  Anything else
+    (help, abbreviations, '--opt=v', '--', repeats, values starting with
+    '-', usage errors) is argparse's to parse or to explain.
+    """
+    entry = next((c for c in _commands() if argv and c[0] == argv[0]), None)
+    if entry is None:
+        return None
+    name, _, arguments, handler = entry
+    options = {arg: kwargs for arg, kwargs in arguments if arg.startswith("-")}
+    given: dict[str, object] = {}
+    positionals: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        kwargs = options.get(token)
+        if kwargs is None or token in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[token] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[token] = value
+    args = argparse.Namespace(command=name)
+    for arg, kwargs in arguments:
+        if arg in options:
+            if arg in given:
+                value = given[arg]
+            elif kwargs.get("required"):
+                return None
+            elif kwargs.get("action") == "store_true":
+                value = False
+            else:
+                value = kwargs.get("default")
+            setattr(args, arg[2:].replace("-", "_"), value)
+        elif positionals:
+            setattr(args, arg, positionals.pop(0))
+        elif kwargs.get("nargs") == "?":
+            setattr(args, arg, kwargs.get("default"))
+        else:
+            return None
+    if positionals:
+        return None
+    args.func = handler
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_strict(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParseFailure as exc:

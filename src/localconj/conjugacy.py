@@ -399,8 +399,15 @@ def _pair_cert(
     return cert
 
 
-def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
-    """Re-check every certificate invariant exactly; False on any violation."""
+def verify_cert(
+    a: IntMatrix, b: IntMatrix, cert: Certificate, f: Optional[IntPoly] = None
+) -> bool:
+    """Re-check every certificate invariant exactly; False on any violation.
+
+    f, when given, is the characteristic polynomial of both a and b, which
+    the caller has checked to be irreducible (as `cli.verify_report` does
+    once per report); without it a UnitModCert check computes and checks it.
+    """
     try:
         if isinstance(cert, UnitModCert):
             p = cert.prime
@@ -411,9 +418,10 @@ def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
             if x.shape != (n, n) or b.shape != (n, n):
                 return False
             # the local bound on mu needs one shared irreducible polynomial
-            f = charpoly(a)
-            if charpoly(b) != f or not is_irreducible(f):
-                return False
+            if f is None:
+                f = charpoly(a)
+                if charpoly(b) != f or not is_irreducible(f):
+                    return False
             mu = _local_mu(SylvesterOperator(a, b), f, p)
             return _unit_mod_holds(a, b, cert, mu)
         if isinstance(cert, IntegerPairCert):

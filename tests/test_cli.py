@@ -3,9 +3,13 @@ their re-verification."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +40,8 @@ from localconj import (
 from localconj.cli import (
     _commands,
     _parse_cert,
+    _parse_strict,
+    build_parser,
     conj_all_report,
     conj_p_report,
     main,
@@ -148,6 +154,56 @@ class TestParsing:
             False, "malformed witness ideals"
         )
 
+    def test_boolean_entry_exits_one(self, tmp_path, capsys):
+        # refused, never read as [[1, 1], [-3, 0]]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": 2, "rows": [[True, 1], [-3, False]]}))
+        assert main(["conj-p", str(p), str(p), "--prime", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be integers" in captured.err
+
+    def test_boolean_size_exits_one(self, tmp_path, capsys):
+        # refused, never read as a 1x1 matrix
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"n": True, "rows": [[0]]}))
+        assert main(["charpoly", str(p)]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_boolean_in_certificate_is_malformed(self, classic_files, tmp_path, capsys):
+        pa, pb = classic_files
+        report = conj_p_report(CLASSIC_A, CLASSIC_B, pa, pb, 3)
+        unit = report["certificate"]
+        matrix = [[True] + row[1:] for row in unit["matrix"]]
+        for blob in (
+            dict(unit, prime=True),
+            dict(unit, modulus=True),
+            dict(unit, matrix=matrix),
+            {"type": "integer_pair", "q": [[True, 0], [0, 1]], "s": [[1, 0], [0, 1]]},
+            {"type": "global", "matrix": [[1, False], [0, 1]]},
+        ):
+            with pytest.raises(PreconditionError, match="malformed certificate"):
+                _parse_cert(blob)
+        unit["prime"] = True
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["verify", str(path), pa, pb]) == 2
+        assert capsys.readouterr().err.startswith("precondition violated")
+
+    @pytest.mark.parametrize("field", ["den", "rows"])
+    def test_boolean_witness_is_malformed(self, field):
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        report = weak_equiv_report(pair.a, pair.b, "a", "b")
+        witness = report["witnesses"]["x"]
+        assert witness == {"den": 1, "rows": [[1, 0], [0, 1]]}
+        if field == "den":
+            witness["den"] = True
+        else:
+            witness["rows"] = [[True, False], [False, True]]
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "malformed witness ideals"
+        )
+
 
 # top-level and subcommand help, and usage errors, as `main` printed them
 # before the parser was built per subcommand (80 columns)
@@ -165,6 +221,142 @@ class TestParserTexts:
 
     def test_every_subcommand_help_recorded(self):
         assert {f"{c[0]} --help" for c in _commands()} <= set(CLI_TEXTS)
+
+
+def argparse_namespace(argv: list[str]) -> argparse.Namespace | None:
+    """What argparse makes of argv; None where it exits (help or usage)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit:
+            return None
+
+
+# tokens a user can type that the strict parser must leave to argparse, or
+# read exactly as argparse does
+ODD_TOKENS = ("--prime=7", "--pri", "-7", "+7", "7_0", "\u0667", "", "--", "-h", "-x")
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A command line built from the command table, then often broken."""
+    if rng.random() < 0.02:
+        return rng.choice([[], ["bogus"], ["-h"], ["--format", "json"]])
+    name, _, arguments, _ = rng.choice(_commands())
+
+    def value(kwargs) -> str:
+        if rng.random() < 0.25:
+            return rng.choice(ODD_TOKENS + ("x", "y", "xml"))
+        if "choices" in kwargs:
+            return rng.choice(kwargs["choices"])
+        if "type" in kwargs:
+            return str(rng.randrange(-3, 30))
+        return rng.choice(("a.txt", "b.json", "t^2+3", "7"))
+
+    positionals = [value(kw) for arg, kw in arguments if not arg.startswith("-")]
+    units = []
+    for arg, kwargs in arguments:
+        if arg.startswith("-") and (kwargs.get("required") or rng.random() < 0.5):
+            flag = kwargs.get("action") == "store_true"
+            unit = [arg] if flag else [arg, value(kwargs)]
+            units.append(unit)
+            if rng.random() < 0.05:
+                units.append(list(unit))  # a repeated option
+    if positionals and rng.random() < 0.1:
+        positionals.pop(rng.randrange(len(positionals)))
+    if rng.random() < 0.1:
+        positionals.append("extra")
+    if units and rng.random() < 0.1:
+        units.pop(rng.randrange(len(units)))
+    if rng.random() < 0.15:
+        units.append(rng.choice(
+            [["-x", "y"], ["--"], ["-h"], ["--prime=7"], ["--pri", "7"], [rng.choice(ODD_TOKENS)]]
+        ))
+    # options before, between and after the positionals, which keep their order
+    slots = sorted(rng.randrange(len(positionals) + 1) for _ in units)
+    argv = [name]
+    for k, pos in enumerate(positionals + [None]):
+        argv += [tok for slot, unit in zip(slots, units) if slot == k for tok in unit]
+        if pos is not None:
+            argv.append(pos)
+    return argv
+
+
+class TestStrictParser:
+    """`main` reads well-formed command lines from the command table and
+    passes every other one to argparse."""
+
+    def test_agrees_with_argparse(self):
+        rng = random.Random(14)
+        accepted = declined = exited = 0
+        for _ in range(3000):
+            argv = random_argv(rng)
+            strict = _parse_strict(argv)
+            full = argparse_namespace(argv)
+            if full is None:
+                exited += 1
+                assert strict is None, argv
+            if strict is not None:
+                accepted += 1
+                assert vars(strict) == vars(full), argv
+            elif full is not None:
+                declined += 1
+        # every outcome is exercised often
+        assert min(accepted, declined, exited) > 150, (accepted, declined, exited)
+
+    def test_reads_every_subcommand(self):
+        assert _parse_strict([]) is None and _parse_strict(["bogus"]) is None
+        for name, _, arguments, handler in _commands():
+            argv = [name]
+            for arg, kwargs in arguments:
+                if kwargs.get("required") or not arg.startswith("-"):
+                    argv += [arg, "5"] if arg.startswith("-") else ["5"]
+            args = _parse_strict(argv)
+            assert args is not None and args.func is handler, argv
+            assert vars(args) == vars(argparse_namespace(argv))
+
+    @pytest.mark.parametrize("tail", [
+        ["--prime", "3", "--prime", "3"],  # a repeat, even of one value
+        ["--prime=3"],
+        ["--pri", "3"],
+        ["--prime", "-3"],
+        ["--prime", "3", "--"],
+        ["--prime", "3", "-h"],
+        ["--prime", "3", "--help"],
+    ])
+    def test_leaves_the_rest_to_argparse(self, tail):
+        argv = ["conj-p", "a", "b", *tail]
+        assert _parse_strict(argv) is None
+        assert _parse_strict(["conj-p", "a", "b", "--prime", "3"]) is not None
+
+    def test_well_formed_lines_build_no_argparse_parser(
+        self, classic_files, tmp_path, monkeypatch, capsys
+    ):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        pa, pb = classic_files
+        report = tmp_path / "report.json"
+        assert main(["conj-all", pa, pb, "--cross-check"]) == 0
+        report.write_text(capsys.readouterr().out)
+        assert main(["conj-p", pa, pb, "--prime", "3"]) == 0
+        assert main(["weak-equiv", "--format", "text", pa, pb]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(report), pa, pb]) == 0
+        assert json.loads(capsys.readouterr().out)["accepted"] is True
+        assert built == []
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in sorted(CLI_TEXTS):
+            built.clear()
+            with pytest.raises(SystemExit):
+                main(argv.split())
+            assert built, argv
+        capsys.readouterr()
 
 
 # every check a user's file or flag can trip, one call each
@@ -369,6 +561,52 @@ class TestVerifyMismatchedPair:
         assert main(["verify", *map(str, paths)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["accepted"] is False
+
+
+class TestVerifyEmptyScreen:
+    # t^2+t+1 has discriminant -3, so its screen is empty and no stanza's
+    # certificate check ever reads b
+    A = IntMatrix([[0, 1], [-1, -1]])
+
+    def forged(self, b: IntMatrix) -> dict:
+        return {
+            "command": "conj-all",
+            "inputs": {"a": {"sha256": matrix_digest(self.A)},
+                       "b": {"sha256": matrix_digest(b)}},
+            "screened_primes": [],
+            "per_prime": [],
+            "verdict": {"conjugate": True},
+            "pair_certificate": None,
+        }
+
+    def test_other_polynomial_is_rejected(self, tmp_path, capsys):
+        b = IntMatrix([[1, 0], [0, 2]])
+        paths = [tmp_path / name for name in ("report.json", "a.txt", "b.txt")]
+        paths[0].write_text(json.dumps(self.forged(b)))
+        write_matrix(str(paths[1]), self.A)
+        write_matrix(str(paths[2]), b)
+        assert main(["conj-all", str(paths[1]), str(paths[2])]) == 2
+        assert "characteristic polynomials differ" in capsys.readouterr().err
+        assert main(["verify", *map(str, paths)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["accepted"], payload["reason"]) == (
+            False, "characteristic polynomials differ"
+        )
+
+    def test_reducible_polynomial_is_rejected(self):
+        a = IntMatrix([[1, 0], [0, 2]])
+        b = IntMatrix([[2, 0], [0, 1]])
+        report = self.forged(b)
+        report["inputs"]["a"]["sha256"] = matrix_digest(a)
+        assert verify_report(report, a, b) == (
+            False, "characteristic polynomial is reducible over Q"
+        )
+
+    def test_genuine_report_still_verifies(self):
+        b = IntMatrix([[-1, -1], [1, 0]])
+        report = conj_all_report(self.A, b, "a.txt", "b.txt")
+        assert report["screened_primes"] == [] and report["verdict"]["conjugate"]
+        assert verify_report(report, self.A, b) == (True, "all certificates verified")
 
 
 class TestReportsRoundTrip:
