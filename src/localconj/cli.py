@@ -384,17 +384,30 @@ def _load_report(path: str) -> dict:
     return report
 
 
+def _member(obj: dict, key: str, kind: type, default=None):
+    """obj[key] when it is a JSON object (kind dict) or array (kind list),
+    default when it is absent or null; a ParseFailure otherwise."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ParseFailure(f"malformed report: {key} is not {name}")
+    return value
+
+
 def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
-    """Re-verify a serialized report against the two matrix files."""
-    inputs = report.get("inputs", {})
+    """Re-verify a serialized report against the two matrix files.  A field
+    of the wrong JSON shape is a ParseFailure."""
+    inputs = _member(report, "inputs", dict, {})
     for key, m in (("a", a), ("b", b)):
-        want = inputs.get(key, {}).get("sha256")
+        want = _member(inputs, key, dict, {}).get("sha256")
         if want is not None and want != matrix_digest(m):
             return False, f"digest mismatch for input {key}"
     command = report["command"]
     if command == "conj-p":
-        verdict = report.get("verdict", {})
-        blob = report.get("certificate")
+        verdict = _member(report, "verdict", dict, {})
+        blob = _member(report, "certificate", dict)
         if not verdict.get("conjugate"):
             return True, "negative verdict carries no certificate"
         if blob is None:
@@ -413,16 +426,18 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         if not is_irreducible(f):
             return False, "characteristic polynomial is reducible over Q"
         screen = screen_primes(f)
-        if list(report.get("screened_primes", [])) != screen:
+        if _member(report, "screened_primes", list, []) != screen:
             return False, "screened prime list does not match the discriminant"
-        per = report.get("per_prime", [])
-        verdict = report.get("verdict", {})
+        per = _member(report, "per_prime", list, [])
+        verdict = _member(report, "verdict", dict, {})
         seen = []
         for stanza in per:
+            if not isinstance(stanza, dict):
+                raise ParseFailure("malformed report: a per_prime entry is not an object")
             p = stanza.get("prime")
             seen.append(p)
             if stanza.get("conjugate"):
-                blob = stanza.get("certificate")
+                blob = _member(stanza, "certificate", dict)
                 if blob is None:
                     return False, f"positive verdict at {p} without certificate"
                 cert = _parse_cert(blob)
@@ -434,14 +449,14 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
                 return False, "global true verdict with a failing prime"
         if verdict.get("conjugate") and sorted(seen) != screen:
             return False, "true verdict does not cover every screened prime"
-        pair = report.get("pair_certificate")
+        pair = _member(report, "pair_certificate", dict)
         if pair is not None:
             cert = _parse_cert(pair)
             if not verify_cert(a, b, cert):
                 return False, "pair certificate rejected"
         return True, "all certificates verified"
     if command == "weak-equiv":
-        verdict = report.get("verdict", {})
+        verdict = _member(report, "verdict", dict, {})
         if not verdict.get("weakly_equivalent"):
             return True, "negative verdict carries no witnesses"
         blob = report.get("witnesses")
@@ -542,22 +557,15 @@ def _commands() -> tuple:
     return tuple((name, text, args + _FORMAT, fn) for name, text, args, fn in table)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with a known subcommand name, only that
-    subcommand's parser is built (usage and help read the same)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand in the table."""
     parser = argparse.ArgumentParser(
         prog="localconj",
         description="decide p-adic conjugacy of integer matrices and weak "
         "equivalence of their fractional ideals, with verifiable certificates",
     )
-    commands = _commands()
-    chosen = [c for c in commands if c[0] == command]
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        # a lone subparser still lists every command in the top-level usage
-        metavar="{" + ",".join(c[0] for c in commands) + "}" if chosen else None,
-    )
-    for name, help_text, arguments, handler in chosen or commands:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, arguments, handler in _commands():
         p = sub.add_parser(name, help=help_text)
         for arg, kwargs in arguments:
             p.add_argument(arg, **kwargs)
@@ -636,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_strict(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseFailure as exc:

@@ -16,7 +16,11 @@ routes:
   is searched for an element of unit determinant.  The basis is saturated,
   so that span is every solution mod p that lifts.  A hit is realized from
   the exact basis, reduced mod p^(mu+1), as the certificate; a miss is a
-  sound rejection.
+  sound rejection.  The walk needs coefficients only below s = min(p, n+1):
+  det(sum c_i X_i) has degree at most n in each c_i, so by Alon's
+  Combinatorial Nullstellensatz, and as it is homogeneous, it vanishes on
+  all of F_p^dim once it vanishes where c_0 = 1 and every other c_i lies in
+  {0, ..., n}.  A miss costs (s^dim - 1)/(s - 1) points.
 
 Negative verdicts carry no certificate.  `verify_cert` re-checks every
 certificate from scratch; stored flags are never trusted.
@@ -24,8 +28,6 @@ certificate from scratch; stored flags are never trusted.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
@@ -168,10 +170,17 @@ def _unit_det_witness(
     `modulus`, whose unvectorization has determinant prime to p, or None
     when the span mod p holds no such element.
 
-    For small prime and dimension the lexicographically smallest witness (as
-    a mod-p vector) is found by an ordered walk of the projective span that
-    stops at the first unit; otherwise uniform sampling runs first, falling
-    back to the same walk once the failure budget is spent.
+    The span is walked projectively, later leads first: for each lead, the
+    coefficients are 0 before it and 1 at it, and the later ones run over
+    S = {0, ..., s - 1} with s = min(p, n + 1), in lexicographic order; the
+    walk stops at the first unit.  It is complete.  P(c) = det(sum c_i X_i)
+    is homogeneous of degree n, so if it is not zero on F_p^dim then
+    P(1, c_1, ..., c_(dim-1)) is a nonzero polynomial of degree at most n in
+    each c_i, and by Alon's Combinatorial Nullstellensatz it is not zero on
+    S^(dim-1), which the lead-0 pass visits.  A miss therefore visits
+    (s^dim - 1) / (s - 1) points.  At p <= n + 1 that is the whole projective
+    span and a hit is the lexicographically smallest witness as a mod-p
+    vector; above, it is the smallest among the points visited.
     """
     # an identity block records each basis row as a combination of gens
     count, width = len(gens), n * n
@@ -182,13 +191,8 @@ def _unit_det_witness(
     basis = [row[:width] for row in reduced]
     combos = [row[width:] for row in reduced]
     dim = len(basis)
-    if dim == 0:
-        return None
     mats = [[[v[j * n + i] for j in range(n)] for i in range(n)] for v in basis]
-
-    def add(m: list[list[int]], c: int, k: int) -> list[list[int]]:
-        return [[(x + c * y) % p for x, y in zip(row, brow)]
-                for row, brow in zip(m, mats[k])]
+    residues = range(min(p, n + 1))
 
     def realize(coeffs: tuple[int, ...]) -> Vector:
         gen_coeffs = [0] * len(gens)
@@ -207,44 +211,24 @@ def _unit_det_witness(
         # tails in lexicographic order, carrying the running sum m
         if k == dim:
             return coeffs if _det_mod(m, p) else None
-        for c in range(p):
+        for c in residues:
             if c:
-                m = add(m, 1, k)
+                m = [[(x + y) % p for x, y in zip(row, brow)]
+                     for row, brow in zip(m, mats[k])]
             found = walk(k + 1, m, coeffs + (c,))
             if found is not None:
                 return found
         return None
 
-    def enumerate_all() -> Optional[Vector]:
-        # The basis is in reduced row echelon form, so a vector's entry at
-        # the pivot of basis row i is its coefficient i and the rows before
-        # i vanish there: lex order on vectors is lex order on coefficients.
-        # Among projective representatives a later leading 1 is smaller.
-        for lead in reversed(range(dim)):
-            found = walk(lead + 1, mats[lead], (0,) * lead + (1,))
-            if found is not None:
-                return realize(found)
-        return None
-
-    if p <= 7 and dim <= 6:
-        return enumerate_all()
-    if p > n:
-        # draws until a unit-free span is 2^-40 unlikely; no float ratio
-        # p / (p - n), which rounds to 1.0 for large p
-        budget = math.ceil(40 * math.log(2) / math.log1p(n / (p - n)))
-        rng = random.Random(0)
-        zero = [[0] * n for _ in range(n)]
-        for _ in range(budget):
-            coeffs = tuple(rng.randrange(p) for _ in range(dim))
-            if all(c == 0 for c in coeffs):
-                continue
-            m = zero
-            for k, c in enumerate(coeffs):
-                if c:
-                    m = add(m, c, k)
-            if _det_mod(m, p):
-                return realize(coeffs)
-    return enumerate_all()
+    # The basis is in reduced row echelon form, so a vector's entry at the
+    # pivot of basis row i is its coefficient i and the rows before i vanish
+    # there: lex order on vectors is lex order on coefficients.  Among
+    # projective representatives a later leading 1 is smaller.
+    for lead in reversed(range(dim)):
+        found = walk(lead + 1, mats[lead], (0,) * lead + (1,))
+        if found is not None:
+            return realize(found)
+    return None
 
 
 def _rank_fp(m: IntMatrix, p: int) -> int:

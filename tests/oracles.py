@@ -120,6 +120,24 @@ def kernel_search_intertwiner(a: IntMatrix, b: IntMatrix, p: int, bound: int = 3
     return False
 
 
+def projective_unit_det(gens, p: int, n: int) -> list[list[int]] | None:
+    """A matrix of determinant prime to p in the mod-p span of the
+    column-major vectorized n x n matrices `gens`, or None when there is
+    none: an ordered walk of every projective point of F_p^len(gens), later
+    leading 1s first and each tail over all of F_p, in cofactor arithmetic."""
+    mats = [[[v[j * n + i] for j in range(n)] for i in range(n)] for v in gens]
+    for lead in reversed(range(len(mats))):
+        for tail in itertools.product(range(p), repeat=len(mats) - lead - 1):
+            coeffs = (1,) + tail
+            x = [
+                [sum(c * m[i][j] for c, m in zip(coeffs, mats[lead:])) % p for j in range(n)]
+                for i in range(n)
+            ]
+            if laplace_det(x) % p:
+                return x
+    return None
+
+
 def brute_companion_test(a: IntMatrix, p: int) -> bool:
     """Search all v in F_p^n for an independent Krylov family."""
     n = a.rows

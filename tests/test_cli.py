@@ -107,6 +107,31 @@ class TestParsing:
         p.write_text("2\n1 2 3\n")
         assert main(["charpoly", str(p)]) == 1
 
+    @pytest.mark.parametrize("report", [
+        {"command": "conj-p", "verdict": {"conjugate": True}, "certificate": [1, 2]},
+        {"command": "conj-p", "verdict": [1]},
+        {"command": "conj-all", "inputs": [], "verdict": {}},
+        {"command": "conj-all", "per_prime": [5], "screened_primes": [2],
+         "verdict": {"conjugate": False}},
+        {"command": "conj-all", "per_prime": [], "screened_primes": 5,
+         "verdict": {"conjugate": False}},
+        {"command": "conj-all", "per_prime": [], "screened_primes": [2],
+         "verdict": "yes"},
+        {"command": "conj-all", "inputs": {"a": None, "b": 3}, "verdict": {}},
+        {"command": "weak-equiv", "verdict": "yes"},
+    ])
+    def test_malformed_report_exits_one(self, report, tmp_path, capsys):
+        # a field of the wrong JSON shape is a parse failure, not a traceback
+        pa = tmp_path / "a.txt"
+        write_matrix(str(pa), CLASSIC_A, "text")
+        pr = tmp_path / "r.json"
+        pr.write_text(json.dumps(report))
+        assert main(["verify", str(pr), str(pa), str(pa)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed report")
+        assert captured.err.count("\n") == 1
+
     def test_missing_file_exits_one(self):
         assert main(["charpoly", "/nonexistent/never.txt"]) == 1
 
@@ -228,7 +253,7 @@ def argparse_namespace(argv: list[str]) -> argparse.Namespace | None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return build_parser(argv[0] if argv else None).parse_args(argv)
+            return build_parser().parse_args(argv)
         except SystemExit:
             return None
 

@@ -31,6 +31,7 @@ import localconj.conjugacy as conjugacy
 from localconj.conjugacy import _echelon_fp
 from localconj.gen import conjugate_exact
 from localconj.primes import next_prime
+from localconj.sylvester import unvec, vec
 
 from conftest import (
     CLASSIC_A,
@@ -40,7 +41,12 @@ from conftest import (
     pair_with_conjugate,
     scalar_shifted,
 )
-from oracles import brute_companion_test, brute_similar_mod, kernel_search_intertwiner
+from oracles import (
+    brute_companion_test,
+    brute_similar_mod,
+    kernel_search_intertwiner,
+    projective_unit_det,
+)
 
 
 class TestConjugateOverZp:
@@ -124,7 +130,7 @@ class TestSoundness:
         assert v1 == v2
 
     def test_large_prime_sampling_path(self):
-        # p > 7 leaves the exhaustive branch and samples the span instead
+        # p > n + 1: the walk's tail coefficients stop at n, below p
         a, b, _ = pair_with_conjugate(parse_poly("t^2+3").companion(), 6)
         for p in (11, 13):
             v = conjugate_over_Zp(a, b, p)
@@ -162,9 +168,9 @@ class TestConjugateAll:
 
 
 class TestPairCertAtLargePrimes:
-    """det q may have a prime factor p above 2^53 * n, where the float ratio
-    p / (p - n) rounds to 1.0; the sampling budget must stay finite there,
-    and at such a prime asked for directly."""
+    """det q may have a prime factor p above 2^53 * n, far above n + 1: the
+    walk, whose tail coefficients stop at n, must decide it both inside the
+    pair certificate and at such a prime asked for directly."""
 
     def check(self, a, b):
         v = conjugate_over_all_Zp(a, b)
@@ -244,8 +250,9 @@ class TestOneSmithFormPerDecision:
 
 
 class TestSearchStopsAtFirstUnit:
-    """The search walks the projective span from the smallest witness up and
-    stops at the first unit; only a negative verdict visits every point."""
+    """The search walks the projective span from the smallest witness up,
+    with tail coefficients below min(p, n + 1), and stops at the first unit;
+    only a negative verdict visits every point of the walk."""
 
     @pytest.mark.parametrize(
         "field,seed", [("t^7-3", 0), ("t^7-3", 1), ("t^7-3", 2), ("t^8-3", 1)]
@@ -291,7 +298,88 @@ class TestSearchStopsAtFirstUnit:
         dim = len(_echelon_fp(gens, p, 9))
         det_mod_calls.clear()
         assert not conjugate_over_Zp(a, b, p).conjugate
-        assert len(det_mod_calls) == (p**dim - 1) // (p - 1) == 31
+        s = min(p, 3 + 1)  # tail coefficients below n + 1, n = 3
+        assert len(det_mod_calls) == (s**dim - 1) // (s - 1) == 21
+
+    def test_residual_negative_walk_is_bounded(self, det_mod_calls):
+        # the same repro at n = 5, p = 11: the walk takes tails below
+        # n + 1 = 6, (6^5 - 1) / 5 points, not (11^5 - 1) / 10 = 16,105
+        n, p = 5, 11
+        a = scalar_shifted(1, p, 2, f"t^{n}-t-1")
+        b = conjugate_exact(a, IntMatrix.diagonal([p] + [1] * (n - 1)))
+        assert b is not None and b != a and b.mod(p) == IntMatrix.identity(n)
+        det_mod_calls.clear()
+        assert not conjugate_over_Zp(a, b, p).conjugate
+        assert len(det_mod_calls) == (6**5 - 1) // 5 == 1555
+
+
+def _seeded_span(rng: random.Random, n: int, dim: int, p: int) -> list[tuple[int, ...]]:
+    """dim vectorized n x n generators: rank-one matrices (no unit when
+    dim < n), a common right factor that is singular mod p (no unit), or
+    random entries on a random support (mostly units)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        mats = []
+        for _ in range(dim):
+            u = [rng.randrange(p) for _ in range(n)]
+            w = [rng.randrange(p) for _ in range(n)]
+            mats.append(IntMatrix([[x * y for y in w] for x in u]))
+    elif kind == 1:
+        right = IntMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+                          + [[0] * n])
+        mats = [IntMatrix([[rng.randrange(-p, p) for _ in range(n)] for _ in range(n)]) @ right
+                for _ in range(dim)]
+    else:
+        support = [[rng.random() < 0.6 for _ in range(n)] for _ in range(n)]
+        mats = [IntMatrix([[rng.randrange(-p, p) if support[i][j] else 0 for j in range(n)]
+                           for i in range(n)]) for _ in range(dim)]
+    return [vec(m) for m in mats]
+
+
+class TestWalkIsComplete:
+    """The walk takes tail coefficients below min(p, n + 1) only, so at
+    p > n + 1 it must still agree with an exhaustive walk over all of
+    F_p^dim: None exactly when the span holds no unit."""
+
+    def check(self, gens, p, n, modulus):
+        found = conjugacy._unit_det_witness(gens, p, modulus, n)
+        expected = projective_unit_det(gens, p, n)
+        assert (found is None) == (expected is None), gens
+        if found is not None:
+            assert all(0 <= x < modulus for x in found)
+            assert unvec(found, n).det() % p != 0
+        return found
+
+    @pytest.mark.parametrize("p", [11, 13, 17])
+    def test_agrees_with_exhaustive_walk(self, p):
+        rng = random.Random(p)
+        outcomes = []
+        for _ in range(60):
+            n, dim = rng.randint(2, 3), rng.randint(1, 3)
+            gens = _seeded_span(rng, n, dim, p)
+            outcomes.append(self.check(gens, p, n, p ** rng.randint(1, 2)) is None)
+        assert 10 <= sum(outcomes) <= 50
+
+    def test_span_without_unit(self):
+        # every first column is zero, and so is every determinant
+        n, p = 3, 11
+        rng = random.Random(0)
+        gens = [vec(IntMatrix([[0] + [rng.randrange(p) for _ in range(n - 1)]
+                               for _ in range(n)])) for _ in range(3)]
+        assert self.check(gens, p, n, p) is None
+
+    def test_lead_line_unit_at_coefficient_n(self, det_mod_calls):
+        # b0 = [[1, 0], [0, 0]] and b1 = [[0, -1], [1, -1]] are already a
+        # reduced echelon basis, and det(b0 + t b1) = t(t - 1) at n = 2: on
+        # the line of the first lead the only unit with t in {0, ..., n} is
+        # at t = n.  The walk visits the later lead first, and det b1 = 1,
+        # the leading coefficient of t(t - 1), makes b1 the witness.
+        n, p = 2, 13
+        b0, b1 = IntMatrix([[1, 0], [0, 0]]), IntMatrix([[0, -1], [1, -1]])
+        assert [(b0 + t * b1).det() for t in range(n + 1)] == [0, 0, 2]
+        found = self.check([vec(b0), vec(b1)], p, n, p)
+        assert found == tuple(x % p for x in vec(b1))
+        assert det_mod_calls == [p]
 
 
 def _walk_only(monkeypatch, decide, *args):
