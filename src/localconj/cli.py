@@ -41,7 +41,7 @@ from .conjugacy import (
 from .gen import generate_pair
 from .ideals import IdealLattice, mul as ideal_mul, weak_equivalence_data
 from .intmat import IntMatrix, snf
-from .polyfield import charpoly, is_irreducible, parse_poly
+from .polyfield import charpoly, discriminant, is_irreducible, parse_poly
 from .primes import PreconditionError
 
 
@@ -418,14 +418,16 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         ok = verify_cert(a, b, cert)
         return ok, "certificate verified" if ok else "certificate rejected"
     if command == "conj-all":
-        # the pair's one irreducible polynomial, checked once per report (with
-        # an empty screen no certificate check would look at b) and passed on
+        # the pair's one irreducible polynomial and its discriminant, checked
+        # and computed once per report (with an empty screen no certificate
+        # check would look at b) and passed on
         f = charpoly(a)
         if charpoly(b) != f:
             return False, "characteristic polynomials differ"
         if not is_irreducible(f):
             return False, "characteristic polynomial is reducible over Q"
-        screen = screen_primes(f)
+        disc = discriminant(f)
+        screen = screen_primes(f, disc)
         if _member(report, "screened_primes", list, []) != screen:
             return False, "screened prime list does not match the discriminant"
         per = _member(report, "per_prime", list, [])
@@ -443,7 +445,7 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
                 cert = _parse_cert(blob)
                 if not isinstance(cert, UnitModCert) or cert.prime != p:
                     return False, f"certificate mismatch at {p}"
-                if not verify_cert(a, b, cert, f):
+                if not verify_cert(a, b, cert, f, disc):
                     return False, f"certificate rejected at {p}"
             elif verdict.get("conjugate"):
                 return False, "global true verdict with a failing prime"

@@ -2,10 +2,15 @@
 
 The decision for one prime works modulo p^(mu+1), where mu is the largest
 p-adic valuation among the nonzero invariant factors of the intertwining
-operator.  mu is read off a Smith form of the operator over Z/p^K with
-K = v_p(disc f) + 1, which bounds every one of those valuations, so the
-operator's integer Smith form is never built.  A negative verdict has two
-routes:
+operator.  mu is read off a Smith form of the operator over Z/p^k, so the
+operator's integer Smith form is never built.  K = v_p(disc f) + 1 bounds
+every one of those valuations, but the elimination runs modulo p^2 first (p
+when K = 1) and doubles the exponent, capped at K, only until all n^2 - n
+pivots show: that settles mu at the least precision that shows it, p^2 on
+most pairs.  An O(n^3) check that f annihilates e_1 under both matrices
+fixes the operator's rank first, so stopping early cannot hide a rank above
+n^2 - n.  disc f is computed once per pair and passed down.  A negative
+verdict has two routes:
 
 - a rank mismatch: conjugacy over Z_p implies similarity mod p, so when
   rank_p h(A)^j differs from rank_p h(B)^j for h the product of the linear
@@ -128,35 +133,69 @@ def _echelon_fp(
             rows[r], rows[pivot] = rows[pivot], rows[r]
             inv = pow(rows[r][c] // pv, -1, q)
             prow = rows[r] = [x * inv % q for x in rows[r]]
+            # a row changes only where the pivot row is nonzero
+            nonzero = [(j, y) for j, y in enumerate(prow) if y]
             for i in range(0 if k == 1 else r + 1, len(rows)):
                 row = rows[i]
                 if i != r and row[c]:
                     f = row[c] // pv
-                    rows[i] = [(x - f * y) % q for x, y in zip(row, prow)]
+                    for j, y in nonzero:
+                        row[j] = (row[j] - f * y) % q
             r += 1
     return [tuple(row) for row in rows[:r]]
 
 
-def _local_mu(op: SylvesterOperator, f: IntPoly, p: int) -> int:
+def _annihilates(f: IntPoly, m: IntMatrix) -> bool:
+    """f(m) e_1 = 0, by Horner's rule on one vector: O(n^3)."""
+    v = (0,) * m.rows
+    for c in reversed(f.coeffs):
+        v = m.mul_vec(v)
+        v = (v[0] + c,) + v[1:]
+    return not any(v)
+
+
+def _local_mu(
+    op: SylvesterOperator, f: IntPoly, p: int, disc: Optional[int] = None
+) -> int:
     """mu at p: the largest p-adic valuation of a nonzero invariant factor of
     the operator, for a and b with the irreducible characteristic polynomial
-    f, from its Smith form over Z/p^K, K = v_p(disc f) + 1.
+    f (disc, when given, is disc f), from its Smith form over Z/p^k at the
+    least k of min(2, K), 4, 8, ..., capped at K = v_p(disc f) + 1, that
+    shows all n^2 - n pivots.
 
     L = I kron a - b^T kron I has the eigenvalues theta_i - theta_j, n of
     them zero, so its rank is r = n^2 - n and the sum of its principal r x r
     minors is +-disc f.  The product of the nonzero invariant factors
     divides every r x r minor, hence disc f: their valuations sum to less
-    than K, and exactly r pivots must appear below level K.
+    than K, and exactly r pivots must appear below level K.  Over Z/p^k the
+    pivots are the invariant factors of valuation below k, so once r of
+    them show, every nonzero invariant factor has shown and mu is the top
+    level, as it would be at K.
+
+    A count at K would expose a rank above r (f not the characteristic
+    polynomial of both); a count that stops early would not.  So the rank
+    is fixed first: f(a) e_1 = f(b) e_1 = 0 makes f the minimal polynomial
+    of e_1 under a and under b (f is irreducible and e_1 != 0), so with
+    deg f = n both characteristic polynomials are f and the rank is r.
     """
     n = op.n
-    k = valuation(discriminant(f), p) + 1
-    pivots = _echelon_fp(op.l.entries, p, n * n, k)
-    if len(pivots) != n * n - n:
+    r = n * n - n
+    if f.degree != n or not (_annihilates(f, op.a) and _annihilates(f, op.b)):
         raise AssertionError(
-            f"{len(pivots)} local pivots below {p}^{k}, expected {n * n - n}"
+            f"f is not the characteristic polynomial of both operands: the "
+            f"local pivots need not number {r}"
         )
-    top = p**k
-    return max((valuation(gcd(top, *row), p) for row in pivots), default=0)
+    top = valuation(discriminant(f) if disc is None else disc, p) + 1
+    k = min(2, top)
+    while True:
+        pivots = _echelon_fp(op.l.entries, p, n * n, k)
+        if len(pivots) == r:
+            break
+        if k == top:
+            raise AssertionError(f"{len(pivots)} local pivots below {p}^{k}, expected {r}")
+        k = min(2 * k, top)
+    modulus = p**k
+    return max((valuation(gcd(modulus, *row), p) for row in pivots), default=0)
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
@@ -262,10 +301,10 @@ def _linear_ranks_differ(f: IntPoly, a: IntMatrix, b: IntMatrix, p: int) -> bool
 
 
 def _decide_at_prime(
-    op: SylvesterOperator, f: IntPoly, a: IntMatrix, b: IntMatrix, p: int
+    op: SylvesterOperator, f: IntPoly, disc: int, a: IntMatrix, b: IntMatrix, p: int
 ) -> Verdict:
     """Decide a ~ b over Z_p on the shared operator; f is their
-    characteristic polynomial.
+    characteristic polynomial and disc its discriminant.
 
     Equal matrices are conjugate.  Otherwise a mismatch of the mod-p ranks
     of h(a)^j and h(b)^j (`_linear_ranks_differ`) is a negative without a
@@ -275,7 +314,7 @@ def _decide_at_prime(
     (`_local_mu`) on every route.
     """
     n = a.rows
-    mu = _local_mu(op, f, p)
+    mu = _local_mu(op, f, p, disc)
     modulus = p ** (mu + 1)
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
@@ -297,15 +336,17 @@ def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     f = _check_pair(a, b)
-    return _decide_at_prime(SylvesterOperator(a, b), f, a, b, p)
+    return _decide_at_prime(SylvesterOperator(a, b), f, discriminant(f), a, b, p)
 
 
-def screen_primes(f: IntPoly) -> list[int]:
+def screen_primes(f: IntPoly, disc: Optional[int] = None) -> list[int]:
     """Primes whose square divides disc(f): outside this set, all matrices
-    with characteristic polynomial f are conjugate p-adically."""
+    with characteristic polynomial f are conjugate p-adically.  disc, when
+    given, is disc(f), which the caller has computed."""
     if not is_irreducible(f):
         raise PreconditionError("polynomial must be irreducible")
-    disc = discriminant(f)
+    if disc is None:
+        disc = discriminant(f)
     if disc == 0:
         raise AssertionError("irreducible polynomial with zero discriminant")
     return sorted(p for p, e in factorize(disc).items() if e >= 2)
@@ -320,18 +361,20 @@ def conjugate_over_all_Zp(a: IntMatrix, b: IntMatrix) -> Verdict:
     per-prime certificates remain the authoritative proof.
     """
     f = _check_pair(a, b)
-    screen = screen_primes(f)
+    disc = discriminant(f)
+    screen = screen_primes(f, disc)
     op = SylvesterOperator(a, b)
-    per = tuple(_decide_at_prime(op, f, a, b, p) for p in screen)
+    per = tuple(_decide_at_prime(op, f, disc, a, b, p) for p in screen)
     ok = all(v.conjugate for v in per)
     mu_used = max((v.mu_used for v in per), default=0)
-    cert = _pair_cert(op, f, a, b, per) if ok else None
+    cert = _pair_cert(op, f, disc, a, b, per) if ok else None
     return Verdict(ok, "all", cert, mu_used, per_prime=per, screened=tuple(screen))
 
 
 def _pair_cert(
     op: SylvesterOperator,
     f: IntPoly,
+    disc: int,
     a: IntMatrix,
     b: IntMatrix,
     per: tuple[Verdict, ...],
@@ -357,7 +400,7 @@ def _pair_cert(
     combined = [0] * len(mats)
     mod_all = 1
     for p in sorted(factorize(q.det())):
-        verdict = decided.get(p) or _decide_at_prime(op, f, a, b, p)
+        verdict = decided.get(p) or _decide_at_prime(op, f, disc, a, b, p)
         if not verdict.conjugate:
             raise AssertionError(f"no unit-determinant intertwiner mod {p}")
         system = [e + (t,) for e, t in zip(entries, vec(verdict.certificate.x))]
@@ -384,13 +427,18 @@ def _pair_cert(
 
 
 def verify_cert(
-    a: IntMatrix, b: IntMatrix, cert: Certificate, f: Optional[IntPoly] = None
+    a: IntMatrix,
+    b: IntMatrix,
+    cert: Certificate,
+    f: Optional[IntPoly] = None,
+    disc: Optional[int] = None,
 ) -> bool:
     """Re-check every certificate invariant exactly; False on any violation.
 
     f, when given, is the characteristic polynomial of both a and b, which
-    the caller has checked to be irreducible (as `cli.verify_report` does
-    once per report); without it a UnitModCert check computes and checks it.
+    the caller has checked to be irreducible, and disc, when given, is disc f
+    (`cli.verify_report` computes both once per report); without f a
+    UnitModCert check computes and checks it, without disc it computes disc f.
     """
     try:
         if isinstance(cert, UnitModCert):
@@ -406,7 +454,7 @@ def verify_cert(
                 f = charpoly(a)
                 if charpoly(b) != f or not is_irreducible(f):
                     return False
-            mu = _local_mu(SylvesterOperator(a, b), f, p)
+            mu = _local_mu(SylvesterOperator(a, b), f, p, disc)
             return _unit_mod_holds(a, b, cert, mu)
         if isinstance(cert, IntegerPairCert):
             if a @ cert.q != cert.q @ b or a @ cert.s != cert.s @ b:

@@ -193,6 +193,14 @@ def solve(m: IntMatrix, rhs: IntMatrix) -> tuple[int, IntMatrix | None]:
     return d, IntMatrix._of(back_substitute([r[:n] for r in a], [r[n:] for r in a], d))
 
 
+def _krylov(m: IntMatrix, v) -> IntMatrix:
+    """The matrix [v, m v, ..., m^(n-1) v] of an n x n matrix m."""
+    cols = [tuple(v)]
+    for _ in range(m.rows - 1):
+        cols.append(m.mul_vec(cols[-1]))
+    return IntMatrix._of(zip(*cols))
+
+
 def _bareiss(a: list[list[int]], n: int) -> int:
     """Bareiss elimination of the first n columns of the n rows a, in place;
     any further columns are carried along.  Returns the determinant of the

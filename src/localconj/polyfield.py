@@ -2,9 +2,9 @@
 
 Covers characteristic polynomials, resultants/discriminants, irreducibility
 over Q, and field arithmetic on residue classes: an integer numerator over a
-positive denominator.  The field inverse and the Kronecker interpolation are
-exact integer solves (`intmat.solve`), so nothing here computes with
-rationals.
+positive denominator.  The characteristic polynomial (when e_1 is a cyclic
+vector), the field inverse and the Kronecker interpolation are exact integer
+solves (`intmat.solve`), so nothing here computes with rationals.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import count, product
 from math import gcd, isqrt
 from operator import index, mul
 
-from .intmat import IntMatrix, det, solve
+from .intmat import IntMatrix, _krylov, det, solve
 from .primes import PreconditionError, divisors, factorize, next_prime
 
 
@@ -211,10 +211,37 @@ def parse_poly(text: str) -> IntPoly:
 
 
 def charpoly(a: IntMatrix) -> IntPoly:
-    """Monic characteristic polynomial det(tI - a), fraction-free
-    (Faddeev-LeVerrier; every division is exact)."""
+    """Monic characteristic polynomial det(tI - a), from one Krylov solve.
+
+    With K = [e_1, a e_1, ..., a^(n-1) e_1] and det K != 0, e_1 is a cyclic
+    vector of a: its minimal polynomial has degree n and divides det(tI - a),
+    so the two are equal, and the coefficients below the leading 1 are -c
+    for the c with K c = a^n e_1.  That is one exact solve (`solve`, O(n^3)
+    against O(n^4) for the recurrence below); c is integral, so the division
+    by det K must be exact.  This holds for every square matrix with
+    det K != 0, and an irreducible characteristic polynomial forces it.
+    Otherwise (scalar or block-diagonal matrices, e_1 an eigenvector, ...)
+    the answer comes from `_faddeev_leverrier`.
+    """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
+    n = a.rows
+    k = _krylov(a, IntMatrix.identity(n).row(0))
+    d, c = solve(k, IntMatrix._of([x] for x in a.mul_vec(k.col(n - 1))))
+    if d == 0:
+        return _faddeev_leverrier(a)
+    coeffs = []
+    for (x,) in c.entries:
+        q, rem = divmod(x, d)
+        if rem:
+            raise AssertionError("non-exact division in charpoly")
+        coeffs.append(-q)
+    return IntPoly(coeffs + [1])
+
+
+def _faddeev_leverrier(a: IntMatrix) -> IntPoly:
+    """det(tI - a) for any square a by the fraction-free Faddeev-LeVerrier
+    recurrence; every division is exact."""
     n = a.rows
     coeffs = [0] * (n + 1)
     coeffs[n] = 1

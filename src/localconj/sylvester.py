@@ -24,6 +24,7 @@ from .intmat import (
     SNFDecomposition,
     Vector,
     _dual_rows,
+    _krylov,
     p_part,
     snf,
     solve,
@@ -41,14 +42,6 @@ def unvec(v, n: int) -> IntMatrix:
     if len(v) != n * n:
         raise ValueError("vector length is not n^2")
     return IntMatrix([[v[j * n + i] for j in range(n)] for i in range(n)])
-
-
-def _krylov(m: IntMatrix, v) -> IntMatrix:
-    """The matrix [v, m v, ..., m^(n-1) v] of an n x n matrix m."""
-    cols = [tuple(v)]
-    for _ in range(m.rows - 1):
-        cols.append(m.mul_vec(cols[-1]))
-    return IntMatrix._of(zip(*cols))
 
 
 class SylvesterOperator:

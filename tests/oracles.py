@@ -18,10 +18,14 @@ from localconj import (
     IntMatrix,
     IntPoly,
     NumberField,
+    SylvesterOperator,
     charpoly,
+    discriminant,
     is_irreducible,
     kernel_basis_Z,
 )
+from localconj.conjugacy import _echelon_fp
+from localconj.primes import valuation
 
 
 def laplace_det(rows: list[list[int]]) -> int:
@@ -36,6 +40,24 @@ def laplace_det(rows: list[list[int]]) -> int:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * head * laplace_det(minor)
     return total
+
+
+def full_precision_mu(op: SylvesterOperator, f: IntPoly, p: int) -> int:
+    """mu at p from one local Smith form of the operator over Z/p^K with
+    K = v_p(disc f) + 1, which bounds every nonzero invariant factor's
+    valuation: no early stop and no annihilator guard, only the check that
+    exactly n^2 - n pivots appear below level K.  It shares `_echelon_fp`
+    with the code under test; the operator's integer Smith form
+    (`SylvesterOperator.mu`) is the check independent of both."""
+    n = op.n
+    k = valuation(discriminant(f), p) + 1
+    pivots = _echelon_fp(op.l.entries, p, n * n, k)
+    if len(pivots) != n * n - n:
+        raise AssertionError(
+            f"{len(pivots)} local pivots below {p}^{k}, expected {n * n - n}"
+        )
+    top = p**k
+    return max((valuation(gcd(top, *row), p) for row in pivots), default=0)
 
 
 def minor_gcds(m: IntMatrix) -> list[int]:

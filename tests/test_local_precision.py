@@ -1,0 +1,198 @@
+"""mu at the least p-adic precision that shows it: `_local_mu` against the
+full-precision Smith form over Z/p^K and the operator's integer Smith form,
+the counters that pin which precisions the operator is eliminated at, the
+annihilator guard that refuses a pair before any elimination, and one
+discriminant per pair on the decision path."""
+
+from __future__ import annotations
+
+import pytest
+
+from localconj import (
+    IntMatrix,
+    SylvesterOperator,
+    charpoly,
+    conjugate_over_Zp,
+    discriminant,
+    generate_pair,
+    parse_poly,
+    verify_cert,
+)
+from localconj import cli, conjugacy
+from localconj.cli import conj_all_report, conj_p_report, verify_report
+from localconj.conjugacy import _local_mu
+from localconj.gen import conjugate_exact
+from localconj.primes import valuation
+
+from conftest import pair_with_conjugate, scalar_shifted
+from oracles import full_precision_mu
+
+
+def shifted_pair(n: int, p: int, k: int, conjugate: bool) -> tuple[IntMatrix, IntMatrix]:
+    """I + p^k C(t^n - t - 1) against a unimodular conjugate (conjugate over
+    Z_p) or its conjugate by diag(p, 1, ..., 1) (not conjugate over Z_p)."""
+    a = scalar_shifted(1, p, k, f"t^{n}-t-1")
+    if conjugate:
+        return a, pair_with_conjugate(a, n)[1]
+    return a, conjugate_exact(a, IntMatrix.diagonal([p] + [1] * (n - 1)))
+
+
+def top_precision(a: IntMatrix, p: int) -> int:
+    """K = v_p(disc f) + 1, the precision that bounds every valuation."""
+    return valuation(discriminant(charpoly(a)), p) + 1
+
+
+@pytest.fixture
+def precisions(monkeypatch):
+    """(rows, width, k) of every elimination over Z/p^k while the test runs;
+    the operator's are the n^2 x n^2 ones."""
+    calls = []
+    echelon = conjugacy._echelon_fp
+
+    def counting(rows, p, width, k=1):
+        calls.append((len(rows), width, k))
+        return echelon(rows, p, width, k)
+
+    monkeypatch.setattr(conjugacy, "_echelon_fp", counting)
+    return calls
+
+
+def operator_precisions(calls, n: int) -> list[int]:
+    return [k for rows, width, k in calls if rows == width == n * n]
+
+
+@pytest.fixture
+def discriminants(monkeypatch):
+    """Polynomials whose discriminant the decision path takes (the bindings
+    in `conjugacy` and `cli`) while the test runs."""
+    taken = []
+
+    def counting(f):
+        taken.append(f)
+        return discriminant(f)
+
+    for module in (conjugacy, cli):
+        monkeypatch.setattr(module, "discriminant", counting)
+    return taken
+
+
+def mu_cases():
+    for n in (4, 5, 6):
+        for conjugate in (True, False):
+            yield f"shifted-{n}-{conjugate}", (*shifted_pair(n, 5, 1, conjugate), 5)
+    # the F6-residual repro: scalar mod p^2, so mu = 2 needs k >= 4
+    for n, p in ((4, 5), (5, 3), (6, 11)):
+        yield f"f6-residual-{n}-p{p}", (*shifted_pair(n, p, 2, False), p)
+    yield "scalar-mod-81", (*shifted_pair(4, 3, 4, True), 3)  # mu = 4: k = 8
+    # p = 7 does not divide disc(t^5 - t - 1) = 2869 = 19 * 151, so K = 1
+    pair = generate_pair(parse_poly("t^5-t-1"), "unimodular", 0)
+    yield "unscreened-p7", (pair.a, pair.b, 7)
+    for p in (2, 3):
+        yield f"one-by-one-p{p}", (IntMatrix([[5]]), IntMatrix([[5]]), p)
+
+
+MU_CASES = dict(mu_cases())
+
+
+class TestMuAgainstOracles:
+    @pytest.mark.parametrize("name", sorted(MU_CASES))
+    def test_same_mu_as_full_precision_and_integer_smith_form(self, name):
+        a, b, p = MU_CASES[name]
+        f = charpoly(a)
+        op = SylvesterOperator(a, b)
+        mu = _local_mu(op, f, p)
+        assert mu == full_precision_mu(op, f, p)
+        assert mu == op.mu(p)  # the integer Smith form of the operator
+        assert _local_mu(op, f, p, discriminant(f)) == mu
+
+    @pytest.mark.parametrize(
+        "name,precisions_used",
+        [
+            ("shifted-5-True", [2]),
+            ("shifted-6-False", [2]),
+            ("f6-residual-4-p5", [2, 4]),
+            ("f6-residual-6-p11", [2, 4]),
+            ("scalar-mod-81", [2, 4, 8]),
+            ("unscreened-p7", [1]),
+            ("one-by-one-p2", [1]),
+        ],
+    )
+    def test_doubles_until_every_pivot_shows(self, name, precisions_used, precisions):
+        a, b, p = MU_CASES[name]
+        _local_mu(SylvesterOperator(a, b), charpoly(a), p)
+        assert operator_precisions(precisions, a.rows) == precisions_used
+        assert precisions_used[-1] <= top_precision(a, p)
+
+    def test_one_by_one_pairs_decide(self):
+        for p in (2, 3, 5):
+            a = IntMatrix([[-4]])
+            v = conjugate_over_Zp(a, a, p)
+            assert (v.conjugate, v.mu_used) == (True, 0)
+            assert verify_cert(a, a, v.certificate)
+
+
+class TestPrecisionCounters:
+    """Which precisions a decision eliminates the n^2 x n^2 operator at."""
+
+    @pytest.mark.parametrize("conjugate", [True, False])
+    def test_mu_one_conj_p_eliminates_only_modulo_p_squared(self, conjugate, precisions):
+        # the search-deep mu = 1 strata: lam I + p C(g) at n = 5, 6
+        a, b = shifted_pair(5, 5, 1, conjugate)
+        assert top_precision(a, 5) == 21
+        verdict = conjugate_over_Zp(a, b, 5)
+        assert (verdict.conjugate, verdict.mu_used) == (conjugate, 1)
+        assert operator_precisions(precisions, 5) == [2]
+
+    def test_mu_zero_conj_p_stops_at_the_first_precision(self, precisions):
+        # the search-deep mu = 0 strata: unimodular pairs of t^5 - 7 at p = 7
+        pair = generate_pair(parse_poly("t^5-7"), "unimodular", 1)
+        assert top_precision(pair.a, 7) == 5
+        verdict = conjugate_over_Zp(pair.a, pair.b, 7)
+        assert (verdict.conjugate, verdict.mu_used) == (True, 0)
+        assert operator_precisions(precisions, 5) == [2]
+
+    def test_conj_p_at_an_unscreened_prime_stays_at_the_cap(self, precisions):
+        a, b, p = MU_CASES["unscreened-p7"]
+        assert top_precision(a, p) == 1
+        report = conj_p_report(a, b, "a.txt", "b.txt", p)
+        assert report["verdict"]["mu"] == 0
+        assert operator_precisions(precisions, 5) == [1]
+
+    def test_a_b_not_annihilated_by_f_is_refused_before_any_elimination(
+        self, precisions
+    ):
+        a = parse_poly("t^3-2").companion()
+        b = parse_poly("t^3-3").companion()
+        with pytest.raises(AssertionError, match="local pivots"):
+            _local_mu(SylvesterOperator(a, b), charpoly(a), 3)
+        # and an f of the wrong degree, although it annihilates e_1 of both
+        with pytest.raises(AssertionError, match="local pivots"):
+            _local_mu(SylvesterOperator(a, a), charpoly(a) * parse_poly("t-1"), 3)
+        assert precisions == []
+
+
+class TestOneDiscriminantPerPair:
+    def pair(self):
+        # screened primes 2 and 3
+        return generate_pair(parse_poly("t^4-10t^2+1"), "unimodular", 0)
+
+    def test_conj_all_takes_disc_f_once(self, discriminants):
+        pair = self.pair()
+        report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt", cross_check=True)
+        assert report["screened_primes"] == [2, 3]
+        assert report["verdict"]["conjugate"] and report["cross_check"]["agrees"]
+        assert discriminants == [charpoly(pair.a)]
+
+    def test_verify_takes_disc_f_once_per_report(self, discriminants):
+        pair = self.pair()
+        report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt")
+        discriminants.clear()
+        assert verify_report(report, pair.a, pair.b) == (True, "all certificates verified")
+        assert len(report["per_prime"]) == 2
+        assert discriminants == [charpoly(pair.a)]
+
+    def test_conj_p_takes_disc_f_once(self, discriminants):
+        pair = self.pair()
+        for p in (2, 3):
+            conj_p_report(pair.a, pair.b, "a.txt", "b.txt", p)
+        assert len(discriminants) == 2
