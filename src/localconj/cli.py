@@ -31,6 +31,7 @@ from .conjugacy import (
     IntegerPairCert,
     UnitModCert,
     Verdict,
+    _unit_mod_holds,
     companion_test,
     conjugate_over_Zp,
     conjugate_over_all_Zp,
@@ -41,8 +42,9 @@ from .conjugacy import (
 from .gen import generate_pair
 from .ideals import IdealLattice, mul as ideal_mul, weak_equivalence_data
 from .intmat import IntMatrix, snf
-from .polyfield import charpoly, discriminant, is_irreducible, parse_poly
+from .polyfield import charpoly, parse_poly
 from .primes import PreconditionError
+from .sylvester import SylvesterOperator
 
 
 class ParseFailure(Exception):
@@ -418,16 +420,14 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         ok = verify_cert(a, b, cert)
         return ok, "certificate verified" if ok else "certificate rejected"
     if command == "conj-all":
-        # the pair's one irreducible polynomial and its discriminant, checked
-        # and computed once per report (with an empty screen no certificate
-        # check would look at b) and passed on
-        f = charpoly(a)
-        if charpoly(b) != f:
-            return False, "characteristic polynomials differ"
-        if not is_irreducible(f):
-            return False, "characteristic polynomial is reducible over Q"
-        disc = discriminant(f)
-        screen = screen_primes(f, disc)
+        # one operator per report: its checked polynomial and discriminant
+        # give the screen (with an empty screen no certificate check would
+        # look at b), and its local Smith forms give every stanza's mu
+        try:
+            op = SylvesterOperator(a, b)
+            screen = screen_primes(op.f, op.disc)
+        except PreconditionError as exc:
+            return False, str(exc)
         if _member(report, "screened_primes", list, []) != screen:
             return False, "screened prime list does not match the discriminant"
         per = _member(report, "per_prime", list, [])
@@ -445,7 +445,7 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
                 cert = _parse_cert(blob)
                 if not isinstance(cert, UnitModCert) or cert.prime != p:
                     return False, f"certificate mismatch at {p}"
-                if not verify_cert(a, b, cert, f, disc):
+                if not _unit_mod_holds(op, cert):
                     return False, f"certificate rejected at {p}"
             elif verdict.get("conjugate"):
                 return False, "global true verdict with a failing prime"

@@ -2,15 +2,12 @@
 
 The decision for one prime works modulo p^(mu+1), where mu is the largest
 p-adic valuation among the nonzero invariant factors of the intertwining
-operator.  mu is read off a Smith form of the operator over Z/p^k, so the
-operator's integer Smith form is never built.  K = v_p(disc f) + 1 bounds
-every one of those valuations, but the elimination runs modulo p^2 first (p
-when K = 1) and doubles the exponent, capped at K, only until all n^2 - n
-pivots show: that settles mu at the least precision that shows it, p^2 on
-most pairs.  An O(n^3) check that f annihilates e_1 under both matrices
-fixes the operator's rank first, so stopping early cannot hide a rank above
-n^2 - n.  disc f is computed once per pair and passed down.  A negative
-verdict has two routes:
+operator.  Every decision and every check runs on one `SylvesterOperator`
+per pair: it holds the pair's checked irreducible characteristic polynomial
+f and disc f, each computed once, the intertwiner basis, and mu, read off
+the operator's Smith form over Z/p^k at the least k that shows it
+(`sylvester._local_mu`), so the operator's integer Smith form is never
+built.  A negative verdict has two routes:
 
 - a rank mismatch: conjugacy over Z_p implies similarity mod p, so when
   rank_p h(A)^j differs from rank_p h(B)^j for h the product of the linear
@@ -37,11 +34,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .intmat import IntMatrix, Vector, _pair_reduced, det
+from .intmat import IntMatrix, Vector, _coordinates, _echelon_fp, _pair_reduced, det
 from .polyfield import (
     IntPoly,
     _repeated_linear_part_mod_p,
-    charpoly,
     discriminant,
     is_irreducible,
 )
@@ -92,110 +88,6 @@ class EllInvariant:
 
     prime: int
     ell: int
-
-
-def _check_pair(a: IntMatrix, b: IntMatrix) -> IntPoly:
-    if not a.is_square or not b.is_square or a.rows != b.rows:
-        raise PreconditionError("matrices must be square and of equal size")
-    f = charpoly(a)
-    if charpoly(b) != f:
-        raise PreconditionError("characteristic polynomials differ")
-    if not is_irreducible(f):
-        raise PreconditionError("characteristic polynomial is reducible over Q")
-    return f
-
-
-def _echelon_fp(
-    rows: list[Vector], p: int, width: int, k: int = 1
-) -> list[Vector]:
-    """Echelon form over Z/p^k of the rows, pivoting only in the first
-    `width` columns: the nonzero pivot rows, full length, in the order found.
-
-    Pivots are taken level by level: at level v, on entries of valuation
-    exactly v, each scaled to p^v and cleared from the rows below it.  No
-    entry of valuation below v is left in the unpivoted rows at level v, so
-    every pivot has the least valuation left and the levels are the p-adic
-    valuations (below k) of the invariant factors of the rows' matrix: a
-    local Smith form.  A pivot row of level v is p^v times a row with a unit
-    entry.  At k = 1 each pivot is cleared from the rows above it too, which
-    gives the reduced row echelon form over F_p."""
-    q = p**k
-    rows = [[x % q for x in row] for row in rows]
-    free = list(range(width))
-    r = 0
-    for v in range(k):
-        pv, pv1 = p**v, p ** (v + 1)
-        for c in list(free):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % pv1), None)
-            if pivot is None:
-                continue
-            free.remove(c)
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = pow(rows[r][c] // pv, -1, q)
-            prow = rows[r] = [x * inv % q for x in rows[r]]
-            # a row changes only where the pivot row is nonzero
-            nonzero = [(j, y) for j, y in enumerate(prow) if y]
-            for i in range(0 if k == 1 else r + 1, len(rows)):
-                row = rows[i]
-                if i != r and row[c]:
-                    f = row[c] // pv
-                    for j, y in nonzero:
-                        row[j] = (row[j] - f * y) % q
-            r += 1
-    return [tuple(row) for row in rows[:r]]
-
-
-def _annihilates(f: IntPoly, m: IntMatrix) -> bool:
-    """f(m) e_1 = 0, by Horner's rule on one vector: O(n^3)."""
-    v = (0,) * m.rows
-    for c in reversed(f.coeffs):
-        v = m.mul_vec(v)
-        v = (v[0] + c,) + v[1:]
-    return not any(v)
-
-
-def _local_mu(
-    op: SylvesterOperator, f: IntPoly, p: int, disc: Optional[int] = None
-) -> int:
-    """mu at p: the largest p-adic valuation of a nonzero invariant factor of
-    the operator, for a and b with the irreducible characteristic polynomial
-    f (disc, when given, is disc f), from its Smith form over Z/p^k at the
-    least k of min(2, K), 4, 8, ..., capped at K = v_p(disc f) + 1, that
-    shows all n^2 - n pivots.
-
-    L = I kron a - b^T kron I has the eigenvalues theta_i - theta_j, n of
-    them zero, so its rank is r = n^2 - n and the sum of its principal r x r
-    minors is +-disc f.  The product of the nonzero invariant factors
-    divides every r x r minor, hence disc f: their valuations sum to less
-    than K, and exactly r pivots must appear below level K.  Over Z/p^k the
-    pivots are the invariant factors of valuation below k, so once r of
-    them show, every nonzero invariant factor has shown and mu is the top
-    level, as it would be at K.
-
-    A count at K would expose a rank above r (f not the characteristic
-    polynomial of both); a count that stops early would not.  So the rank
-    is fixed first: f(a) e_1 = f(b) e_1 = 0 makes f the minimal polynomial
-    of e_1 under a and under b (f is irreducible and e_1 != 0), so with
-    deg f = n both characteristic polynomials are f and the rank is r.
-    """
-    n = op.n
-    r = n * n - n
-    if f.degree != n or not (_annihilates(f, op.a) and _annihilates(f, op.b)):
-        raise AssertionError(
-            f"f is not the characteristic polynomial of both operands: the "
-            f"local pivots need not number {r}"
-        )
-    top = valuation(discriminant(f) if disc is None else disc, p) + 1
-    k = min(2, top)
-    while True:
-        pivots = _echelon_fp(op.l.entries, p, n * n, k)
-        if len(pivots) == r:
-            break
-        if k == top:
-            raise AssertionError(f"{len(pivots)} local pivots below {p}^{k}, expected {r}")
-        k = min(2 * k, top)
-    modulus = p**k
-    return max((valuation(gcd(modulus, *row), p) for row in pivots), default=0)
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
@@ -300,43 +192,37 @@ def _linear_ranks_differ(f: IntPoly, a: IntMatrix, b: IntMatrix, p: int) -> bool
         pa, pb = (pa @ ha).mod(p), (pb @ hb).mod(p)
 
 
-def _decide_at_prime(
-    op: SylvesterOperator, f: IntPoly, disc: int, a: IntMatrix, b: IntMatrix, p: int
-) -> Verdict:
-    """Decide a ~ b over Z_p on the shared operator; f is their
-    characteristic polynomial and disc its discriminant.
+def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
+    """Decide a ~ b over Z_p for the operator's checked pair.
 
     Equal matrices are conjugate.  Otherwise a mismatch of the mod-p ranks
     of h(a)^j and h(b)^j (`_linear_ranks_differ`) is a negative without a
     search; when the ranks agree, the unit-determinant walk over the mod-p
     span of the operator's intertwiner basis decides, and an exhausted walk
-    is a negative too.  mu comes from the operator's local Smith form at p
-    (`_local_mu`) on every route.
+    is a negative too.  mu is the operator's (`SylvesterOperator.mu`) on
+    every route.
     """
-    n = a.rows
-    mu = _local_mu(op, f, p, disc)
+    a, b, n = op.a, op.b, op.n
+    mu = op.mu(p)
     modulus = p ** (mu + 1)
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
         return Verdict(True, p, cert, mu)
-    if _linear_ranks_differ(f, a, b, p):
+    if _linear_ranks_differ(op.f, a, b, p):
         return Verdict(False, p, None, mu)
     gens = [vec(x) for x in op.intertwiners]
     witness = _unit_det_witness(gens, p, modulus, n)
     if witness is None:
         return Verdict(False, p, None, mu)
     cert = UnitModCert(unvec(witness, n), p, modulus)
-    if not _unit_mod_holds(a, b, cert, mu):
+    if not _unit_mod_holds(op, cert):
         raise AssertionError("freshly built certificate failed verification")
     return Verdict(True, p, cert, mu)
 
 
 def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
     """Decide similarity of a and b over the p-adic integers."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    f = _check_pair(a, b)
-    return _decide_at_prime(SylvesterOperator(a, b), f, discriminant(f), a, b, p)
+    return _decide_at_prime(SylvesterOperator(a, b), p)
 
 
 def screen_primes(f: IntPoly, disc: Optional[int] = None) -> list[int]:
@@ -360,25 +246,16 @@ def conjugate_over_all_Zp(a: IntMatrix, b: IntMatrix) -> Verdict:
     coprime determinants is added as a convenient global certificate; the
     per-prime certificates remain the authoritative proof.
     """
-    f = _check_pair(a, b)
-    disc = discriminant(f)
-    screen = screen_primes(f, disc)
     op = SylvesterOperator(a, b)
-    per = tuple(_decide_at_prime(op, f, disc, a, b, p) for p in screen)
+    screen = screen_primes(op.f, op.disc)
+    per = tuple(_decide_at_prime(op, p) for p in screen)
     ok = all(v.conjugate for v in per)
     mu_used = max((v.mu_used for v in per), default=0)
-    cert = _pair_cert(op, f, disc, a, b, per) if ok else None
+    cert = _pair_cert(op, per) if ok else None
     return Verdict(ok, "all", cert, mu_used, per_prime=per, screened=tuple(screen))
 
 
-def _pair_cert(
-    op: SylvesterOperator,
-    f: IntPoly,
-    disc: int,
-    a: IntMatrix,
-    b: IntMatrix,
-    per: tuple[Verdict, ...],
-) -> IntegerPairCert:
+def _pair_cert(op: SylvesterOperator, per: tuple[Verdict, ...]) -> IntegerPairCert:
     """Two exact intertwiners with coprime determinants.
 
     The operator's intertwiner basis is size-reduced first, and q is the
@@ -392,22 +269,18 @@ def _pair_cert(
     det q.  Witnesses at screened primes come from `per`; every other prime
     is decided on the same operator.
     """
-    n = a.rows
-    mats = [unvec(v, n) for v in _pair_reduced([vec(x) for x in op.intertwiners])]
+    n = op.n
+    basis = _pair_reduced([vec(x) for x in op.intertwiners])
+    mats = [unvec(v, n) for v in basis]
     q = min(mats, key=lambda x: abs(x.det()))
-    entries = list(zip(*map(vec, mats)))  # row k: entry k of every basis matrix
     decided = {v.prime: v for v in per}
     combined = [0] * len(mats)
     mod_all = 1
     for p in sorted(factorize(q.det())):
-        verdict = decided.get(p) or _decide_at_prime(op, f, disc, a, b, p)
+        verdict = decided.get(p) or _decide_at_prime(op, p)
         if not verdict.conjugate:
             raise AssertionError(f"no unit-determinant intertwiner mod {p}")
-        system = [e + (t,) for e, t in zip(entries, vec(verdict.certificate.x))]
-        solved = _echelon_fp(system, p, n + 1)
-        if len(solved) != n:
-            raise AssertionError(f"witness mod {p} outside the intertwiner span")
-        coords = [row[n] for row in solved]
+        coords = _coordinates(basis, vec(verdict.certificate.x), p, 1)
         inv = pow(mod_all, -1, p)
         for idx, target in enumerate(coords):
             # CRT step for coordinate idx: keep value mod mod_all, set mod p
@@ -421,41 +294,19 @@ def _pair_cert(
             if c:
                 s = s + c * m
     cert = IntegerPairCert(q, s)
-    if not verify_cert(a, b, cert):
+    if not verify_cert(op.a, op.b, cert):
         raise AssertionError("pair certificate failed verification")
     return cert
 
 
-def verify_cert(
-    a: IntMatrix,
-    b: IntMatrix,
-    cert: Certificate,
-    f: Optional[IntPoly] = None,
-    disc: Optional[int] = None,
-) -> bool:
+def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
     """Re-check every certificate invariant exactly; False on any violation.
 
-    f, when given, is the characteristic polynomial of both a and b, which
-    the caller has checked to be irreducible, and disc, when given, is disc f
-    (`cli.verify_report` computes both once per report); without f a
-    UnitModCert check computes and checks it, without disc it computes disc f.
-    """
+    A UnitModCert is checked on the operator of (a, b) (`_unit_mod_holds`),
+    so a and b must share one irreducible characteristic polynomial."""
     try:
         if isinstance(cert, UnitModCert):
-            p = cert.prime
-            if not is_prime(p):
-                return False
-            n = a.rows
-            x = cert.x
-            if x.shape != (n, n) or b.shape != (n, n):
-                return False
-            # the local bound on mu needs one shared irreducible polynomial
-            if f is None:
-                f = charpoly(a)
-                if charpoly(b) != f or not is_irreducible(f):
-                    return False
-            mu = _local_mu(SylvesterOperator(a, b), f, p, disc)
-            return _unit_mod_holds(a, b, cert, mu)
+            return _unit_mod_holds(SylvesterOperator(a, b), cert)
         if isinstance(cert, IntegerPairCert):
             if a @ cert.q != cert.q @ b or a @ cert.s != cert.s @ b:
                 return False
@@ -468,12 +319,16 @@ def verify_cert(
     return False
 
 
-def _unit_mod_holds(a: IntMatrix, b: IntMatrix, cert: UnitModCert, mu: int) -> bool:
-    """The UnitModCert invariants, given mu of the operator at cert.prime."""
+def _unit_mod_holds(op: SylvesterOperator, cert: UnitModCert) -> bool:
+    """The UnitModCert invariants for the operator's pair: modulus =
+    p^(mu+1) with mu the operator's at p, a x = x b mod modulus and det x
+    prime to p."""
     p, x = cert.prime, cert.x
-    if cert.modulus != p ** (mu + 1):
+    if not is_prime(p) or x.shape != (op.n, op.n):
         return False
-    diff = a @ x - x @ b
+    if cert.modulus != p ** (op.mu(p) + 1):
+        return False
+    diff = op.a @ x - x @ op.b
     if any(v % cert.modulus for row in diff.entries for v in row):
         return False
     return x.det() % p != 0
@@ -483,14 +338,9 @@ def companion_test(a: IntMatrix, p: int) -> bool:
     """True iff a is similar to the companion matrix of its characteristic
     polynomial over the p-adic integers: a mod p has a cyclic vector, that
     is, its centralizer has dimension n, so X -> a X - X a has rank n^2 - n
-    over F_p."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    f = charpoly(a)
-    if not is_irreducible(f):
-        raise PreconditionError("characteristic polynomial is reducible over Q")
-    n = a.rows
-    return _rank_fp(SylvesterOperator(a, a).l, p) == n * n - n
+    over F_p: all its n^2 - n nonzero invariant factors are prime to p, and
+    mu = 0."""
+    return SylvesterOperator(a, a).mu(p) == 0
 
 
 def ell_invariant(a: IntMatrix, p: int) -> EllInvariant:

@@ -50,7 +50,10 @@ class IdealLattice:
         if den <= 0:
             raise ValueError("denominator must be positive")
         n = field.degree
-        hnf = _hnf_rows([list(r) for r in rows], n)
+        rows = [list(r) for r in rows]
+        if any(len(r) != n for r in rows):
+            raise ValueError(f"basis rows must have {n} entries, the field degree")
+        hnf = _hnf_rows(rows, n)
         if len(hnf) != n:
             raise ValueError("lattice is not of full rank")
         g = den

@@ -2,10 +2,13 @@
 
 Arbitrary-precision arithmetic, one Bareiss elimination for determinants and
 exact solves (its back substitution also gives triangular adjugates), one
-row Hermite form for lattices and their duals, Smith normal form with
-unimodular transforms, and integer/modular kernels.  Matrices are immutable;
-every operation returns a fresh value.  There is no floating point, no
-rational arithmetic and no word-size fast path anywhere.
+row Hermite form for lattices and their duals, one echelon form over Z/p^k
+(`_echelon_fp`: ranks mod p, local Smith forms, coordinates modulo p^k in a
+basis that is independent mod p), and Smith normal form with unimodular
+transforms.  The integer Smith form serves the `snf` command and the
+integer and modular kernels (`kernel_basis_Z`, `kernel_mod`) alone.
+Matrices are immutable; every operation returns a fresh value.  There is no
+floating point, no rational arithmetic and no word-size fast path anywhere.
 """
 
 from __future__ import annotations
@@ -333,6 +336,68 @@ def _pair_reduced(rows: list[Vector]) -> list[Vector]:
                     norms[i] = size
                     changed = True
     return [tuple(r) for r in rows]
+
+
+def _echelon_fp(
+    rows: list[Vector], p: int, width: int, k: int = 1
+) -> list[Vector]:
+    """Echelon form over Z/p^k of the rows, pivoting only in the first
+    `width` columns: the nonzero pivot rows, full length, in the order found.
+
+    Pivots are taken level by level: at level v, on entries of valuation
+    exactly v, each scaled to p^v and cleared from the rows below it.  No
+    entry of valuation below v is left in the unpivoted rows at level v, so
+    every pivot has the least valuation left and the levels are the p-adic
+    valuations (below k) of the invariant factors of the rows' matrix: a
+    local Smith form.  A pivot row of level v is p^v times a row with a unit
+    entry.  At k = 1 each pivot is cleared from the rows above it too, which
+    gives the reduced row echelon form over F_p."""
+    q = p**k
+    rows = [[x % q for x in row] for row in rows]
+    free = list(range(width))
+    r = 0
+    for v in range(k):
+        pv, pv1 = p**v, p ** (v + 1)
+        for c in list(free):
+            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % pv1), None)
+            if pivot is None:
+                continue
+            free.remove(c)
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            inv = pow(rows[r][c] // pv, -1, q)
+            prow = rows[r] = [x * inv % q for x in rows[r]]
+            # a row changes only where the pivot row is nonzero
+            nonzero = [(j, y) for j, y in enumerate(prow) if y]
+            for i in range(0 if k == 1 else r + 1, len(rows)):
+                row = rows[i]
+                if i != r and row[c]:
+                    f = row[c] // pv
+                    for j, y in nonzero:
+                        row[j] = (row[j] - f * y) % q
+            r += 1
+    return [tuple(row) for row in rows[:r]]
+
+
+def _coordinates(basis: list[Vector], target: Vector, p: int, k: int) -> list[int]:
+    """The c in [0, p^k)^m with sum_i c_i basis_i = target mod p^k, for m
+    vectors that are independent mod p and a target in their span mod p^k;
+    AssertionError otherwise.
+
+    Over Z/p^k the columns of [basis^T | target] pivot in order at level 0,
+    each scaled to 1, and target's column pivots nowhere exactly when it lies
+    in the span: the coordinates then follow by back substitution over the
+    unit upper-triangular block.  The result is checked on every entry."""
+    m, q = len(basis), p**k
+    cols = list(zip(*basis))  # row j: entry j of every basis vector
+    solved = _echelon_fp([c + (t,) for c, t in zip(cols, target)], p, m + 1, k)
+    coords = [0] * m
+    if len(solved) == m:
+        for i in reversed(range(m)):
+            row = solved[i]
+            coords[i] = (row[m] - sum(map(mul, row[i + 1 : m], coords[i + 1 :]))) % q
+    if any((sum(map(mul, c, coords)) - t) % q for c, t in zip(cols, target)):
+        raise AssertionError(f"vector outside the span of the basis mod {p}^{k}")
+    return coords
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
-"""The intertwining operator X -> A X - X B as an n^2 x n^2 integer matrix,
-the lattice of exact intertwiners at n-size cost, and exact kernel lifting
-from modular approximations.
+"""The checked pair (a, b), its intertwining operator X -> a X - X b as an
+n^2 x n^2 integer matrix, and what the paper defines on it at p.
 
-The decision path reads two things here: the intertwiner basis (one Hermite
-form of n^2 + n rows of width n, through a cyclic vector of B) and the
-operator matrix itself, whose local Smith form gives mu.  Neither builds the
-operator's integer Smith form.  That form is built on first use by the
-generic operator API (mu, the kernel modulo p^k, exact lifting), which does
-not assume a shared characteristic polynomial, and is shared by its readers.
+mu, the p-profile and exact lifting are defined for two matrices with one
+irreducible characteristic polynomial f; `SylvesterOperator` checks that
+once and keeps f, disc f and the operator matrix.  mu comes from the
+operator's Smith form over Z/p^k at the least k that shows it (`_local_mu`);
+lifting solves for coordinates in the saturated intertwiner basis (n
+matrices, from one Hermite form of width n through a cyclic vector of b)
+modulo p^lam.  Neither builds the operator's integer Smith form.
 
 Vectorization is column-major throughout the package; certificates and kernel
 vectors all share this one convention.
@@ -16,20 +16,22 @@ vectors all share this one convention.
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from operator import index
 
 from .intmat import (
     IntMatrix,
     PrimePartProfile,
-    SNFDecomposition,
     Vector,
+    _coordinates,
     _dual_rows,
+    _echelon_fp,
     _krylov,
-    p_part,
-    snf,
+    kernel_mod,
     solve,
 )
-from .primes import PreconditionError, is_prime
+from .polyfield import IntPoly, charpoly, discriminant, is_irreducible
+from .primes import PreconditionError, is_prime, valuation
 
 
 def vec(m: IntMatrix) -> Vector:
@@ -45,17 +47,41 @@ def unvec(v, n: int) -> IntMatrix:
 
 
 class SylvesterOperator:
-    """Matrix of X -> a X - X b on column-major coordinates:
-    l = (I kron a) - (b^T kron I)."""
+    """The pair (a, b) and the matrix of X -> a X - X b on column-major
+    coordinates, l = (I kron a) - (b^T kron I).
+
+    l, f and disc are computed on first use and kept, and so is the profile
+    at each prime.  Reading f checks that a and b share one characteristic
+    polynomial, irreducible over Q; mu, p_profile and `lift_kernel` read it,
+    so outside that domain they raise PreconditionError.
+    """
 
     def __init__(self, a: IntMatrix, b: IntMatrix) -> None:
         if not (a.is_square and b.is_square) or a.rows != b.rows:
-            raise ValueError("operands must be square matrices of equal size")
+            raise PreconditionError("matrices must be square and of equal size")
         self.a = a
         self.b = b
         self.n = a.rows
+        self._profiles: dict[int, PrimePartProfile] = {}
+
+    @cached_property
+    def l(self) -> IntMatrix:
         eye = IntMatrix.identity(self.n)
-        self.l = eye.kron(a) - b.transpose().kron(eye)
+        return eye.kron(self.a) - self.b.transpose().kron(eye)
+
+    @cached_property
+    def f(self) -> IntPoly:
+        """The characteristic polynomial of a and of b, irreducible over Q."""
+        f = charpoly(self.a)
+        if self.b != self.a and charpoly(self.b) != f:
+            raise PreconditionError("characteristic polynomials differ")
+        if not is_irreducible(f):
+            raise PreconditionError("characteristic polynomial is reducible over Q")
+        return f
+
+    @cached_property
+    def disc(self) -> int:
+        return discriminant(self.f)
 
     @cached_property
     def intertwiners(self) -> list[IntMatrix]:
@@ -96,20 +122,73 @@ class SylvesterOperator:
             basis.append(mat)
         return basis
 
-    @cached_property
-    def decomposition(self) -> SNFDecomposition:
-        return snf(self.l)
-
     def mu(self, p: int) -> int:
         return self.p_profile(p).mu
 
     def p_profile(self, p: int) -> PrimePartProfile:
-        if not is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
-        return p_part(self.decomposition, p)
+        if p not in self._profiles:
+            if not is_prime(p):
+                raise PreconditionError(f"{p} is not prime")
+            self._profiles[p] = _local_mu(self, self.f, p, self.disc)
+        return self._profiles[p]
 
     def solution_generators_mod(self, modulus: int) -> list[Vector]:
-        return self.decomposition.kernel_mod(modulus)
+        """Generators of the kernel of l modulo a prime power."""
+        return kernel_mod(self.l, modulus)
+
+
+def _annihilates(f: IntPoly, m: IntMatrix) -> bool:
+    """f(m) e_1 = 0, by Horner's rule on one vector: O(n^3)."""
+    v = (0,) * m.rows
+    for c in reversed(f.coeffs):
+        v = m.mul_vec(v)
+        v = (v[0] + c,) + v[1:]
+    return not any(v)
+
+
+def _local_mu(
+    op: SylvesterOperator, f: IntPoly, p: int, disc: int | None = None
+) -> PrimePartProfile:
+    """The profile of the operator at p: the p-adic valuations of its n^2 - n
+    nonzero invariant factors, and mu, the largest of them, for a and b with
+    the irreducible characteristic polynomial f (disc, when given, is
+    disc f), from its Smith form over Z/p^k at the least k of min(2, K), 4,
+    8, ..., capped at K = v_p(disc f) + 1, that shows all n^2 - n pivots.
+
+    L = I kron a - b^T kron I has the eigenvalues theta_i - theta_j, n of
+    them zero, so its rank is r = n^2 - n and the sum of its principal r x r
+    minors is +-disc f.  The product of the nonzero invariant factors
+    divides every r x r minor, hence disc f: their valuations sum to less
+    than K, and exactly r pivots must appear below level K.  Over Z/p^k the
+    pivots are the invariant factors of valuation below k, so once r of
+    them show, every nonzero invariant factor has shown at its level, as it
+    would at K.
+
+    A count at K would expose a rank above r (f not the characteristic
+    polynomial of both); a count that stops early would not.  So the rank
+    is fixed first: f(a) e_1 = f(b) e_1 = 0 makes f the minimal polynomial
+    of e_1 under a and under b (f is irreducible and e_1 != 0), so with
+    deg f = n both characteristic polynomials are f and the rank is r.
+    """
+    n = op.n
+    r = n * n - n
+    if f.degree != n or not (_annihilates(f, op.a) and _annihilates(f, op.b)):
+        raise AssertionError(
+            f"f is not the characteristic polynomial of both operands: the "
+            f"local pivots need not number {r}"
+        )
+    top = valuation(discriminant(f) if disc is None else disc, p) + 1
+    k = min(2, top)
+    while True:
+        pivots = _echelon_fp(op.l.entries, p, n * n, k)
+        if len(pivots) == r:
+            break
+        if k == top:
+            raise AssertionError(f"{len(pivots)} local pivots below {p}^{k}, expected {r}")
+        k = min(2 * k, top)
+    modulus = p**k
+    levels = sorted(valuation(gcd(modulus, *row), p) for row in pivots)
+    return PrimePartProfile(p, tuple(levels), levels[-1] if levels else 0)
 
 
 def lift_kernel(
@@ -118,12 +197,11 @@ def lift_kernel(
     """Turn a kernel vector mod p^(mu+lam) into an exact one.
 
     Given l @ x' = 0 mod p^(mu+lam), returns x with l @ x = 0 exactly and
-    x = x' mod p^lam.  Construction: with l = s d t, put y = t @ x', choose w
-    with w_j = 0 on the nonzero-invariant-factor coordinates and
-    w_i = y_i mod p^lam on the rest, and return t^(-1) @ w: then d w = 0, and
-    w = y mod p^lam because y_j = 0 mod p^lam wherever d_j != 0.  Free
-    coordinates take the minimal nonnegative residue, so the output is
-    deterministic.
+    x = x' mod p^lam.  Every nonzero invariant factor of l has valuation at
+    most mu, so x' mod p^lam is the image of an exact kernel vector, that is
+    of an intertwiner.  The intertwiner basis X_1, ..., X_n is saturated, so
+    it stays independent mod p and x' has unique coordinates c_i in
+    [0, p^lam) in it modulo p^lam; x = sum c_i vec(X_i).
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
@@ -143,19 +221,11 @@ def lift_kernel(
         raise ValueError(
             f"input is not in the kernel mod {p}^{mu_val + lam}; cannot lift"
         )
-    dec = op.decomposition
-    r = dec.rank()
-    y = dec.t.mul_vec(x_approx)
-    plam = p**lam
-    w = [0] * m.cols
-    for i in range(m.cols):
-        if i < r:
-            if y[i] % plam:
-                raise AssertionError("constrained coordinate fails the congruence")
-        else:
-            w[i] = y[i] % plam
-    x = dec.t_inv.mul_vec(w)
+    basis = [vec(x) for x in op.intertwiners]
+    coords = _coordinates(basis, x_approx, p, lam)
+    x = tuple(sum(c * v[i] for c, v in zip(coords, basis)) for i in range(m.cols))
     # exact postconditions, rechecked on every call
+    plam = p**lam
     if any(c != 0 for c in m.mul_vec(x)):
         raise AssertionError("lifted vector is not in the exact kernel")
     if any((a - b) % plam for a, b in zip(x, x_approx)):

@@ -24,7 +24,7 @@ from localconj import (
     is_irreducible,
     kernel_basis_Z,
 )
-from localconj.conjugacy import _echelon_fp
+from localconj.intmat import _echelon_fp
 from localconj.primes import valuation
 
 
@@ -48,7 +48,7 @@ def full_precision_mu(op: SylvesterOperator, f: IntPoly, p: int) -> int:
     valuation: no early stop and no annihilator guard, only the check that
     exactly n^2 - n pivots appear below level K.  It shares `_echelon_fp`
     with the code under test; the operator's integer Smith form
-    (`SylvesterOperator.mu`) is the check independent of both."""
+    (`p_part(snf(op.l), p)`) is the check independent of both."""
     n = op.n
     k = valuation(discriminant(f), p) + 1
     pivots = _echelon_fp(op.l.entries, p, n * n, k)

@@ -229,6 +229,21 @@ class TestParsing:
             False, "malformed witness ideals"
         )
 
+    def test_witness_row_of_the_wrong_length_is_malformed(self, tmp_path, capsys):
+        # refused as malformed (exit 0), not an internal error (exit 3)
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        report = weak_equiv_report(pair.a, pair.b, "a", "b")
+        report["witnesses"]["x"]["rows"] = [[1, 0, 5], [0, 1, 7]]
+        paths = [tmp_path / name for name in ("report.json", "a.txt", "b.txt")]
+        paths[0].write_text(json.dumps(report))
+        write_matrix(str(paths[1]), pair.a)
+        write_matrix(str(paths[2]), pair.b)
+        assert main(["verify", *map(str, paths)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["accepted"], payload["reason"]) == (
+            False, "malformed witness ideals"
+        )
+
 
 # top-level and subcommand help, and usage errors, as `main` printed them
 # before the parser was built per subcommand (80 columns)

@@ -28,7 +28,7 @@ from localconj import (
     verify_cert,
 )
 import localconj.conjugacy as conjugacy
-from localconj.conjugacy import _echelon_fp
+from localconj.intmat import _echelon_fp
 from localconj.gen import conjugate_exact
 from localconj.primes import next_prime
 from localconj.sylvester import unvec, vec

@@ -80,6 +80,16 @@ def random_ideal(order: Order, p: int, k: int, rng: random.Random) -> IdealLatti
     return IdealLattice.from_elements(field, gens)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "rows", [[[1, 0, 5], [0, 1, 7]], [[1, 0], [0, 1, 7]], [[1], [0]]]
+    )
+    def test_rows_must_have_the_field_degree(self, K, rows):
+        # a longer row was kept past the degree: a 2 x 3 basis in a quadratic field
+        with pytest.raises(ValueError, match="field degree"):
+            IdealLattice(K, rows)
+
+
 class TestProduct:
     def test_ring_acts_as_identity(self, K, S, I2):
         assert mul(I2, S) == I2

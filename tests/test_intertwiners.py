@@ -18,6 +18,7 @@ from localconj import (
     IntMatrix,
     SylvesterOperator,
     charpoly,
+    companion_test,
     conjugate_over_Zp,
     conjugate_over_all_Zp,
     discriminant,
@@ -26,14 +27,15 @@ from localconj import (
     p_part,
     parse_poly,
     screen_primes,
+    snf,
     vec,
     verify_cert,
 )
 from localconj.cli import conj_all_report, conj_p_report, verify_report
-from localconj.conjugacy import _echelon_fp, _local_mu
 from localconj.gen import conjugate_exact
-from localconj.intmat import _hnf_rows
+from localconj.intmat import _echelon_fp, _hnf_rows
 from localconj.primes import valuation
+from localconj.sylvester import _local_mu
 
 from conftest import PRIME_BY_PRIME_PAIRS, pair_with_conjugate, scalar_shifted
 
@@ -97,22 +99,23 @@ class TestAgainstTheIntegerSmithForm:
         n = a.rows
         f = charpoly(a)
         op = SylvesterOperator(a, b)
+        dec = snf(op.l)
         mats = op.intertwiners
         assert len(mats) == n
         assert all(a @ x == x @ b for x in mats)
         # (a): the same lattice as the Smith form's saturated kernel basis
         assert _hnf_rows([list(vec(x)) for x in mats], n * n) == _hnf_rows(
-            [list(v) for v in op.decomposition.kernel_basis()], n * n
+            [list(v) for v in dec.kernel_basis()], n * n
         )
         # (b): the pivot levels over Z/p^K are the valuations of the
         # nonzero invariant factors, so mu agrees
         for p in sorted({2, 3, 5, 7, *screen_primes(f)}):
-            want = p_part(op.decomposition, p)
+            want = p_part(dec, p)
             k = valuation(discriminant(f), p) + 1
             pivots = _echelon_fp(op.l.entries, p, n * n, k)
             levels = sorted(min(valuation(x, p) for x in row if x) for row in pivots)
             assert levels == sorted(want.exponents), p
-            assert _local_mu(op, f, p) == want.mu, p
+            assert _local_mu(op, f, p) == want, p
 
     def test_pivot_count_is_checked(self):
         # characteristic polynomials differ: rank n^2 - n does not hold
@@ -159,6 +162,24 @@ class TestNoIntegerSmithForm:
         assert ok, reason
         assert snf_builds == []
         assert (n * n, n * n) not in det_shapes
+
+    def test_operator_api_and_every_command(self, snf_builds):
+        # mu >= 1 at p = 5 on a conjugate pair of degree 5
+        a, b = shifted_pair(5, True)
+        snf_builds.clear()
+        op = SylvesterOperator(a, b)
+        profile = op.p_profile(5)
+        assert op.mu(5) == profile.mu == 1 and len(profile.exponents) == 20
+        x = vec(op.intertwiners[1])
+        noisy = [v + 5**2 * (i % 3 - 1) for i, v in enumerate(x)]
+        lifted = lift_kernel(op, noisy, 5, 1)
+        assert not any(op.l.mul_vec(lifted))
+        assert not companion_test(a, 5) and companion_test(a, 7)
+        report = conj_p_report(a, b, "a.txt", "b.txt", 5)
+        assert report["verdict"]["conjugate"] and verify_report(report, a, b)[0]
+        _, ok, reason = decide_everything(a, b)
+        assert ok, reason
+        assert snf_builds == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_wide_pair_per_prime(self, snf_builds, det_shapes, seed):

@@ -6,6 +6,8 @@ discriminant per pair on the decision path."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from localconj import (
@@ -15,14 +17,16 @@ from localconj import (
     conjugate_over_Zp,
     discriminant,
     generate_pair,
+    p_part,
     parse_poly,
+    snf,
     verify_cert,
 )
-from localconj import cli, conjugacy
+from localconj import conjugacy, sylvester
 from localconj.cli import conj_all_report, conj_p_report, verify_report
-from localconj.conjugacy import _local_mu
 from localconj.gen import conjugate_exact
 from localconj.primes import valuation
+from localconj.sylvester import _local_mu
 
 from conftest import pair_with_conjugate, scalar_shifted
 from oracles import full_precision_mu
@@ -47,13 +51,13 @@ def precisions(monkeypatch):
     """(rows, width, k) of every elimination over Z/p^k while the test runs;
     the operator's are the n^2 x n^2 ones."""
     calls = []
-    echelon = conjugacy._echelon_fp
+    echelon = sylvester._echelon_fp
 
     def counting(rows, p, width, k=1):
         calls.append((len(rows), width, k))
         return echelon(rows, p, width, k)
 
-    monkeypatch.setattr(conjugacy, "_echelon_fp", counting)
+    monkeypatch.setattr(sylvester, "_echelon_fp", counting)
     return calls
 
 
@@ -64,14 +68,15 @@ def operator_precisions(calls, n: int) -> list[int]:
 @pytest.fixture
 def discriminants(monkeypatch):
     """Polynomials whose discriminant the decision path takes (the bindings
-    in `conjugacy` and `cli`) while the test runs."""
+    in `sylvester`, which the operator's disc reads, and `conjugacy`) while
+    the test runs."""
     taken = []
 
     def counting(f):
         taken.append(f)
         return discriminant(f)
 
-    for module in (conjugacy, cli):
+    for module in (sylvester, conjugacy):
         monkeypatch.setattr(module, "discriminant", counting)
     return taken
 
@@ -100,10 +105,10 @@ class TestMuAgainstOracles:
         a, b, p = MU_CASES[name]
         f = charpoly(a)
         op = SylvesterOperator(a, b)
-        mu = _local_mu(op, f, p)
+        mu = _local_mu(op, f, p).mu
         assert mu == full_precision_mu(op, f, p)
-        assert mu == op.mu(p)  # the integer Smith form of the operator
-        assert _local_mu(op, f, p, discriminant(f)) == mu
+        assert mu == p_part(snf(op.l), p).mu  # the operator's integer Smith form
+        assert _local_mu(op, f, p, discriminant(f)).mu == mu
 
     @pytest.mark.parametrize(
         "name,precisions_used",
@@ -189,6 +194,34 @@ class TestOneDiscriminantPerPair:
         discriminants.clear()
         assert verify_report(report, pair.a, pair.b) == (True, "all certificates verified")
         assert len(report["per_prime"]) == 2
+        assert discriminants == [charpoly(pair.a)]
+
+    def test_verify_builds_one_operator_per_report(self, monkeypatch, discriminants):
+        # two unit-mod stanzas share one operator: one operator matrix (two
+        # Kronecker products), f of each matrix once and disc f once
+        pair = self.pair()
+        report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt")
+        assert [s["prime"] for s in report["per_prime"]] == [2, 3]
+        assert all(s["certificate"]["type"] == "unit_mod" for s in report["per_prime"])
+        krons, charpolys = [], []
+        kron = IntMatrix.kron
+
+        def counting_kron(self, other):
+            krons.append(other.shape)
+            return kron(self, other)
+
+        def counting_charpoly(m):
+            charpolys.append(m)
+            return charpoly(m)
+
+        monkeypatch.setattr(IntMatrix, "kron", counting_kron)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("localconj.") and getattr(module, "charpoly", None) is charpoly:
+                monkeypatch.setattr(module, "charpoly", counting_charpoly)
+        discriminants.clear()
+        assert verify_report(report, pair.a, pair.b) == (True, "all certificates verified")
+        assert len(krons) == 2
+        assert charpolys == [pair.a, pair.b]
         assert discriminants == [charpoly(pair.a)]
 
     def test_conj_p_takes_disc_f_once(self, discriminants):

@@ -8,6 +8,7 @@ import pytest
 
 from localconj import (
     IntMatrix,
+    PreconditionError,
     SylvesterOperator,
     kernel_mod,
     lift_kernel,
@@ -18,6 +19,7 @@ from localconj import (
     vec,
 )
 from conftest import M, pair_with_conjugate, scalar_shifted
+from test_local_precision import MU_CASES
 
 
 def random_module_element(op, modulus, rng):
@@ -81,12 +83,19 @@ class TestMu:
         op = SylvesterOperator(a, b)
         assert op.mu(2) >= 2
 
-    def test_unimodular_operator_mu_zero(self):
-        # only possible when the characteristic polynomials differ
+    def test_unimodular_operator_is_outside_the_domain(self):
+        # a unimodular operator needs characteristic polynomials that differ:
+        # mu and lifting are defined only for one shared irreducible one
         op = SylvesterOperator(IntMatrix.zeros(2, 2), IntMatrix.identity(2))
         assert abs(op.l.det()) == 1
         for p in (2, 3, 5):
-            assert op.mu(p) == 0
+            with pytest.raises(PreconditionError, match="polynomials differ"):
+                op.mu(p)
+            with pytest.raises(PreconditionError, match="polynomials differ"):
+                op.p_profile(p)
+            with pytest.raises(PreconditionError, match="polynomials differ"):
+                lift_kernel(op, (0,) * 4, p, 1)
+        assert op.l == -IntMatrix.identity(4)
 
 
 class TestLift:
@@ -179,3 +188,29 @@ class TestLiftSuiteSmall:
                         )
                         count += 1
         assert count == 54
+
+
+class TestLiftAtLargerDegree:
+    """Lifting at n = 4-6 with mu >= 1: the conjugate pairs of the mu cases,
+    inputs sampled from the kernel mod p^(mu+lam)."""
+
+    @pytest.mark.parametrize(
+        "name", ["shifted-4-True", "shifted-5-True", "shifted-6-True", "scalar-mod-81"]
+    )
+    def test_lifts_are_exact_and_congruent(self, name):
+        a, b, p = MU_CASES[name]
+        op = SylvesterOperator(a, b)
+        mu = op.mu(p)
+        assert mu >= 1 and 4 <= op.n <= 6
+        rng = random.Random(name)
+        for lam in (0, 1, 2):
+            modulus = p ** (mu + lam)
+            gens = kernel_mod(op.l, modulus)
+            for _ in range(3):
+                x_approx = [0] * op.l.cols
+                for g in gens:
+                    c = rng.randrange(modulus)
+                    x_approx = [(u + c * v) % modulus for u, v in zip(x_approx, g)]
+                x = lift_kernel(op, x_approx, p, lam)
+                assert not any(op.l.mul_vec(x))
+                assert all((u - v) % p**lam == 0 for u, v in zip(x, x_approx))

@@ -107,3 +107,32 @@ def test_only_primes_strips_prime_factors():
             if isinstance(node, ast.While) and _strips_a_factor(node.test):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _snf_callers(tree: ast.Module, module: str) -> list[str]:
+    """module.function of every call of `snf(...)` or `x.snf(...)`, named by
+    the innermost enclosing function (the module itself at top level)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "snf":
+                found.append(f"{module}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_kernels_and_the_snf_command_build_an_integer_smith_form():
+    # mu, lifting and every decision read local Smith forms over Z/p^k; the
+    # integer Smith form serves the kernel functions and the `snf` command
+    callers = []
+    for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
+        callers += _snf_callers(ast.parse(path.read_text()), path.stem)
+    assert sorted(callers) == ["cli.cmd_snf", "intmat.kernel_basis_Z", "intmat.kernel_mod"]
