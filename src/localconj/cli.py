@@ -386,6 +386,11 @@ def _load_report(path: str) -> dict:
     return report
 
 
+def _is_int(x, n: int) -> bool:
+    """x is the JSON integer n; a boolean is not an integer."""
+    return type(x) is int and x == n
+
+
 def _member(obj: dict, key: str, kind: type, default=None):
     """obj[key] when it is a JSON object (kind dict) or array (kind list),
     default when it is absent or null; a ParseFailure otherwise."""
@@ -396,6 +401,22 @@ def _member(obj: dict, key: str, kind: type, default=None):
         name = "an object" if kind is dict else "an array"
         raise ParseFailure(f"malformed report: {key} is not {name}")
     return value
+
+
+def _positive_error(op: SylvesterOperator, p, mu, blob: dict | None) -> str | None:
+    """Why a positive verdict at p, with this mu and certificate blob, fails
+    on the operator's pair; None when it holds."""
+    if blob is None:
+        return "positive verdict without certificate"
+    cert = _parse_cert(blob)
+    if not isinstance(cert, UnitModCert) or cert.prime != p:
+        return "certificate does not match the claimed prime"
+    if not _unit_mod_holds(op, cert):
+        return "certificate rejected"
+    # the certificate check has settled the operator's mu at p
+    if not _is_int(mu, op.mu(p)):
+        return "mu does not match the operator's"
+    return None
 
 
 def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
@@ -410,15 +431,19 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
     if command == "conj-p":
         verdict = _member(report, "verdict", dict, {})
         blob = _member(report, "certificate", dict)
+        if report.get("prime") != verdict.get("prime"):
+            return False, "report prime does not match the verdict's prime"
         if not verdict.get("conjugate"):
+            if blob is not None:
+                return False, "negative verdict carries a certificate"
             return True, "negative verdict carries no certificate"
-        if blob is None:
-            return False, "positive verdict without certificate"
-        cert = _parse_cert(blob)
-        if not isinstance(cert, UnitModCert) or cert.prime != verdict.get("prime"):
-            return False, "certificate does not match the claimed prime"
-        ok = verify_cert(a, b, cert)
-        return ok, "certificate verified" if ok else "certificate rejected"
+        try:
+            op = SylvesterOperator(a, b)
+            op.f  # a certificate check needs the shared polynomial
+        except PreconditionError as exc:
+            return False, str(exc)
+        why = _positive_error(op, verdict.get("prime"), verdict.get("mu"), blob)
+        return why is None, why or "certificate verified"
     if command == "conj-all":
         # one operator per report: its checked polynomial and discriminant
         # give the screen (with an empty screen no certificate check would
@@ -432,26 +457,36 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
             return False, "screened prime list does not match the discriminant"
         per = _member(report, "per_prime", list, [])
         verdict = _member(report, "verdict", dict, {})
-        seen = []
+        seen, failing = [], []
         for stanza in per:
             if not isinstance(stanza, dict):
                 raise ParseFailure("malformed report: a per_prime entry is not an object")
             p = stanza.get("prime")
             seen.append(p)
+            blob = _member(stanza, "certificate", dict)
             if stanza.get("conjugate"):
-                blob = _member(stanza, "certificate", dict)
-                if blob is None:
-                    return False, f"positive verdict at {p} without certificate"
-                cert = _parse_cert(blob)
-                if not isinstance(cert, UnitModCert) or cert.prime != p:
-                    return False, f"certificate mismatch at {p}"
-                if not _unit_mod_holds(op, cert):
-                    return False, f"certificate rejected at {p}"
-            elif verdict.get("conjugate"):
-                return False, "global true verdict with a failing prime"
-        if verdict.get("conjugate") and sorted(seen) != screen:
-            return False, "true verdict does not cover every screened prime"
+                why = _positive_error(op, p, stanza.get("mu"), blob)
+                if why:
+                    return False, f"{why} at {p}"
+            elif blob is not None:
+                return False, f"negative verdict at {p} carries a certificate"
+            else:
+                failing.append(p)
+        mus = [stanza.get("mu") for stanza in per]
+        if any(type(m) is not int for m in mus) or not _is_int(
+            verdict.get("mu"), max(mus, default=0)
+        ):
+            return False, "global mu is not the largest per-prime mu"
         pair = _member(report, "pair_certificate", dict)
+        if verdict.get("conjugate"):
+            if failing:
+                return False, "global true verdict with a failing prime"
+            if sorted(seen) != screen:
+                return False, "true verdict does not cover every screened prime"
+        elif pair is not None:
+            return False, "negative verdict carries a pair certificate"
+        elif not failing:
+            return False, "negative verdict without a failing prime"
         if pair is not None:
             cert = _parse_cert(pair)
             if not verify_cert(a, b, cert):

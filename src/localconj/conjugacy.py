@@ -7,18 +7,18 @@ per pair: it holds the pair's checked irreducible characteristic polynomial
 f and disc f, each computed once, the intertwiner basis, and mu, read off
 the operator's Smith form over Z/p^k at the least k that shows it
 (`sylvester._local_mu`), so the operator's integer Smith form is never
-built.  A negative verdict has two routes:
+built.  The decision at p asks for a unit-determinant element in the mod-p
+span of an exact basis of the intertwiners {X : A X = X B} (n matrices,
+`SylvesterOperator.intertwiners`); the basis is saturated, so that span is
+every solution mod p that lifts.  A negative verdict has two routes:
 
-- a rank mismatch: conjugacy over Z_p implies similarity mod p, so when
-  rank_p h(A)^j differs from rank_p h(B)^j for h the product of the linear
-  factors t - lambda that divide the characteristic polynomial mod p more
-  than once, the pair is not conjugate and nothing is searched;
-- an exhausted walk: otherwise the mod-p span of an exact basis of the
-  intertwiners {X : A X = X B} (n matrices, `SylvesterOperator.intertwiners`)
-  is searched for an element of unit determinant.  The basis is saturated,
-  so that span is every solution mod p that lifts.  A hit is realized from
-  the exact basis, reduced mod p^(mu+1), as the certificate; a miss is a
-  sound rejection.  The walk needs coefficients only below s = min(p, n+1):
+- a shared null vector: when every basis matrix mod p kills one nonzero
+  vector on the right, or every one kills one on the left, so does every
+  element of the span, and nothing is searched.  This route is sound, not
+  complete: for n >= 3 some spaces of singular matrices share no null vector;
+- an exhausted walk: otherwise the span is walked; a hit is realized from
+  the exact basis, reduced mod p^(mu+1), as the certificate, and a miss is
+  a sound rejection.  The walk needs coefficients only below s = min(p, n+1):
   det(sum c_i X_i) has degree at most n in each c_i, so by Alon's
   Combinatorial Nullstellensatz, and as it is homogeneous, it vanishes on
   all of F_p^dim once it vanishes where c_0 = 1 and every other c_i lies in
@@ -35,12 +35,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .intmat import IntMatrix, Vector, _coordinates, _echelon_fp, _pair_reduced, det
-from .polyfield import (
-    IntPoly,
-    _repeated_linear_part_mod_p,
-    discriminant,
-    is_irreducible,
-)
+from .polyfield import IntPoly, discriminant, is_irreducible
 from .primes import PreconditionError, factorize, is_prime, valuation
 from .sylvester import SylvesterOperator, unvec, vec
 
@@ -162,45 +157,22 @@ def _unit_det_witness(
     return None
 
 
-def _rank_fp(m: IntMatrix, p: int) -> int:
-    return len(_echelon_fp(m.entries, p, m.cols))
-
-
-def _linear_ranks_differ(f: IntPoly, a: IntMatrix, b: IntMatrix, p: int) -> bool:
-    """True when rank_p h(a)^j != rank_p h(b)^j for some j: then a and b are
-    not similar mod p, so not conjugate over Z_p.
-
-    h is the product of the linear factors t - lambda of f mod p whose
-    square divides f mod p.  The simple roots are left out: each gives both
-    matrices a one-dimensional generalized eigenspace, so adding their
-    factors to h would shift both ranks alike.  The powers run until the
-    ranks for a stop falling; past that point both sequences are constant."""
-    h = _repeated_linear_part_mod_p(f, p)
-    if len(h) == 1:
-        return False
-    hp = IntPoly(h)
-    ha, hb = hp.eval_matrix(a.mod(p)).mod(p), hp.eval_matrix(b.mod(p)).mod(p)
-    pa, pb = ha, hb
-    prev = a.rows
-    while True:
-        rank = _rank_fp(pa, p)
-        if rank != _rank_fp(pb, p):
-            return True
-        if rank == prev:
-            return False
-        prev = rank
-        pa, pb = (pa @ ha).mod(p), (pb @ hb).mod(p)
+def _span_shares_a_null_vector(mats: list[IntMatrix], p: int, n: int) -> bool:
+    """True when the mod-p span of the n x n `mats` holds no unit because all
+    of them kill one nonzero vector: on the right when their stacked rows
+    have rank below n, on the left when their stacked columns do."""
+    rows = [row for m in mats for row in m.entries]
+    cols = [col for m in mats for col in zip(*m.entries)]
+    return len(_echelon_fp(rows, p, n)) < n or len(_echelon_fp(cols, p, n)) < n
 
 
 def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     """Decide a ~ b over Z_p for the operator's checked pair.
 
-    Equal matrices are conjugate.  Otherwise a mismatch of the mod-p ranks
-    of h(a)^j and h(b)^j (`_linear_ranks_differ`) is a negative without a
-    search; when the ranks agree, the unit-determinant walk over the mod-p
-    span of the operator's intertwiner basis decides, and an exhausted walk
-    is a negative too.  mu is the operator's (`SylvesterOperator.mu`) on
-    every route.
+    Equal matrices are conjugate.  Otherwise a null vector shared by the
+    mod-p span of the intertwiner basis (`_span_shares_a_null_vector`) is a
+    negative without a search; else the unit-determinant walk over that span
+    decides.  mu is the operator's (`SylvesterOperator.mu`) on every route.
     """
     a, b, n = op.a, op.b, op.n
     mu = op.mu(p)
@@ -208,7 +180,7 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
         return Verdict(True, p, cert, mu)
-    if _linear_ranks_differ(op.f, a, b, p):
+    if _span_shares_a_null_vector(op.intertwiners, p, n):
         return Verdict(False, p, None, mu)
     gens = [vec(x) for x in op.intertwiners]
     witness = _unit_det_witness(gens, p, modulus, n)

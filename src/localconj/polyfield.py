@@ -366,14 +366,6 @@ def _irreducible_mod_p(f: IntPoly, p: int) -> bool:
             return False
     return True
 
-def _repeated_linear_part_mod_p(f: IntPoly, p: int) -> tuple[int, ...]:
-    """gcd(f mod p, t^p - t, f' mod p): the product of the distinct linear
-    factors t - lambda whose square divides monic f over F_p, as a monic
-    ascending coefficient tuple; (1,) when f has no repeated root mod p."""
-    fp = _poly_mod_p(f.coeffs, p)
-    h = _polgcd_p(fp, _t_power_minus_t(fp, p, p), p)
-    return _polgcd_p(h, _poly_mod_p(f.derivative().coeffs, p), p)
-
 def _mignotte_bound(f: IntPoly, k: int) -> int:
     # any monic degree-k divisor of monic f has coefficients below 2^k * ||f||_2
     norm_sq = sum(c * c for c in f.coeffs)

@@ -151,6 +151,21 @@ CLASSIC_A = IntMatrix([[0, 1], [-3, 0]])
 CLASSIC_B = IntMatrix([[-1, 2], [-2, 1]])
 
 
+def walk_only(monkeypatch, decide, *args):
+    """The verdict of `decide` with the span test taken out, so that only
+    the unit-determinant walk can reject."""
+    with monkeypatch.context() as m:
+        m.setattr(conjugacy, "_span_shares_a_null_vector", lambda *_: False)
+        return decide(*args)
+
+
+def span_test(a: IntMatrix, b: IntMatrix, p: int) -> bool:
+    """True when every intertwiner of (a, b) mod p kills one common vector."""
+    return conjugacy._span_shares_a_null_vector(
+        SylvesterOperator(a, b).intertwiners, p, a.rows
+    )
+
+
 def scalar_shifted(lam: int, p: int, k: int, g_text: str) -> IntMatrix:
     """lam * I + p^k * companion(g): congruent to a scalar mod p^k, which
     forces mu >= k for pairs of such matrices."""

@@ -649,6 +649,102 @@ class TestVerifyEmptyScreen:
         assert verify_report(report, self.A, b) == (True, "all certificates verified")
 
 
+class TestVerifyTamperedFields:
+    """Reports whose prime, mu or verdict was changed are rejected, although
+    every certificate left in them still checks.  t^3-t-1 has an empty
+    screen (disc -23); t^2+3 screens 2 (disc -12)."""
+
+    PAIRS = [("t^3-t-1", 1, 23), ("t^2+3", 2, 2)]
+
+    @staticmethod
+    def reports(field, seed, p):
+        pair = generate_pair(parse_poly(field), "unimodular", seed)
+        a, b = pair.a, pair.b
+        conj_p = conj_p_report(a, b, "a", "b", p)
+        conj_all = conj_all_report(a, b, "a", "b")
+        assert conj_p["verdict"]["conjugate"] and conj_all["verdict"]["conjugate"]
+        assert verify_report(conj_p, a, b) == (True, "certificate verified")
+        assert verify_report(conj_all, a, b) == (True, "all certificates verified")
+        return a, b, conj_p, conj_all
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    def test_conj_p_prime_changed(self, field, seed, p):
+        a, b, report, _ = self.reports(field, seed, p)
+        report["prime"] = 3 if p == 2 else 2
+        assert verify_report(report, a, b) == (
+            False, "report prime does not match the verdict's prime"
+        )
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    @pytest.mark.parametrize("mu", [1, True])
+    def test_conj_p_mu_changed(self, field, seed, p, mu):
+        a, b, report, _ = self.reports(field, seed, p)
+        assert report["verdict"]["mu"] == 0
+        report["verdict"]["mu"] = mu
+        assert verify_report(report, a, b) == (False, "mu does not match the operator's")
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    def test_conj_p_flip_keeping_certificate(self, field, seed, p):
+        a, b, report, _ = self.reports(field, seed, p)
+        report["verdict"]["conjugate"] = False
+        assert verify_report(report, a, b) == (
+            False, "negative verdict carries a certificate"
+        )
+
+    def test_conj_all_stanza_and_global_mu_changed(self):
+        a, b, _, report = self.reports("t^2+3", 2, 2)
+        report["per_prime"][0]["mu"] += 1
+        report["verdict"]["mu"] += 1
+        assert verify_report(report, a, b) == (
+            False, "mu does not match the operator's at 2"
+        )
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    def test_conj_all_global_mu_changed(self, field, seed, p):
+        a, b, _, report = self.reports(field, seed, p)
+        report["verdict"]["mu"] += 1
+        assert verify_report(report, a, b) == (
+            False, "global mu is not the largest per-prime mu"
+        )
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    def test_conj_all_flip_keeping_pair_certificate(self, field, seed, p):
+        a, b, _, report = self.reports(field, seed, p)
+        report["verdict"]["conjugate"] = False
+        assert verify_report(report, a, b) == (
+            False, "negative verdict carries a pair certificate"
+        )
+
+    def test_conj_all_stanza_flip_keeping_certificate(self):
+        a, b, _, report = self.reports("t^2+3", 2, 2)
+        report["verdict"]["conjugate"] = False
+        report["pair_certificate"] = None
+        report["per_prime"][0]["conjugate"] = False
+        assert verify_report(report, a, b) == (
+            False, "negative verdict at 2 carries a certificate"
+        )
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    def test_conj_all_negative_without_failing_prime(self, field, seed, p):
+        # with an empty screen this is the whole flip: no stanza to change
+        a, b, _, report = self.reports(field, seed, p)
+        report["verdict"]["conjugate"] = False
+        report["pair_certificate"] = None
+        assert verify_report(report, a, b) == (
+            False, "negative verdict without a failing prime"
+        )
+
+    def test_genuine_negatives_still_verify(self):
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        a, b = pair.a, pair.b
+        conj_p = conj_p_report(a, b, "a", "b", 2)
+        conj_all = conj_all_report(a, b, "a", "b")
+        assert not conj_p["verdict"]["conjugate"] and not conj_all["verdict"]["conjugate"]
+        assert [s["conjugate"] for s in conj_all["per_prime"]] == [False, True]
+        assert verify_report(conj_p, a, b) == (True, "negative verdict carries no certificate")
+        assert verify_report(conj_all, a, b) == (True, "all certificates verified")
+
+
 class TestReportsRoundTrip:
     def test_conj_p_report_verifies(self, classic_files):
         pa, pb = classic_files

@@ -40,6 +40,8 @@ from conftest import (
     PRIME_BY_PRIME_PAIRS,
     pair_with_conjugate,
     scalar_shifted,
+    span_test,
+    walk_only,
 )
 from oracles import (
     brute_companion_test,
@@ -286,9 +288,9 @@ class TestSearchStopsAtFirstUnit:
         assert not conjugate_over_Zp(a, b, p).conjugate
         assert det_mod_calls == []
 
-    def test_negative_visits_every_point(self, det_mod_calls):
+    def test_negative_visits_every_point(self, monkeypatch, det_mod_calls):
         # a = I + 25 C and its conjugate by diag(5, 1, 1) are both the
-        # identity mod 5, so the ranks agree and only the walk can reject
+        # identity mod 5; without the span test only the walk can reject
         p = 5
         a = scalar_shifted(1, p, 2, "t^3-t-1")
         b = conjugate_exact(a, IntMatrix.diagonal([p, 1, 1]))
@@ -297,11 +299,14 @@ class TestSearchStopsAtFirstUnit:
         gens = op.solution_generators_mod(p ** (op.mu(p) + 1))
         dim = len(_echelon_fp(gens, p, 9))
         det_mod_calls.clear()
-        assert not conjugate_over_Zp(a, b, p).conjugate
+        assert not walk_only(monkeypatch, conjugate_over_Zp, a, b, p).conjugate
         s = min(p, 3 + 1)  # tail coefficients below n + 1, n = 3
         assert len(det_mod_calls) == (s**dim - 1) // (s - 1) == 21
+        det_mod_calls.clear()
+        assert not conjugate_over_Zp(a, b, p).conjugate
+        assert det_mod_calls == []
 
-    def test_residual_negative_walk_is_bounded(self, det_mod_calls):
+    def test_residual_negative_walk_is_bounded(self, monkeypatch, det_mod_calls):
         # the same repro at n = 5, p = 11: the walk takes tails below
         # n + 1 = 6, (6^5 - 1) / 5 points, not (11^5 - 1) / 10 = 16,105
         n, p = 5, 11
@@ -309,8 +314,11 @@ class TestSearchStopsAtFirstUnit:
         b = conjugate_exact(a, IntMatrix.diagonal([p] + [1] * (n - 1)))
         assert b is not None and b != a and b.mod(p) == IntMatrix.identity(n)
         det_mod_calls.clear()
-        assert not conjugate_over_Zp(a, b, p).conjugate
+        assert not walk_only(monkeypatch, conjugate_over_Zp, a, b, p).conjugate
         assert len(det_mod_calls) == (6**5 - 1) // 5 == 1555
+        det_mod_calls.clear()
+        assert not conjugate_over_Zp(a, b, p).conjugate
+        assert det_mod_calls == []
 
 
 def _seeded_span(rng: random.Random, n: int, dim: int, p: int) -> list[tuple[int, ...]]:
@@ -382,17 +390,9 @@ class TestWalkIsComplete:
         assert det_mod_calls == [p]
 
 
-def _walk_only(monkeypatch, decide, *args):
-    """The verdict of `decide` with the rank filter taken out, so that only
-    the unit-determinant walk can reject."""
-    with monkeypatch.context() as m:
-        m.setattr(conjugacy, "_linear_ranks_differ", lambda *_: False)
-        return decide(*args)
-
-
-class TestLinearRankFilter:
-    """Negatives by a mismatch of rank_p h(A)^j and rank_p h(B)^j, where h
-    is the product of the repeated linear factors of f mod p."""
+class TestSpanNullVector:
+    """Negatives by a nonzero vector that every intertwiner mod p kills, on
+    the right or on the left."""
 
     @pytest.mark.parametrize("n,p", [(7, 11), (6, 13), (8, 11)])
     def test_mid_prime_negatives_without_search(self, det_mod_calls, n, p):
@@ -420,16 +420,15 @@ class TestLinearRankFilter:
     ):
         pair = generate_pair(parse_poly(f_text), strategy, seed)
         a, b = pair.a, pair.b
-        f = charpoly(a)
-        primes = sorted({2, 3, 5, 7, *screen_primes(f)})
+        primes = sorted({2, 3, 5, 7, *screen_primes(charpoly(a))})
         for p in primes:
-            fired = conjugacy._linear_ranks_differ(f, a, b, p)
-            walk = _walk_only(monkeypatch, conjugate_over_Zp, a, b, p)
+            fired = span_test(a, b, p)
+            walk = walk_only(monkeypatch, conjugate_over_Zp, a, b, p)
             assert not (fired and walk.conjugate), p
             assert conjugate_over_Zp(a, b, p) == walk
             if strategy == "unimodular":
                 assert walk.conjugate
-        assert conjugate_over_all_Zp(a, b) == _walk_only(
+        assert conjugate_over_all_Zp(a, b) == walk_only(
             monkeypatch, conjugate_over_all_Zp, a, b
         )
 
@@ -438,10 +437,10 @@ class TestLinearRankFilter:
         p = 5
         a = scalar_shifted(1, p, k, "t^3-t-1")
         b = conjugate_exact(a, IntMatrix.diagonal([p, 1, 1]))
-        assert conjugate_over_Zp(a, b, p) == _walk_only(
+        assert conjugate_over_Zp(a, b, p) == walk_only(
             monkeypatch, conjugate_over_Zp, a, b, p
         )
-        assert conjugacy._linear_ranks_differ(charpoly(a), a, b, p) == (k == 1)
+        assert span_test(a, b, p)
 
 
 class TestVerifyCert:

@@ -25,7 +25,6 @@ from localconj.intmat import solve
 from localconj.polyfield import (
     _irreducible_mod_p,
     _irreducible_monic,
-    _repeated_linear_part_mod_p,
 )
 from localconj.primes import next_prime
 
@@ -187,21 +186,6 @@ class TestKronecker:
             else:
                 assert IntPoly([c // d for c in num]) == expected
                 assert trial % 2 or expected == g
-
-
-class TestRepeatedLinearPart:
-    @pytest.mark.parametrize("text,p,expected", [
-        # (t-1)^2 (t-2) (t^2+1), t^2+1 irreducible mod 7: only t - 1 repeats
-        ("t^5-4t^4+6t^3-6t^2+5t-2", 7, (6, 1)),
-        # mod 5, where t^2+1 = (t-2)(t-3): t - 1 and t - 2 repeat
-        ("t^5-4t^4+6t^3-6t^2+5t-2", 5, (2, 2, 1)),
-        # roots 1, 2, 3 mod 7 are all simple
-        ("t^3-6t^2+11t-6", 7, (1,)),
-        # t^2+1 = (t+1)^2 mod 2 while f' = 2t vanishes mod 2
-        ("t^2+1", 2, (1, 1)),
-    ])
-    def test_golden(self, text, p, expected):
-        assert _repeated_linear_part_mod_p(P(text), p) == expected
 
 
 class TestIrreducibilityMemo:
