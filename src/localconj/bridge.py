@@ -4,11 +4,11 @@ A matrix with irreducible characteristic polynomial f has a one-dimensional
 eigenspace for the residue class beta of t in Q[t]/(f); the coordinates of a
 normalized eigenvector span a full-rank lattice on which the matrix acts as
 multiplication by beta.  The eigenvector is a Krylov column of h(a, beta),
-where f(t) - f(beta) = (t - beta) h(t, beta), so it needs integer
-matrix-vector products and one field inverse, no elimination over the field.
-It is checked, like a multiplication representation in a report, by the
-integer identity a V = V C on its coordinate rows V, with C the companion
-matrix of f.
+where f(t) - f(beta) = (t - beta) h(t, beta), so its integer coordinate rows
+are one Krylov matrix times a Hankel matrix, and normalizing them is one
+exact solve: the ideal is built in integer coordinates, with no field
+element.  The rows V are checked, like a multiplication representation in a
+report, by the integer identity a V = V C, with C the companion matrix of f.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .ideals import IdealLattice, coeff_ring
-from .intmat import IntMatrix
-from .polyfield import FieldElement, NumberField, charpoly, is_irreducible
+from .intmat import IntMatrix, _krylov, solve
+from .polyfield import FieldElement, IntPoly, NumberField, charpoly, is_irreducible
 from .primes import PreconditionError
 
 
@@ -38,77 +38,75 @@ class EigenData:
             raise AssertionError("eigenvector is not normalized")
 
 
-def eigenvector(a: IntMatrix) -> EigenData:
-    """The first column of h(a, beta), where f(t) - f(beta) = (t - beta) h(t, beta).
+def _eigen_rows(a: IntMatrix) -> tuple[NumberField, list[list[int]]]:
+    """The field and the primitive integer coordinate rows V of the
+    eigenvector normalized by u_0, with V[0] = (den, 0, ..., 0) and den > 0.
 
     f(a) = 0, so (a - beta I) h(a, beta) = 0.  The coefficient of beta^k in
-    h(a, beta) e_1 is sum_i c_(i+k+1) a^i e_1 over the coefficients c of f:
-    integer coordinates read off the Krylov vectors a^i e_1.  The column is
-    nonzero because the entries of an eigenvector are linearly independent
-    over Q; it is then scaled so its first nonzero entry is 1.
+    h(a, beta) e_1 is sum_i c_(i+k+1) a^i e_1 over the coefficients c of f,
+    so the coordinate rows are U = K H, with K = [e_1, a e_1, ...] and the
+    Hankel matrix H_ik = c_(i+k+1).  u_0 is nonzero because the entries of
+    an eigenvector are linearly independent over Q.  Dividing by u_0 is
+    right multiplication by Mult(u_0)^(-1), and one solve against
+    Mult(u_0)^T with right-hand side U^T gives d U Mult(u_0)^(-1),
+    transposed, whose first row is d e_1.
     """
     f = charpoly(a)
     if not is_irreducible(f):
         raise PreconditionError("characteristic polynomial is reducible")
     field = NumberField(f)
-    n = a.rows
-    c = f.coeffs
-    krylov = [[1] + [0] * (n - 1)]
-    for _ in range(n - 1):
-        krylov.append(list(a.mul_vec(krylov[-1])))
-    u = [
-        field.element(
-            [sum(c[i + k + 1] * krylov[i][r] for i in range(n - k)) for k in range(n)]
-        )
-        for r in range(n)
-    ]
-    # an all-zero u passes through unscaled and EigenData rejects it
-    first = next((x for x in u if not x.is_zero), field.one())
-    inv = first.inverse()
-    data = EigenData(field=field, u=tuple(x * inv for x in u))
-    _check_eigen(a, data)
-    return data
+    n, c = a.rows, f.coeffs
+    hankel = IntMatrix._of(
+        [c[i + k + 1] if i + k < n else 0 for k in range(n)] for i in range(n)
+    )
+    u = _krylov(a, [1] + [0] * (n - 1)) @ hankel
+    d, vt = solve(field.mult_matrix(u.row(0)).transpose(), u.transpose())
+    if d == 0:
+        raise AssertionError("eigenvector entry u_0 is zero")
+    rows = _divide_content(vt.transpose().to_lists(), 1 if d > 0 else -1)
+    if not _acts_as_beta(a, rows, f):
+        raise AssertionError("eigenvector equation fails")
+    return field, rows
+
+
+def eigenvector(a: IntMatrix) -> EigenData:
+    """The first column of h(a, beta), where f(t) - f(beta) = (t - beta) h(t, beta),
+    scaled so its first entry is 1: u_r = V_r / V_0[0] on the integer
+    coordinate rows V, which come from one exact solve."""
+    field, rows = _eigen_rows(a)
+    return EigenData(field=field, u=tuple(field.element(r, rows[0][0]) for r in rows))
 
 
 def _check_eigen(a: IntMatrix, data: EigenData) -> None:
-    if not _acts_as_beta(a, primitive_rows(data), data.field):
+    if not _acts_as_beta(a, primitive_rows(data), data.field.modulus):
         raise AssertionError("eigenvector equation fails")
 
 
-def _acts_as_beta(a: IntMatrix, rows: list[list[int]], field: NumberField) -> bool:
+def _acts_as_beta(a: IntMatrix, rows: list[list[int]], f: IntPoly) -> bool:
     """True iff a V = V C, with V the integer coordinate rows and C the
-    companion matrix: row i of a V holds the coordinates of
+    companion matrix of f: row i of a V holds the coordinates of
     sum_j a_ij u_j and row i of V C those of beta u_i, over one common
     positive denominator."""
     v = IntMatrix(rows)
-    return a.shape == v.shape and a @ v == v @ field.modulus.companion()
+    return a.shape == v.shape and a @ v == v @ f.companion()
 
 
 def primitive_rows(data: EigenData) -> list[list[int]]:
     """Clear denominators and divide by the overall content: integer
     coordinate rows, one per eigenvector entry."""
-    den = 1
-    for x in data.u:
-        den = lcm(den, x.den)
-    rows = []
-    for x in data.u:
-        coords, d = x.coords()
-        scale = den // d
-        rows.append([scale * c for c in coords])
-    g = 0
-    for row in rows:
-        for v in row:
-            g = gcd(g, v)
-    if g > 1:
-        rows = [[v // g for v in row] for row in rows]
-    return rows
+    den = lcm(*(x.den for x in data.u))
+    return _divide_content([[den // x.den * c for c in x.coords()[0]] for x in data.u])
+
+
+def _divide_content(rows: list[list[int]], sign: int = 1) -> list[list[int]]:
+    g = sign * gcd(*(v for row in rows for v in row))
+    return [[v // g for v in row] for row in rows]
 
 
 def ideal_of_matrix(a: IntMatrix) -> IdealLattice:
     """The lattice spanned by the coordinates of the normalized eigenvector."""
-    data = eigenvector(a)
-    rows = primitive_rows(data)
-    return IdealLattice(data.field, rows, 1)  # raises if the rank dropped
+    field, rows = _eigen_rows(a)
+    return IdealLattice(field, rows, 1)  # raises if the rank dropped
 
 
 def verify_multiplication_rep(a: IntMatrix, ideal: IdealLattice, data: EigenData) -> bool:
@@ -124,7 +122,7 @@ def verify_multiplication_rep(a: IntMatrix, ideal: IdealLattice, data: EigenData
     rows = primitive_rows(data)
     if IdealLattice(data.field, rows, 1) != ideal:
         return False
-    return _acts_as_beta(a, rows, data.field)
+    return _acts_as_beta(a, rows, data.field.modulus)
 
 
 def theta_membership(theta: FieldElement, a: IntMatrix) -> bool:

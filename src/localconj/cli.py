@@ -391,6 +391,15 @@ def _is_int(x, n: int) -> bool:
     return type(x) is int and x == n
 
 
+def _non_integer(primes) -> str | None:
+    """Why one of a report's primes is not a JSON integer (a float or a
+    boolean would compare equal to one); None when all are."""
+    for p in primes:
+        if type(p) is not int:
+            return f"prime {json.dumps(p)} is not a JSON integer"
+    return None
+
+
 def _member(obj: dict, key: str, kind: type, default=None):
     """obj[key] when it is a JSON object (kind dict) or array (kind list),
     default when it is absent or null; a ParseFailure otherwise."""
@@ -433,6 +442,9 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         blob = _member(report, "certificate", dict)
         if report.get("prime") != verdict.get("prime"):
             return False, "report prime does not match the verdict's prime"
+        why = _non_integer((report.get("prime"), verdict.get("prime")))
+        if why:
+            return False, why
         if not verdict.get("conjugate"):
             if blob is not None:
                 return False, "negative verdict carries a certificate"
@@ -453,7 +465,11 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
             screen = screen_primes(op.f, op.disc)
         except PreconditionError as exc:
             return False, str(exc)
-        if _member(report, "screened_primes", list, []) != screen:
+        screened = _member(report, "screened_primes", list, [])
+        why = _non_integer(screened)
+        if why:
+            return False, why
+        if screened != screen:
             return False, "screened prime list does not match the discriminant"
         per = _member(report, "per_prime", list, [])
         verdict = _member(report, "verdict", dict, {})
@@ -462,6 +478,9 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
             if not isinstance(stanza, dict):
                 raise ParseFailure("malformed report: a per_prime entry is not an object")
             p = stanza.get("prime")
+            why = _non_integer((p,))
+            if why:
+                return False, why
             seen.append(p)
             blob = _member(stanza, "certificate", dict)
             if stanza.get("conjugate"):
@@ -499,18 +518,25 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         blob = report.get("witnesses")
         if not blob:
             return False, "positive verdict without witnesses"
-        ia = ideal_of_matrix(a)
-        ib = ideal_of_matrix(b)
-        field = ia.field
+        # without the input digests the matrices need not share one
+        # irreducible polynomial: that rejects the report, as for conj-all
+        try:
+            ia = ideal_of_matrix(a)
+            ib = ideal_of_matrix(b)
+        except PreconditionError as exc:
+            return False, str(exc)
         try:
             x, y = (
-                IdealLattice(field, _json_rows(w["rows"]), _json_int(w["den"]))
+                IdealLattice(ia.field, _json_rows(w["rows"]), _json_int(w["den"]))
                 for w in (blob["x"], blob["y"])
             )
         except (KeyError, TypeError, ValueError):
             return False, "malformed witness ideals"
-        if ideal_mul(x, ib) != ia or ideal_mul(y, ia) != ib:
-            return False, "witness ideals rejected"
+        try:
+            if ideal_mul(x, ib) != ia or ideal_mul(y, ia) != ib:
+                return False, "witness ideals rejected"
+        except PreconditionError as exc:
+            return False, str(exc)
         return True, "witness ideals verified"
     return False, f"reports of command {command!r} are not verifiable"
 

@@ -125,7 +125,7 @@ class IdealLattice:
         return all(self.contains(e) for e in other.basis_elements())
 
     def contains_one(self) -> bool:
-        return self.contains(self.field.one())
+        return self._contains_int_row([self.den] + [0] * (self.field.degree - 1))
 
     def is_stable_under(self, other: "IdealLattice") -> bool:
         return all(

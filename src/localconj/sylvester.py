@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from operator import index
+from operator import index, mul
 
 from .intmat import (
     IntMatrix,
@@ -102,8 +102,9 @@ class SylvesterOperator:
         if d == 0:
             raise PreconditionError("e_1 is not a cyclic vector of b")
         m = [_krylov(a, unit.row(j)) @ adj_kb for j in range(n)]
+        coeffs = [[mj[i, l] for mj in m] for i in range(n) for l in range(n)]
         size = abs(d)
-        rows = [[mj[i, l] % size for mj in m] for i in range(n) for l in range(n)]
+        rows = [[c % size for c in t] for t in coeffs]
         rows += [[size * x for x in unit.row(i)] for i in range(n)]
         dual, det_h = _dual_rows(rows, n)
         basis = []
@@ -111,10 +112,14 @@ class SylvesterOperator:
             # size * e_i lies in the span, so size * dual is integral
             if any(size * c % det_h for c in row):
                 raise AssertionError("intertwiner coordinates are not integral")
-            total = _krylov(a, [size * c // det_h for c in row]) @ adj_kb
-            if any(v % d for r in total.entries for v in r):
+            # K_A(x) adj(K_B) = sum_j x_j M_j, read entry by entry
+            x = [size * c // det_h for c in row]
+            total = [sum(map(mul, x, t)) for t in coeffs]
+            if any(v % d for v in total):
                 raise AssertionError("intertwiner is not integral")
-            mat = IntMatrix._of([[v // d for v in r] for r in total.entries])
+            mat = IntMatrix._of(
+                [v // d for v in total[i * n : (i + 1) * n]] for i in range(n)
+            )
             if a @ mat != mat @ b:
                 raise PreconditionError(
                     "the operands do not share one characteristic polynomial"

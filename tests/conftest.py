@@ -77,6 +77,20 @@ def field_inversions(monkeypatch):
 
 
 @pytest.fixture
+def field_elements(monkeypatch):
+    """Number-field elements constructed while the test runs."""
+    built = []
+    init = FieldElement.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    return built
+
+
+@pytest.fixture
 def det_shapes(monkeypatch):
     """Shapes of the Bareiss determinants taken while the test runs."""
     taken = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 import pytest
@@ -12,11 +13,13 @@ import pytest
 from localconj import (
     IdealLattice,
     IntMatrix,
+    charpoly,
     conjugate_over_all_Zp,
     eigenvector,
     factorize,
     generate_pair,
     ideal_of_matrix,
+    is_irreducible,
     mul,
     parse_poly,
     verify_arith_equiv,
@@ -28,11 +31,44 @@ from localconj.bridge import EigenData, _check_eigen
 from localconj.gen import conjugate_exact
 from localconj import random_unimodular
 
-from conftest import CLASSIC_B, PRIME_BY_PRIME_PAIRS
+from conftest import CLASSIC_B, PRIME_BY_PRIME_PAIRS, wide_pair
 from oracles import field_elimination_eigenvector, solve_exact
 
 
 FIELDS = ("t^2-t-1", "t^2+3", "t^3-t-1", "t^3-4t-1")
+
+
+def _generated(f_text, strategies):
+    f = parse_poly(f_text)
+    for strategy in strategies:
+        for seed in (0, 1):
+            pair = generate_pair(f, strategy, seed)
+            yield from (pair.a, pair.b)
+
+
+def _wide(n):
+    # 32-bit entries; a matrix with a reducible polynomial has no eigenvector.
+    # Seed 0 only: is_irreducible spends about 26 s on wide_pair(5, 1).
+    for m in wide_pair(n, 0):
+        if is_irreducible(charpoly(m)):
+            yield m
+
+
+# singular and random pairs take over a second to generate at n >= 6
+# (n = 8 for random), so the larger fields use the cheaper strategies
+ELIMINATION_INPUTS = [
+    pytest.param(partial(_generated, f_text, strategies),
+                 id=f"{f_text}-{'+'.join(strategies)}")
+    for f_text, strategies in (
+        ("t^2+3", ("unimodular", "singular:2")),
+        ("t^3-t^2-2t-8", ("unimodular", "singular:2")),
+        ("t^4-10t^2+1", ("unimodular", "singular:2")),
+        ("t^5-2", ("unimodular", "singular:2")),
+        ("t^6-2", ("unimodular", "random")),
+        ("t^7-3", ("unimodular", "random")),
+        ("t^8-3", ("unimodular",)),
+    )
+] + [pytest.param(partial(_wide, n), id=f"wide-{n}x{n}-32bit") for n in (3, 4, 5)]
 
 
 class TestEigenvector:
@@ -59,28 +95,10 @@ class TestEigenvector:
                 acc = acc + data.u[j] * a[i, j]
             assert acc == beta * data.u[i]
 
-    # singular and random pairs take over a second to generate at n >= 6
-    # (n = 8 for random), so the larger fields use the cheaper strategies
-    @pytest.mark.parametrize(
-        "f_text,strategies",
-        [
-            ("t^2+3", ("unimodular", "singular:2")),
-            ("t^3-t^2-2t-8", ("unimodular", "singular:2")),
-            ("t^4-10t^2+1", ("unimodular", "singular:2")),
-            ("t^5-2", ("unimodular", "singular:2")),
-            ("t^6-2", ("unimodular", "random")),
-            ("t^7-3", ("unimodular", "random")),
-            ("t^8-3", ("unimodular",)),
-        ],
-        ids=lambda v: v if isinstance(v, str) else "+".join(v),
-    )
-    def test_matches_field_elimination(self, f_text, strategies):
-        f = parse_poly(f_text)
-        for strategy in strategies:
-            for seed in (0, 1):
-                pair = generate_pair(f, strategy, seed)
-                for m in (pair.a, pair.b):
-                    assert eigenvector(m) == field_elimination_eigenvector(m)
+    @pytest.mark.parametrize("inputs", ELIMINATION_INPUTS)
+    def test_matches_field_elimination(self, inputs):
+        for m in inputs():
+            assert eigenvector(m) == field_elimination_eigenvector(m)
 
     @pytest.mark.parametrize("f_text", ["t^3-t-1", "t^4-10t^2+1", "t^5-2"])
     def test_perturbed_eigenvector_rejected(self, f_text):

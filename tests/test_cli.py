@@ -649,6 +649,30 @@ class TestVerifyEmptyScreen:
         assert verify_report(report, self.A, b) == (True, "all certificates verified")
 
 
+class TestVerifyWeakEquivOutsideOneField:
+    """Without its input digests a positive weak-equiv report can be checked
+    against matrices that share no irreducible polynomial; verify rejects it
+    with the reason (exit 0), as it does conj-all reports."""
+
+    @pytest.mark.parametrize("other,reason", [
+        (parse_poly("t^2-2").companion(), "ideals live in different fields"),
+        (IntMatrix([[1, 0], [0, 2]]), "characteristic polynomial is reducible"),
+    ], ids=["other-field", "reducible"])
+    def test_rejected(self, other, reason, tmp_path, capsys):
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        report = weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
+        assert report["verdict"]["weakly_equivalent"]
+        for stanza in report["inputs"].values():
+            del stanza["sha256"]
+        paths = [tmp_path / name for name in ("report.json", "a.txt", "b.txt")]
+        paths[0].write_text(json.dumps(report))
+        write_matrix(str(paths[1]), pair.a)
+        write_matrix(str(paths[2]), other)
+        assert main(["verify", *map(str, paths)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["accepted"], payload["reason"]) == (False, reason)
+
+
 class TestVerifyTamperedFields:
     """Reports whose prime, mu or verdict was changed are rejected, although
     every certificate left in them still checks.  t^3-t-1 has an empty
@@ -732,6 +756,38 @@ class TestVerifyTamperedFields:
         report["pair_certificate"] = None
         assert verify_report(report, a, b) == (
             False, "negative verdict without a failing prime"
+        )
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    @pytest.mark.parametrize("kind", [float, bool])
+    @pytest.mark.parametrize(
+        "keys", [("verdict",), ("verdict", "report")], ids=["verdict", "both"]
+    )
+    def test_conj_p_prime_not_an_integer(self, field, seed, p, kind, keys):
+        # 23.0 == 23, so only the JSON type tells them apart
+        a, b, report, _ = self.reports(field, seed, p)
+        for key in keys:
+            (report if key == "report" else report["verdict"])["prime"] = kind(p)
+        if kind is bool and len(keys) == 1:
+            want = "report prime does not match the verdict's prime"
+        else:
+            want = f"prime {json.dumps(kind(p))} is not a JSON integer"
+        assert verify_report(report, a, b) == (False, want)
+
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_conj_all_stanza_prime_not_an_integer(self, value):
+        a, b, _, report = self.reports("t^2+3", 2, 2)
+        report["per_prime"][0]["prime"] = value
+        assert verify_report(report, a, b) == (
+            False, f"prime {json.dumps(value)} is not a JSON integer"
+        )
+
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_conj_all_screened_prime_not_an_integer(self, value):
+        a, b, _, report = self.reports("t^2+3", 2, 2)
+        report["screened_primes"] = [value]
+        assert verify_report(report, a, b) == (
+            False, f"prime {json.dumps(value)} is not a JSON integer"
         )
 
     def test_genuine_negatives_still_verify(self):
@@ -1011,11 +1067,29 @@ class TestReportBytes:
         weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
         assert snf_builds == []
 
-    def test_weak_equiv_inverts_once_per_eigenvector(self, field_inversions):
-        # the colon ideals take no field inverse
-        pair = generate_pair(parse_poly("t^6-2"), "unimodular", 0)
-        weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
-        assert len(field_inversions) == 2
+    @pytest.mark.parametrize(
+        "field,strategy", [("t^6-2", "unimodular"), ("t^5-2", "singular:2")]
+    )
+    def test_ideal_side_builds_no_field_element(
+        self, field, strategy, field_elements, tmp_path, capsys
+    ):
+        # eigenvector rows, ideals, colon ideals and the test for 1 are all
+        # integer coordinates
+        pair = generate_pair(parse_poly(field), strategy, 0)
+        pa, pb, pj = (str(tmp_path / name) for name in ("a.txt", "b.txt", "r.json"))
+        write_matrix(pa, pair.a)
+        write_matrix(pb, pair.b)
+        field_elements.clear()
+        out = []
+        for argv in (["ideal-of", pa], ["conj-all", pa, pb, "--cross-check"],
+                     ["weak-equiv", pa, pb]):
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        assert json.loads(out[1])["cross_check"]["agrees"]
+        Path(pj).write_text(out[2])
+        assert main(["verify", pj, pa, pb]) == 0
+        assert json.loads(capsys.readouterr().out)["accepted"]
+        assert field_elements == []
 
     def test_cross_check_builds_only_the_operator_smith_form(self, snf_builds):
         # the decision reads the intertwiner basis and local Smith forms,
