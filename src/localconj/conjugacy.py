@@ -310,9 +310,14 @@ def companion_test(a: IntMatrix, p: int) -> bool:
     """True iff a is similar to the companion matrix of its characteristic
     polynomial over the p-adic integers: a mod p has a cyclic vector, that
     is, its centralizer has dimension n, so X -> a X - X a has rank n^2 - n
-    over F_p: all its n^2 - n nonzero invariant factors are prime to p, and
-    mu = 0."""
-    return SylvesterOperator(a, a).mu(p) == 0
+    over F_p (all its n^2 - n nonzero invariant factors are prime to p, and
+    mu = 0): one elimination mod p, no disc f."""
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
+    op = SylvesterOperator(a, a)
+    op.f  # the rank over Q is n^2 - n only for an irreducible f
+    n = op.n
+    return len(_echelon_fp(op.l.entries, p, n * n)) == n * n - n
 
 
 def ell_invariant(a: IntMatrix, p: int) -> EllInvariant:

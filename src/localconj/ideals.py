@@ -10,8 +10,11 @@ colon ideal (j : i) is a scaled dual of the lattice spanned by the n^2
 columns of M_k adj(B_j) (M_k multiplication by the k-th basis element of i,
 B_j the basis of j), read off one HNF of n^2 rows by `intmat`'s dual-lattice
 routine, which `sylvester` shares for intertwiners.  An index is an exact
-quotient of denominators and diagonal products.  So nothing here needs a
-Smith form, a factorization, a field inverse or a rational number.
+quotient of denominators and diagonal products.  Membership, stability,
+scaling and the order axioms work on integer rows over a denominator, and a
+field element is built only where a caller passes or asks for one.  So
+nothing here needs a Smith form, a factorization, a field inverse or a
+rational number.
 """
 
 from __future__ import annotations
@@ -100,50 +103,47 @@ class IdealLattice:
         if x.field != self.field:
             raise ValueError("element from a different field")
         coords, d = x.coords()
-        scaled = []
-        for c in coords:
-            num = c * self.den
-            if num % d:
-                return False
-            scaled.append(num // d)
-        return self._contains_int_row(scaled)
+        return self._contains_rows([coords], d)
 
-    def _contains_int_row(self, v: list[int]) -> bool:
-        # pivots sit on the diagonal because the lattice has full rank
+    def _contains_rows(self, rows, den: int) -> bool:
+        """True iff every integer coordinate row over den lies in the
+        lattice; the pivots sit on the diagonal because it has full rank."""
         n = self.field.degree
-        v = list(v)
-        for i in range(n):
-            q, r = divmod(v[i], self.basis[i, i])
-            if r:
-                return False
-            if q:
-                for j in range(i, n):
-                    v[j] -= q * self.basis[i, j]
+        for row in rows:
+            v = []
+            for c in row:
+                q, r = divmod(c * self.den, den)
+                if r:
+                    return False
+                v.append(q)
+            for i in range(n):
+                q, r = divmod(v[i], self.basis[i, i])
+                if r:
+                    return False
+                if q:
+                    for j in range(i, n):
+                        v[j] -= q * self.basis[i, j]
         return True
 
     def contains_lattice(self, other: "IdealLattice") -> bool:
-        return all(self.contains(e) for e in other.basis_elements())
+        return self._contains_rows(other.basis.entries, other.den)
 
     def contains_one(self) -> bool:
-        return self._contains_int_row([self.den] + [0] * (self.field.degree - 1))
+        return self._contains_rows([(1,) + (0,) * (self.field.degree - 1)], 1)
 
     def is_stable_under(self, other: "IdealLattice") -> bool:
-        return all(
-            self.contains(x * y)
-            for x in other.basis_elements()
-            for y in self.basis_elements()
-        )
+        return self.contains_lattice(mul(other, self))
 
     def is_stable_under_beta(self) -> bool:
-        beta = self.field.beta()
-        return all(self.contains(e * beta) for e in self.basis_elements())
+        # row i of Mult(beta) holds the coordinates of beta^(i+1)
+        times_beta = self.basis @ self.field.mult_matrix((0, 1))
+        return self._contains_rows(times_beta.entries, self.den)
 
     def scaled(self, alpha: FieldElement) -> "IdealLattice":
         if alpha.is_zero:
             raise ZeroDivisionError("scaling an ideal by zero")
-        return IdealLattice.from_elements(
-            self.field, [alpha * e for e in self.basis_elements()]
-        )
+        rows = self.basis @ self.field.mult_matrix(alpha.num.coeffs)
+        return IdealLattice(self.field, rows.entries, self.den * alpha.den)
 
     def smallest_positive_integer(self) -> int:
         """Generator of (this lattice) intersected with Z: the meet of the
@@ -181,16 +181,12 @@ class Order:
 
     def __post_init__(self) -> None:
         lat = self.lattice
-        field = lat.field
-        if not lat.contains(field.one()):
+        if not lat.contains_one():
             raise AssertionError("order must contain 1")
-        if not lat.contains(field.beta()):
+        if not lat._contains_rows([(0, 1) + (0,) * (lat.field.degree - 2)], 1):
             raise AssertionError("order must contain beta")
-        elems = lat.basis_elements()
-        for x in elems:
-            for y in elems:
-                if not lat.contains(x * y):
-                    raise AssertionError("order is not closed under multiplication")
+        if not lat.is_stable_under(lat):
+            raise AssertionError("order is not closed under multiplication")
 
     @property
     def field(self) -> NumberField:
@@ -323,10 +319,9 @@ def in_Id_p(i: IdealLattice, r: Order, p: int) -> bool:
     answer = idx == p**e
     stable = i.is_stable_under(r.lattice)
     if answer:
-        pk = p**e
-        for elem in r.lattice.basis_elements():
-            if not i.contains(elem * pk):
-                raise AssertionError("p^k * order escapes the ideal")
+        pk_rows = [[p**e * x for x in row] for row in r.lattice.basis.entries]
+        if not i._contains_rows(pk_rows, r.lattice.den):
+            raise AssertionError("p^k * order escapes the ideal")
     if stable:
         c0 = i.smallest_positive_integer()
         if answer != (c0 == p ** valuation(c0, p)):

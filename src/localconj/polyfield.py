@@ -1,10 +1,12 @@
 """Integer polynomials and exact arithmetic in Q[t]/(f).
 
 Covers characteristic polynomials, resultants/discriminants, irreducibility
-over Q, and field arithmetic on residue classes: an integer numerator over a
-positive denominator.  The characteristic polynomial (when e_1 is a cyclic
-vector), the field inverse and the Kronecker interpolation are exact integer
-solves (`intmat.solve`), so nothing here computes with rationals.
+over Q (factor-degree patterns mod p first, so Kronecker's search runs only
+for the degrees they leave), and field arithmetic on residue classes: an
+integer numerator over a positive denominator.  The characteristic
+polynomial (when e_1 is a cyclic vector), the field inverse and the
+Kronecker interpolation are exact integer solves (`intmat.solve`), so
+nothing here computes with rationals.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import gcd, isqrt
 from operator import index, mul
 
 from .intmat import IntMatrix, _krylov, det, solve
-from .primes import PreconditionError, divisors, factorize, next_prime
+from .primes import PreconditionError, divisors, next_prime
 
 
 class IntPoly:
@@ -334,37 +336,34 @@ def _polgcd_p(a, b, p):
         a = tuple(x * inv % p for x in a)
     return a
 
-def _pow_t_mod(f, q, p):
-    """t^q mod (f, p) by square and multiply."""
-    result = (1,)
-    base = _polmod_p((0, 1), f, p)
+def _t_power_minus_t(fp, q, p):
+    """t^q - t reduced mod (fp, p), trimmed; t^q by square and multiply."""
+    d, base = (1,), _polmod_p((0, 1), fp, p)
     while q:
         if q & 1:
-            result = _polmod_p(_polmul_p(result, base, p), f, p)
-        base = _polmod_p(_polmul_p(base, base, p), f, p)
+            d = _polmod_p(_polmul_p(d, base, p), fp, p)
+        base = _polmod_p(_polmul_p(base, base, p), fp, p)
         q >>= 1
-    return result
-
-def _t_power_minus_t(fp, q, p):
-    """t^q - t reduced mod (fp, p), trimmed."""
-    d = list(_pow_t_mod(fp, q, p))
-    d += [0] * (2 - len(d))
+    d = list(d) + [0] * (2 - len(d))
     d[1] -= 1
     return _poly_mod_p(d, p)
 
-def _irreducible_mod_p(f: IntPoly, p: int) -> bool:
+def _degree_pattern(f: IntPoly, p: int) -> list[int]:
+    """Degrees of the irreducible factors of f mod p, for monic f squarefree
+    mod p, by distinct-degree factorization without division: g_d =
+    gcd(f, t^(p^d) - t) is the product of the factors of degree dividing d,
+    so deg g_d less the degrees already counted at the divisors of d is
+    carried by factors of degree exactly d.  At most one factor has degree
+    above n/2, and it takes what is left."""
     fp = _poly_mod_p(f.coeffs, p)
     n = f.degree
-    if len(fp) - 1 != n:
-        return False  # degree dropped mod p
-    # f irreducible over F_p iff t^(p^n) = t mod f and
-    # gcd(t^(p^(n/q)) - t, f) = 1 for every prime divisor q of n
-    if _t_power_minus_t(fp, p**n, p):
-        return False
-    for q in factorize(n):
-        if _polgcd_p(fp, _t_power_minus_t(fp, p ** (n // q), p), p) != (1,):
-            return False
-    return True
+    carried: dict[int, int] = {}
+    for d in range(1, n // 2 + 1):
+        g = _polgcd_p(fp, _t_power_minus_t(fp, p**d, p), p)
+        carried[d] = len(g) - 1 - sum(c for e, c in carried.items() if d % e == 0)
+    pattern = [d for d, c in carried.items() for _ in range(c // d)]
+    rest = n - sum(carried.values())
+    return pattern + [rest] if rest else pattern
 
 def _mignotte_bound(f: IntPoly, k: int) -> int:
     # any monic degree-k divisor of monic f has coefficients below 2^k * ||f||_2
@@ -409,11 +408,12 @@ def _kronecker_has_factor(f: IntPoly, k: int) -> bool:
 def is_irreducible(f: IntPoly) -> bool:
     """Irreducibility over Q for monic nonconstant f.
 
-    Pipeline: irreducibility modulo the first ten primes not dividing
-    disc(f) as a fast accept, so a polynomial it certifies is never factored;
-    then the rational-root screen over the divisors of f(0), which settles
-    degree 3 and below; then a complete Kronecker factor search as the
-    deterministic fallback.
+    Pipeline: the factor-degree patterns of f modulo the first ten primes
+    not dividing disc(f) leave the degrees k <= n/2 that a factor over Q
+    could have (a subset sum of every pattern), so a polynomial they
+    certify is never factored; then the rational-root screen over the
+    divisors of f(0), when k = 1 is left; then a complete Kronecker factor
+    search for each k >= 2 that is left.
     """
     if f.is_zero or not f.is_monic:
         raise PreconditionError("irreducibility test requires a monic polynomial")
@@ -430,29 +430,27 @@ def _irreducible_monic(coeffs: tuple[int, ...]) -> bool:
     """The test behind `is_irreducible`, memoized per coefficient tuple so
     that one command tests each polynomial once."""
     f = IntPoly(coeffs)
-    n = f.degree
     a0 = f.coeff(0)
     if a0 == 0:
         return False  # divisible by t
     disc = discriminant(f)
-    if disc != 0:
-        tried = 0
-        p = 2
-        while tried < 10:
-            if disc % p:
-                if _irreducible_mod_p(f, p):
-                    return True
-                tried += 1
-            p = next_prime(p)
-    for d in divisors(a0):
-        if f(d) == 0 or f(-d) == 0:
-            return False
-    if n <= 3:
-        return True  # any factorization would include a linear factor
-    for k in range(2, n // 2 + 1):
-        if _kronecker_has_factor(f, k):
-            return False
-    return True
+    if disc == 0:
+        return False  # a repeated factor
+    # f mod p is squarefree, and a factor of degree k over Q splits mod p
+    # into factors whose degrees sum to k
+    left = set(range(1, f.degree // 2 + 1))
+    tried, p = 0, 2
+    while tried < 10 and left:
+        if disc % p:
+            sums = 1
+            for d in _degree_pattern(f, p):
+                sums |= sums << d
+            left = {k for k in left if sums >> k & 1}
+            tried += 1
+        p = next_prime(p)
+    if 1 in left and any(f(d) == 0 or f(-d) == 0 for d in divisors(a0)):
+        return False
+    return not any(_kronecker_has_factor(f, k) for k in sorted(left) if k > 1)
 
 
 def squarefree_mod_p(f: IntPoly, p: int) -> bool:
@@ -470,7 +468,7 @@ def squarefree_mod_p(f: IntPoly, p: int) -> bool:
 class NumberField:
     """Q[t]/(f) for a monic irreducible integer polynomial f of degree >= 2."""
 
-    __slots__ = ("modulus", "degree", "_beta_mul")
+    __slots__ = ("modulus", "degree")
 
     def __init__(self, modulus: IntPoly) -> None:
         if modulus.degree < 2:
@@ -479,7 +477,6 @@ class NumberField:
             raise PreconditionError(f"{modulus.pretty()} is reducible over Q")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", modulus.degree)
-        object.__setattr__(self, "_beta_mul", modulus.companion())
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")

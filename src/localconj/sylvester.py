@@ -2,12 +2,13 @@
 n^2 x n^2 integer matrix, and what the paper defines on it at p.
 
 mu, the p-profile and exact lifting are defined for two matrices with one
-irreducible characteristic polynomial f; `SylvesterOperator` checks that
-once and keeps f, disc f and the operator matrix.  mu comes from the
-operator's Smith form over Z/p^k at the least k that shows it (`_local_mu`);
-lifting solves for coordinates in the saturated intertwiner basis (n
-matrices, from one Hermite form of width n through a cyclic vector of b)
-modulo p^lam.  Neither builds the operator's integer Smith form.
+irreducible characteristic polynomial f; `SylvesterOperator.f` checks that
+once per pair, and the operator keeps f, disc f and the operator matrix.
+mu comes from the operator's Smith form over Z/p^k at the least k that
+shows it (`_local_mu`); lifting solves for coordinates in the saturated
+intertwiner basis (n matrices, from one Hermite form of width n through a
+cyclic vector of b) modulo p^lam.  Neither builds the operator's integer
+Smith form.
 
 Vectorization is column-major throughout the package; certificates and kernel
 vectors all share this one convention.
@@ -66,14 +67,24 @@ class SylvesterOperator:
 
     @cached_property
     def l(self) -> IntMatrix:
-        eye = IntMatrix.identity(self.n)
-        return eye.kron(self.a) - self.b.transpose().kron(eye)
+        # row (j, i) is entry (i, j) of a X - X b: a[i][k] at column (j, k)
+        a, b, n = self.a.entries, self.b.entries, self.n
+        rows = []
+        for j in range(n):
+            for i in range(n):
+                row = [0] * (j * n) + list(a[i]) + [0] * ((n - 1 - j) * n)
+                for l in range(n):  # less b[l][j] at column (l, i)
+                    row[l * n + i] -= b[l][j]
+                rows.append(row)
+        return IntMatrix._of(rows)
 
     @cached_property
     def f(self) -> IntPoly:
-        """The characteristic polynomial of a and of b, irreducible over Q."""
+        """The characteristic polynomial of a and of b, irreducible over Q:
+        f(b) e_1 = 0 makes the irreducible f the minimal polynomial of e_1
+        under b, of degree n, so b's characteristic polynomial too."""
         f = charpoly(self.a)
-        if self.b != self.a and charpoly(self.b) != f:
+        if self.b != self.a and not _annihilates(f, self.b):
             raise PreconditionError("characteristic polynomials differ")
         if not is_irreducible(f):
             raise PreconditionError("characteristic polynomial is reducible over Q")
@@ -134,7 +145,7 @@ class SylvesterOperator:
         if p not in self._profiles:
             if not is_prime(p):
                 raise PreconditionError(f"{p} is not prime")
-            self._profiles[p] = _local_mu(self, self.f, p, self.disc)
+            self._profiles[p] = _local_mu(self, p)
         return self._profiles[p]
 
     def solution_generators_mod(self, modulus: int) -> list[Vector]:
@@ -151,14 +162,11 @@ def _annihilates(f: IntPoly, m: IntMatrix) -> bool:
     return not any(v)
 
 
-def _local_mu(
-    op: SylvesterOperator, f: IntPoly, p: int, disc: int | None = None
-) -> PrimePartProfile:
+def _local_mu(op: SylvesterOperator, p: int) -> PrimePartProfile:
     """The profile of the operator at p: the p-adic valuations of its n^2 - n
-    nonzero invariant factors, and mu, the largest of them, for a and b with
-    the irreducible characteristic polynomial f (disc, when given, is
-    disc f), from its Smith form over Z/p^k at the least k of min(2, K), 4,
-    8, ..., capped at K = v_p(disc f) + 1, that shows all n^2 - n pivots.
+    nonzero invariant factors, and mu, the largest of them, from its Smith
+    form over Z/p^k at the least k of min(2, K), 4, 8, ..., capped at
+    K = v_p(disc f) + 1, that shows all n^2 - n pivots.
 
     L = I kron a - b^T kron I has the eigenvalues theta_i - theta_j, n of
     them zero, so its rank is r = n^2 - n and the sum of its principal r x r
@@ -167,22 +175,13 @@ def _local_mu(
     than K, and exactly r pivots must appear below level K.  Over Z/p^k the
     pivots are the invariant factors of valuation below k, so once r of
     them show, every nonzero invariant factor has shown at its level, as it
-    would at K.
-
-    A count at K would expose a rank above r (f not the characteristic
-    polynomial of both); a count that stops early would not.  So the rank
-    is fixed first: f(a) e_1 = f(b) e_1 = 0 makes f the minimal polynomial
-    of e_1 under a and under b (f is irreducible and e_1 != 0), so with
-    deg f = n both characteristic polynomials are f and the rank is r.
+    would at K.  A count that stops early would not expose a rank above r,
+    so the rank is fixed first: reading op.f checks that a and b share the
+    irreducible characteristic polynomial f.
     """
     n = op.n
     r = n * n - n
-    if f.degree != n or not (_annihilates(f, op.a) and _annihilates(f, op.b)):
-        raise AssertionError(
-            f"f is not the characteristic polynomial of both operands: the "
-            f"local pivots need not number {r}"
-        )
-    top = valuation(discriminant(f) if disc is None else disc, p) + 1
+    top = valuation(op.disc, p) + 1
     k = min(2, top)
     while True:
         pivots = _echelon_fp(op.l.entries, p, n * n, k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 
 from localconj import (
@@ -193,6 +194,40 @@ def has_monic_factor_bruteforce(f: IntPoly) -> bool:
     return False
 
 
+def brute_degree_pattern(f: IntPoly, p: int) -> list[int]:
+    """Sorted degrees of the monic irreducible factors of monic f mod p, by
+    trial division with every monic polynomial mod p in increasing degree:
+    the first divisor found of each degree is irreducible."""
+    rest = [c % p for c in f.coeffs]
+    degrees = []
+    d = 1
+    while len(rest) - 1 >= 2 * d:
+        for tail in itertools.product(range(p), repeat=d):
+            g = list(tail) + [1]
+            while True:
+                quo, rem = _divmod_monic_p(rest, g, p)
+                if any(rem):
+                    break
+                rest = quo
+                degrees.append(d)
+        d += 1
+    if len(rest) > 1:
+        degrees.append(len(rest) - 1)
+    return sorted(degrees)
+
+
+def _divmod_monic_p(a: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    a = a[:]
+    dg = len(g) - 1
+    quo = [0] * max(len(a) - dg, 1)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i] % p
+        quo[i - dg] = c
+        for j, x in enumerate(g):
+            a[i - dg + j] = (a[i - dg + j] - c * x) % p
+    return quo, a[:dg]
+
+
 def rational_poly_gcd_is_constant(f: IntPoly, g: IntPoly) -> bool:
     """gcd(f, g) over Q is a nonzero constant (Euclid with Fractions)."""
     a = [Fraction(c) for c in f.coeffs]
@@ -352,6 +387,57 @@ def kernel_system_quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
                 acc[idx] += v[k] * r_rows[k][idx]
         out_rows.append(acc)
     return IdealLattice(field, out_rows, e)
+
+
+@cache
+def _basis_inverse(lat: IdealLattice) -> list[list[Fraction]]:
+    return solve_exact(lat.basis.transpose(), IntMatrix.identity(lat.field.degree))
+
+
+def lattice_member(lat: IdealLattice, x: FieldElement) -> bool:
+    """x lies in (1/den) * rowspan(B) iff den * x has integer coordinates
+    in the rows of B: B^(-T) times its coordinates, with Fractions."""
+    coords, d = x.coords()
+    inv = _basis_inverse(lat)
+    return all(
+        (sum(v * c for v, c in zip(row, coords)) * lat.den / d).denominator == 1
+        for row in inv
+    )
+
+
+def elementwise_contains_lattice(outer: IdealLattice, inner: IdealLattice) -> bool:
+    return all(lattice_member(outer, e) for e in inner.basis_elements())
+
+
+def elementwise_is_stable_under(lat: IdealLattice, other: IdealLattice) -> bool:
+    """other * lat inside lat, product by product of basis elements."""
+    return all(
+        lattice_member(lat, x * y)
+        for x in other.basis_elements()
+        for y in lat.basis_elements()
+    )
+
+
+def elementwise_is_stable_under_beta(lat: IdealLattice) -> bool:
+    beta = lat.field.beta()
+    return all(lattice_member(lat, e * beta) for e in lat.basis_elements())
+
+
+def elementwise_scaled(lat: IdealLattice, alpha: FieldElement) -> IdealLattice:
+    return IdealLattice.from_elements(lat.field, [alpha * e for e in lat.basis_elements()])
+
+
+def elementwise_order_failure(lat: IdealLattice) -> str | None:
+    """The first order axiom the lattice breaks, as `Order` words it, or
+    None when it is an order containing Z[beta]."""
+    field = lat.field
+    if not lattice_member(lat, field.one()):
+        return "order must contain 1"
+    if not lattice_member(lat, field.beta()):
+        return "order must contain beta"
+    if not elementwise_is_stable_under(lat, lat):
+        return "order is not closed under multiplication"
+    return None
 
 
 def kernel_intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:

@@ -36,6 +36,11 @@ from localconj import (
 
 from conftest import CLASSIC_A, CLASSIC_B, M
 from oracles import (
+    elementwise_contains_lattice,
+    elementwise_is_stable_under,
+    elementwise_is_stable_under_beta,
+    elementwise_order_failure,
+    elementwise_scaled,
     kernel_intersection,
     kernel_smallest_positive_integer,
     kernel_system_quotient,
@@ -247,6 +252,64 @@ class TestMeetAgainstKernels:
                 for lat in (intersection(i, j), quotient(j, i)):
                     c = lat.smallest_positive_integer()
                     assert c == kernel_smallest_positive_integer(lat)
+
+
+class TestIntegerPredicatesAgainstElementwise:
+    """Membership, stability, scaling and the order axioms on integer rows
+    against their definitions through field-element products, on the
+    overorder families and their colon ideals."""
+
+    @pytest.fixture(params=OVERORDER_FIELDS, ids=[f for f, _, _ in OVERORDER_FIELDS])
+    def family(self, request):
+        lattices = overorder_lattices(*request.param)
+        colons = [quotient(j, i) for i in lattices for j in lattices]
+        # Z + 2 Z[beta] misses beta; Z + Z beta + 2 Z[beta] misses beta^2 (n >= 3)
+        n = lattices[0].field.degree
+        skewed = [
+            IdealLattice(lattices[0].field, IntMatrix.diagonal([1] * k + [2] * (n - k)).entries)
+            for k in (1, 2)
+        ]
+        return lattices, lattices + list(dict.fromkeys(colons)) + skewed
+
+    def test_containment_and_stability(self, family):
+        lattices, everything = family
+        for i in lattices:
+            for j in everything:
+                for outer, inner in ((i, j), (j, i)):
+                    assert outer.contains_lattice(inner) == elementwise_contains_lattice(
+                        outer, inner
+                    )
+                    assert outer.is_stable_under(inner) == elementwise_is_stable_under(
+                        outer, inner
+                    )
+
+    def test_beta_stability_scaling_and_order_axioms(self, family):
+        _, everything = family
+        field = everything[0].field
+        rng = random.Random(len(everything))
+        for lat in everything:
+            assert lat.is_stable_under_beta() == elementwise_is_stable_under_beta(lat)
+            coeffs = [rng.randint(-5, 5) for _ in range(field.degree)]
+            alpha = field.element(coeffs, rng.randint(1, 4))
+            if not alpha.is_zero:
+                assert lat.scaled(alpha) == elementwise_scaled(lat, alpha)
+            want = elementwise_order_failure(lat)
+            if want is None:
+                assert Order(lat).lattice == lat
+            else:
+                with pytest.raises(AssertionError, match=want):
+                    Order(lat)
+
+    def test_orders_and_ideal_predicates_build_no_field_element(self, field_elements):
+        s, r, *sub = overorder_lattices("t^4-10t^2+1", 2, [1, 1])
+        field_elements.clear()
+        for order, ideals_of_order in ((Order(s), [s, *sub[:2]]), (Order(r), [r, *sub[2:]])):
+            for i in ideals_of_order:
+                is_invertible(i, coeff_ring(i))
+                is_invertible(i, order)
+                for p in (2, 3):
+                    in_Id_p(i, order, p)
+        assert field_elements == []
 
 
 class TestCoeffRing:

@@ -34,7 +34,8 @@ from localconj import (
 from localconj.cli import conj_all_report, conj_p_report, verify_report
 from localconj.gen import conjugate_exact
 from localconj.intmat import _echelon_fp, _hnf_rows
-from localconj.primes import valuation
+from localconj import sylvester
+from localconj.primes import PreconditionError, valuation
 from localconj.sylvester import _local_mu
 
 from conftest import PRIME_BY_PRIME_PAIRS, pair_with_conjugate, scalar_shifted
@@ -115,14 +116,16 @@ class TestAgainstTheIntegerSmithForm:
             pivots = _echelon_fp(op.l.entries, p, n * n, k)
             levels = sorted(min(valuation(x, p) for x in row if x) for row in pivots)
             assert levels == sorted(want.exponents), p
-            assert _local_mu(op, f, p) == want, p
+            assert _local_mu(op, p) == want, p
 
-    def test_pivot_count_is_checked(self):
-        # characteristic polynomials differ: rank n^2 - n does not hold
+    def test_pivot_count_is_checked(self, monkeypatch):
+        # characteristic polynomials differ: rank n^2 - n does not hold, and
+        # the operator's f refuses the pair before any elimination
         a = parse_poly("t^2+3").companion()
         b = parse_poly("t^2+7").companion()
-        with pytest.raises(AssertionError, match="local pivots"):
-            _local_mu(SylvesterOperator(a, b), charpoly(a), 2)
+        monkeypatch.setattr(sylvester, "_echelon_fp", None)
+        with pytest.raises(PreconditionError, match="characteristic polynomials differ"):
+            _local_mu(SylvesterOperator(a, b), 2)
 
     def test_echelon_at_level_one_is_reduced_over_fp(self):
         rows = [(2, 4, 1), (1, 2, 3), (0, 0, 5)]

@@ -1,11 +1,12 @@
 """mu at the least p-adic precision that shows it: `_local_mu` against the
 full-precision Smith form over Z/p^K and the operator's integer Smith form,
 the counters that pin which precisions the operator is eliminated at, the
-annihilator guard that refuses a pair before any elimination, and one
+operator check that refuses a pair before any elimination, and one
 discriminant per pair on the decision path."""
 
 from __future__ import annotations
 
+import inspect
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from localconj import (
     IntMatrix,
     SylvesterOperator,
     charpoly,
+    companion_test,
     conjugate_over_Zp,
     discriminant,
     generate_pair,
@@ -25,7 +27,7 @@ from localconj import (
 from localconj import conjugacy, sylvester
 from localconj.cli import conj_all_report, conj_p_report, verify_report
 from localconj.gen import conjugate_exact
-from localconj.primes import valuation
+from localconj.primes import PreconditionError, valuation
 from localconj.sylvester import _local_mu
 
 from conftest import pair_with_conjugate, scalar_shifted
@@ -105,10 +107,9 @@ class TestMuAgainstOracles:
         a, b, p = MU_CASES[name]
         f = charpoly(a)
         op = SylvesterOperator(a, b)
-        mu = _local_mu(op, f, p).mu
+        mu = _local_mu(op, p).mu
         assert mu == full_precision_mu(op, f, p)
         assert mu == p_part(snf(op.l), p).mu  # the operator's integer Smith form
-        assert _local_mu(op, f, p, discriminant(f)).mu == mu
 
     @pytest.mark.parametrize(
         "name,precisions_used",
@@ -124,7 +125,7 @@ class TestMuAgainstOracles:
     )
     def test_doubles_until_every_pivot_shows(self, name, precisions_used, precisions):
         a, b, p = MU_CASES[name]
-        _local_mu(SylvesterOperator(a, b), charpoly(a), p)
+        _local_mu(SylvesterOperator(a, b), p)
         assert operator_precisions(precisions, a.rows) == precisions_used
         assert precisions_used[-1] <= top_precision(a, p)
 
@@ -166,13 +167,11 @@ class TestPrecisionCounters:
     def test_a_b_not_annihilated_by_f_is_refused_before_any_elimination(
         self, precisions
     ):
+        # the operator's f refuses the pair, and _local_mu reads it first
         a = parse_poly("t^3-2").companion()
         b = parse_poly("t^3-3").companion()
-        with pytest.raises(AssertionError, match="local pivots"):
-            _local_mu(SylvesterOperator(a, b), charpoly(a), 3)
-        # and an f of the wrong degree, although it annihilates e_1 of both
-        with pytest.raises(AssertionError, match="local pivots"):
-            _local_mu(SylvesterOperator(a, a), charpoly(a) * parse_poly("t-1"), 3)
+        with pytest.raises(PreconditionError, match="characteristic polynomials differ"):
+            _local_mu(SylvesterOperator(a, b), 3)
         assert precisions == []
 
 
@@ -197,8 +196,8 @@ class TestOneDiscriminantPerPair:
         assert discriminants == [charpoly(pair.a)]
 
     def test_verify_builds_one_operator_per_report(self, monkeypatch, discriminants):
-        # two unit-mod stanzas share one operator: one operator matrix (two
-        # Kronecker products), f of each matrix once and disc f once
+        # two unit-mod stanzas share one operator: one operator matrix built
+        # from its entries (no Kronecker product), f once and disc f once
         pair = self.pair()
         report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt")
         assert [s["prime"] for s in report["per_prime"]] == [2, 3]
@@ -220,8 +219,8 @@ class TestOneDiscriminantPerPair:
                 monkeypatch.setattr(module, "charpoly", counting_charpoly)
         discriminants.clear()
         assert verify_report(report, pair.a, pair.b) == (True, "all certificates verified")
-        assert len(krons) == 2
-        assert charpolys == [pair.a, pair.b]
+        assert krons == []
+        assert charpolys == [pair.a]
         assert discriminants == [charpoly(pair.a)]
 
     def test_conj_p_takes_disc_f_once(self, discriminants):
@@ -229,3 +228,93 @@ class TestOneDiscriminantPerPair:
         for p in (2, 3):
             conj_p_report(pair.a, pair.b, "a.txt", "b.txt", p)
         assert len(discriminants) == 2
+
+
+@pytest.fixture
+def charpolys(monkeypatch):
+    """Matrices whose characteristic polynomial the package takes while the
+    test runs."""
+    taken = []
+
+    def counting(m):
+        taken.append(m)
+        return charpoly(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localconj.") and getattr(module, "charpoly", None) is charpoly:
+            monkeypatch.setattr(module, "charpoly", counting)
+    return taken
+
+
+@pytest.fixture
+def annihilator_checks(monkeypatch):
+    """Matrices m tested by f(m) e_1 = 0 while the test runs."""
+    checked = []
+    annihilates = sylvester._annihilates
+
+    def counting(f, m):
+        checked.append(m)
+        return annihilates(f, m)
+
+    monkeypatch.setattr(sylvester, "_annihilates", counting)
+    return checked
+
+
+class TestOneCheckPerPair:
+    """The operator's f is the only check of the pair: charpoly of a once,
+    f(b) e_1 = 0 once, and nothing per prime."""
+
+    def pair(self):
+        return generate_pair(parse_poly("t^4-10t^2+1"), "unimodular", 0)
+
+    def test_local_mu_reads_f_and_disc_from_the_operator(self):
+        assert list(inspect.signature(_local_mu).parameters) == ["op", "p"]
+
+    def test_one_charpoly_and_one_annihilator_check_per_operator(
+        self, charpolys, annihilator_checks, precisions
+    ):
+        pair = self.pair()
+        op = SylvesterOperator(pair.a, pair.b)
+        for p in (2, 3, 5, 7):
+            conjugacy._decide_at_prime(op, p)
+        assert len(operator_precisions(precisions, 4)) == 4
+        assert charpolys == [pair.a]
+        assert annihilator_checks == [pair.b]
+
+    def test_conj_all_cross_check_takes_three_charpolys(self, charpolys, annihilator_checks):
+        # one for the operator, one per matrix for the ideal side
+        pair = self.pair()
+        report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt", cross_check=True)
+        assert report["verdict"]["conjugate"] and report["cross_check"]["agrees"]
+        assert charpolys == [pair.a, pair.a, pair.b]
+        assert annihilator_checks == [pair.b]
+
+    def test_equal_operands_need_no_annihilator_check(self, charpolys, annihilator_checks):
+        a = self.pair().a
+        assert conjugate_over_Zp(a, a, 2).conjugate
+        assert (charpolys, annihilator_checks) == ([a], [])
+
+
+class TestCompanionTestByOneRank:
+    def test_one_elimination_mod_p_and_no_discriminant(self, monkeypatch, discriminants):
+        calls = []
+        echelon = conjugacy._echelon_fp
+
+        def counting(rows, p, width, k=1):
+            calls.append((len(rows), width, k))
+            return echelon(rows, p, width, k)
+
+        monkeypatch.setattr(conjugacy, "_echelon_fp", counting)
+        a = generate_pair(parse_poly("t^5-2"), "singular:2", 0).a
+        answers = [companion_test(a, p) for p in (2, 3, 5, 7)]
+        assert calls == [(25, 25, 1)] * 4
+        assert discriminants == []
+        assert True in answers
+
+    @pytest.mark.parametrize("f_text", ["t^3-t-1", "t^4-10t^2+1", "t^5-2"])
+    def test_agrees_with_mu_zero(self, f_text):
+        for strategy in ("unimodular", "singular:2"):
+            pair = generate_pair(parse_poly(f_text), strategy, 0)
+            for m in (pair.a, pair.b):
+                for p in (2, 3, 5, 7):
+                    assert companion_test(m, p) == (SylvesterOperator(m, m).mu(p) == 0)

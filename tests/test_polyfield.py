@@ -23,13 +23,15 @@ from localconj.cli import conj_all_report, weak_equiv_report
 from localconj.gen import conjugate_exact, generate_pair
 from localconj.intmat import solve
 from localconj.polyfield import (
-    _irreducible_mod_p,
+    _degree_pattern,
     _irreducible_monic,
+    squarefree_mod_p,
 )
 from localconj.primes import next_prime
 
 from conftest import M, P, wide_pair
 from oracles import (
+    brute_degree_pattern,
     euclid_inverse,
     has_monic_factor_bruteforce,
     lagrange_interpolate,
@@ -130,14 +132,23 @@ class TestIrreducibility:
             assert is_irreducible(f) == (not has_monic_factor_bruteforce(f))
 
 
+def subset_sums(pattern: list[int]) -> set[int]:
+    sums = {0}
+    for d in pattern:
+        sums |= {s + d for s in sums}
+    return sums
+
+
 class TestModPAcceptFirst:
-    """The ten-prime mod-p accept runs before the rational-root screen, so a
-    polynomial it certifies is never factored, however wide f(0) is."""
+    """The factor-degree patterns modulo ten primes run before the
+    rational-root screen, so a polynomial they certify is never factored,
+    however wide f(0) is."""
 
     @pytest.mark.parametrize("f", [
         IntPoly([2**61 - 1, 0, 1]),
         charpoly(wide_pair(4, 0)[0]),
-    ], ids=["t^2+2^61-1", "wide-4x4"])
+        charpoly(wide_pair(5, 1)[0]),
+    ], ids=["t^2+2^61-1", "wide-4x4", "wide-5x5-seed1"])
     def test_certified_polynomial_lists_no_divisors(self, divisor_calls, f):
         disc = discriminant(f)
         tried, p = [], 2
@@ -145,10 +156,28 @@ class TestModPAcceptFirst:
             if disc % p:
                 tried.append(p)
             p = next_prime(p)
-        assert any(_irreducible_mod_p(f, q) for q in tried)
+        # no degree 1..n/2 is a subset sum of every pattern
+        common = set.intersection(*(subset_sums(_degree_pattern(f, q)) for q in tried))
+        assert not common & set(range(1, f.degree // 2 + 1))
         _irreducible_monic.cache_clear()
         assert is_irreducible(f)
         assert divisor_calls == []
+
+    def test_wide_quintic_is_certified_by_two_patterns(self):
+        # irreducible modulo none of its first ten usable primes
+        f = charpoly(wide_pair(5, 1)[0])
+        assert (_degree_pattern(f, 3), _degree_pattern(f, 5)) == ([1, 4], [2, 3])
+
+    def test_pattern_matches_trial_division(self):
+        rng = random.Random(11)
+        seen = 0
+        while seen < 150:
+            f = IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(2, 6))] + [1])
+            p = rng.choice((2, 3, 5, 7))
+            if not squarefree_mod_p(f, p):
+                continue
+            seen += 1
+            assert sorted(_degree_pattern(f, p)) == brute_degree_pattern(f, p)
 
     def test_rejected_polynomial_still_screens_roots(self, divisor_calls):
         # (t - 3)(t^2 + 5) keeps the factor t - 3 modulo every prime, so
@@ -164,10 +193,13 @@ class TestKronecker:
     SWINNERTON_DYER = "t^8-40t^6+352t^4-960t^2+576"
 
     def test_swinnerton_dyer_octic_is_irreducible(self, solve_shapes):
+        f = P(self.SWINNERTON_DYER)
+        # factors of degree 2 only modulo 7 leave the even degrees 2 and 4
+        assert _degree_pattern(f, 7) == [2, 2, 2, 2]
         _irreducible_monic.cache_clear()
-        assert is_irreducible(P(self.SWINNERTON_DYER))
-        # one Vandermonde solve per candidate degree 2, 3, 4
-        assert solve_shapes == [(3, 3), (4, 4), (5, 5)]
+        assert is_irreducible(f)
+        # one Vandermonde solve per candidate degree 2, 4
+        assert solve_shapes == [(3, 3), (5, 5)]
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_vandermonde_interpolation_matches_lagrange(self, k):

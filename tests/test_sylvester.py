@@ -52,6 +52,14 @@ class TestOperator:
                 )
                 assert unvec(op.l.mul_vec(vec(x)), n) == a @ x - x @ b
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_entries_match_the_kronecker_form(self, n):
+        rng = random.Random(n)
+        a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        b = a + IntMatrix([[rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
+        eye = IntMatrix.identity(n)
+        assert SylvesterOperator(a, b).l == eye.kron(a) - b.transpose().kron(eye)
+
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             SylvesterOperator(IntMatrix.identity(2), IntMatrix.identity(3))
