@@ -129,11 +129,12 @@ def theta_membership(theta: FieldElement, a: IntMatrix) -> bool:
     """True iff theta(a) is an integer matrix; equivalently, theta lies in
     the coefficient ring of the ideal attached to a.  Both sides are computed
     and compared, so a disagreement (a bug) cannot pass silently."""
-    if charpoly(a) != theta.field.modulus:
+    field, rows = _eigen_rows(a)
+    if field != theta.field:
         raise PreconditionError("matrix does not match the element's field")
     value = theta.num.eval_matrix(a)
     direct = all(x % theta.den == 0 for row in value.entries for x in row)
-    ring = coeff_ring(ideal_of_matrix(a))
+    ring = coeff_ring(IdealLattice(field, rows, 1))
     if direct != ring.lattice.contains(theta):
         raise AssertionError("matrix test and coefficient-ring test disagree")
     return direct

@@ -28,6 +28,7 @@ from .intmat import (
     _diagonal_product,
     _dual_rows,
     _hnf_rows,
+    _zero_head_tails,
 )
 from .polyfield import FieldElement, NumberField
 from .primes import PreconditionError, is_prime, valuation
@@ -40,8 +41,7 @@ def _meet_rows(li: list[list[int]], lj: list[list[int]], n: int) -> list[list[in
     span and y in lj's, so the first half vanishes exactly when x = -y lies
     in both; the HNF rows whose first half is zero carry a basis of the
     meet in their second half."""
-    block = [r + r for r in li] + [r + [0] * n for r in lj]
-    return [r[n:] for r in _hnf_rows(block, 2 * n) if not any(r[:n])]
+    return _zero_head_tails([r + r for r in li] + [r + [0] * n for r in lj], n)
 
 
 class IdealLattice:

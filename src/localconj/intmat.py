@@ -2,11 +2,11 @@
 
 Arbitrary-precision arithmetic, one Bareiss elimination for determinants and
 exact solves (its back substitution also gives triangular adjugates), one
-row Hermite form for lattices and their duals, one echelon form over Z/p^k
-(`_echelon_fp`: ranks mod p, local Smith forms, coordinates modulo p^k in a
-basis that is independent mod p), and Smith normal form with unimodular
-transforms.  The integer Smith form serves the `snf` command and the
-integer and modular kernels (`kernel_basis_Z`, `kernel_mod`) alone.
+row Hermite form for lattices, their duals, their meets and the integer and
+modular kernels (`kernel_basis_Z`, `kernel_mod`), one echelon form over
+Z/p^k (`_echelon_fp`: ranks mod p, local Smith forms, coordinates modulo p^k
+in a basis that is independent mod p), and Smith normal form with
+unimodular transforms, which serves the `snf` command alone.
 Matrices are immutable; every operation returns a fresh value.  There is no
 floating point, no rational arithmetic and no word-size fast path anywhere.
 """
@@ -14,10 +14,10 @@ floating point, no rational arithmetic and no word-size fast path anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 from operator import index, mul
 
-from .primes import PreconditionError, is_prime, prime_power_split, valuation
+from .primes import prime_power_split
 
 Vector = tuple[int, ...]
 
@@ -404,34 +404,23 @@ def _coordinates(basis: list[Vector], target: Vector, p: int, k: int) -> list[in
 class SNFDecomposition:
     """m = s @ d @ t with s, t unimodular and d diagonal, d_i | d_{i+1}.
 
-    t_inv is the exact integer inverse of t (tracked during reduction); the
-    kernel constructions read it.  Construction checks the decomposition at
-    the cost of two matrix products and one determinant: t @ t_inv = I makes
-    t unimodular with inverse t_inv, so m = s d t is m @ t_inv = s d.
-    """
+    Construction checks the decomposition at the cost of two matrix
+    products and two determinants."""
 
     s: IntMatrix
     d: IntMatrix
     t: IntMatrix
     original: IntMatrix
-    t_inv: IntMatrix
 
     def __post_init__(self) -> None:
         d = self.d.entries
         if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
             raise AssertionError("SNF: d is not diagonal")
-        if self.t @ self.t_inv != IntMatrix.identity(self.t.rows):
-            raise AssertionError("SNF: tracked inverse of t is wrong")
-        # with d diagonal, s @ d is s with column j scaled by d_j (zero past s)
+        if self.s @ self.d @ self.t != self.original:
+            raise AssertionError("SNF: s @ d @ t != original")
+        if abs(det(self.s)) != 1 or abs(det(self.t)) != 1:
+            raise AssertionError("SNF: s or t is not unimodular")
         diag = self.diagonal()
-        pad = [0] * (self.d.cols - len(diag))
-        sd = IntMatrix._of(
-            [[x * dj for x, dj in zip(row, diag)] + pad for row in self.s.entries]
-        )
-        if self.original @ self.t_inv != sd:
-            raise AssertionError("SNF: original @ t_inv != s*d")
-        if abs(det(self.s)) != 1:
-            raise AssertionError("SNF: s is not unimodular")
         for a, b in zip(diag, diag[1:]):
             if a < 0 or b < 0:
                 raise AssertionError("SNF: negative invariant factor")
@@ -443,38 +432,6 @@ class SNFDecomposition:
     def diagonal(self) -> Vector:
         k = min(self.d.rows, self.d.cols)
         return tuple(self.d[i, i] for i in range(k))
-
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
-
-    def kernel_basis(self) -> list[Vector]:
-        """Basis of the integer kernel of the original matrix: the columns of
-        t_inv past the nonzero invariant factors.  The basis is saturated."""
-        return [self.t_inv.col(j) for j in range(self.rank(), self.d.cols)]
-
-    def kernel_mod(self, modulus: int) -> list[Vector]:
-        """Generators of {x mod modulus : original @ x = 0 mod modulus}.
-        Invariant factor d_j contributes the generator
-        (modulus // gcd(d_j, modulus)) * t_inv[:, j]."""
-        diag = self.diagonal()
-        gens = []
-        for j in range(self.d.cols):
-            d = diag[j] if j < len(diag) else 0
-            step = modulus // gcd(d, modulus)
-            if step == modulus:
-                continue  # only the zero vector
-            gens.append(tuple(step * x % modulus for x in self.t_inv.col(j)))
-        return gens
-
-
-@dataclass(frozen=True)
-class PrimePartProfile:
-    """p-adic valuations of the nonzero invariant factors; mu is the largest
-    (0 when there are no nonzero factors)."""
-
-    prime: int
-    exponents: tuple[int, ...]
-    mu: int
 
 
 def snf(m: IntMatrix) -> SNFDecomposition:
@@ -488,7 +445,6 @@ def snf(m: IntMatrix) -> SNFDecomposition:
     a = m.to_lists()
     s = IntMatrix.identity(nr).to_lists()
     t = IntMatrix.identity(nc).to_lists()
-    t_inv = IntMatrix.identity(nc).to_lists()
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -511,8 +467,6 @@ def snf(m: IntMatrix) -> SNFDecomposition:
         for row in a:
             row[i], row[j] = row[j], row[i]
         t[i], t[j] = t[j], t[i]
-        for row in t_inv:
-            row[i], row[j] = row[j], row[i]
 
     def addmul_col(j: int, i: int, q: int) -> None:
         # a: col_j += q * col_i
@@ -520,9 +474,6 @@ def snf(m: IntMatrix) -> SNFDecomposition:
             if row[i]:
                 row[j] += q * row[i]
         t[i] = [x - q * y for x, y in zip(t[i], t[j])]
-        for row in t_inv:
-            if row[i]:
-                row[j] += q * row[i]
 
     limit = min(nr, nc)
     for k in range(limit):
@@ -579,29 +530,37 @@ def snf(m: IntMatrix) -> SNFDecomposition:
             break
 
     return SNFDecomposition(
-        s=IntMatrix._of(s),
-        d=IntMatrix._of(a),
-        t=IntMatrix._of(t),
-        original=m,
-        t_inv=IntMatrix._of(t_inv),
+        s=IntMatrix._of(s), d=IntMatrix._of(a), t=IntMatrix._of(t), original=m
     )
 
 
-def p_part(decomp: SNFDecomposition, p: int) -> PrimePartProfile:
-    """p-adic valuation profile of the nonzero invariant factors."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    exps = sorted(valuation(d, p) for d in decomp.diagonal() if d)
-    return PrimePartProfile(prime=p, exponents=tuple(exps), mu=exps[-1] if exps else 0)
+def _zero_head_tails(rows: list[list[int]], head: int) -> list[list[int]]:
+    """The tails of the Hermite-form rows whose first `head` entries vanish:
+    the form is echelon, so they are a basis of {y : (0, y) in the row
+    span} (Cohen, GTM 138, 2.4)."""
+    return [r[head:] for r in _hnf_rows(rows, len(rows[0])) if not any(r[:head])]
+
+
+def _graph_rows(m: IntMatrix) -> list[list[int]]:
+    """The rows (column j of m, e_j), which span {(m x, x) : x in Z^cols}."""
+    unit = IntMatrix.identity(m.cols).entries
+    return [list(c) + list(e) for c, e in zip(zip(*m.entries), unit)]
 
 
 def kernel_basis_Z(m: IntMatrix) -> list[Vector]:
-    """Saturated basis of the integer kernel {x : m @ x = 0}."""
-    return snf(m).kernel_basis()
+    """Saturated basis of the integer kernel {x : m @ x = 0}: the (0, x) in
+    the span of the graph rows of m."""
+    return [tuple(r) for r in _zero_head_tails(_graph_rows(m), m.rows)]
 
 
 def kernel_mod(m: IntMatrix, modulus: int) -> list[Vector]:
     """Generators of {x mod modulus : m @ x = 0 mod modulus} for a prime-power
-    modulus."""
+    modulus: the (0, x) in the span of the graph rows of m and the rows
+    (modulus * e_i, 0), reduced mod the modulus, the zero ones dropped."""
     prime_power_split(modulus)  # validates the modulus shape
-    return snf(m).kernel_mod(modulus)
+    rows = _graph_rows(m) + [
+        [modulus if i == j else 0 for i in range(m.rows)] + [0] * m.cols
+        for j in range(m.rows)
+    ]
+    gens = [tuple(x % modulus for x in r) for r in _zero_head_tails(rows, m.rows)]
+    return [g for g in gens if any(g)]

@@ -411,9 +411,10 @@ def is_irreducible(f: IntPoly) -> bool:
     Pipeline: the factor-degree patterns of f modulo the first ten primes
     not dividing disc(f) leave the degrees k <= n/2 that a factor over Q
     could have (a subset sum of every pattern), so a polynomial they
-    certify is never factored; then the rational-root screen over the
-    divisors of f(0), when k = 1 is left; then a complete Kronecker factor
-    search for each k >= 2 that is left.
+    certify is never factored; then, when k = 1 is left, the roots of f
+    modulo the last of those primes, lifted by Newton's iteration and
+    tested exactly; then a complete Kronecker factor search for each k >= 2
+    that is left.
     """
     if f.is_zero or not f.is_monic:
         raise PreconditionError("irreducibility test requires a monic polynomial")
@@ -430,8 +431,7 @@ def _irreducible_monic(coeffs: tuple[int, ...]) -> bool:
     """The test behind `is_irreducible`, memoized per coefficient tuple so
     that one command tests each polynomial once."""
     f = IntPoly(coeffs)
-    a0 = f.coeff(0)
-    if a0 == 0:
+    if f.coeff(0) == 0:
         return False  # divisible by t
     disc = discriminant(f)
     if disc == 0:
@@ -446,11 +446,30 @@ def _irreducible_monic(coeffs: tuple[int, ...]) -> bool:
             for d in _degree_pattern(f, p):
                 sums |= sums << d
             left = {k for k in left if sums >> k & 1}
-            tried += 1
+            tried, q = tried + 1, p
         p = next_prime(p)
-    if 1 in left and any(f(d) == 0 or f(-d) == 0 for d in divisors(a0)):
+    if 1 in left and _has_integer_root(f, q):
         return False
     return not any(_kronecker_has_factor(f, k) for k in sorted(left) if k > 1)
+
+
+def _has_integer_root(f: IntPoly, p: int) -> bool:
+    """Whether monic f, squarefree mod p, has an integer root.  Each root mod
+    p is simple, so Newton's iteration lifts it to the one root modulo p^m
+    above it, until p^m exceeds twice the Cauchy bound 1 + max |c_i| on an
+    integer root; an integer root is then the symmetric residue of a lift."""
+    bound = 2 * (1 + max(map(abs, f.coeffs)))
+    df = f.derivative()
+    for r in range(p):
+        if f(r) % p:
+            continue
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - f(r) * pow(df(r), -1, q)) % q
+        if f(r - q if 2 * r > q else r) == 0:
+            return True
+    return False
 
 
 def squarefree_mod_p(f: IntPoly, p: int) -> bool:

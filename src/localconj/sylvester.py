@@ -16,13 +16,13 @@ vectors all share this one convention.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import index, mul
 
 from .intmat import (
     IntMatrix,
-    PrimePartProfile,
     Vector,
     _coordinates,
     _dual_rows,
@@ -160,6 +160,16 @@ def _annihilates(f: IntPoly, m: IntMatrix) -> bool:
         v = m.mul_vec(v)
         v = (v[0] + c,) + v[1:]
     return not any(v)
+
+
+@dataclass(frozen=True)
+class PrimePartProfile:
+    """p-adic valuations of the operator's nonzero invariant factors; mu is
+    the largest (0 when there are no nonzero factors)."""
+
+    prime: int
+    exponents: tuple[int, ...]
+    mu: int
 
 
 def _local_mu(op: SylvesterOperator, p: int) -> PrimePartProfile:

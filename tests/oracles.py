@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, lcm
 
 from localconj import (
@@ -19,11 +19,11 @@ from localconj import (
     IntMatrix,
     IntPoly,
     NumberField,
+    PrimePartProfile,
     SylvesterOperator,
     charpoly,
     discriminant,
     is_irreducible,
-    kernel_basis_Z,
 )
 from localconj.intmat import _echelon_fp
 from localconj.primes import valuation
@@ -49,7 +49,7 @@ def full_precision_mu(op: SylvesterOperator, f: IntPoly, p: int) -> int:
     valuation: no early stop and no annihilator guard, only the check that
     exactly n^2 - n pivots appear below level K.  It shares `_echelon_fp`
     with the code under test; the operator's integer Smith form
-    (`p_part(snf(op.l), p)`) is the check independent of both."""
+    (`integer_profile(op.l, p)`) is the check independent of both."""
     n = op.n
     k = valuation(discriminant(f), p) + 1
     pivots = _echelon_fp(op.l.entries, p, n * n, k)
@@ -128,7 +128,7 @@ def kernel_search_intertwiner(a: IntMatrix, b: IntMatrix, p: int, bound: int = 3
     n = a.rows
     eye = IntMatrix.identity(n)
     l = eye.kron(a) - b.transpose().kron(eye)
-    basis = kernel_basis_Z(l)
+    basis = reference_kernel(l)
     if not basis:
         return False
     mats = []
@@ -380,7 +380,7 @@ def kernel_system_quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
                 row[n + g * n + b] = -scale_j * j.basis[b, coord]
             rows.append(row)
     out_rows = []
-    for v in kernel_basis_Z(IntMatrix(rows)):
+    for v in reference_kernel(IntMatrix(rows)):
         acc = [0] * n
         for k in range(n):
             for idx in range(n):
@@ -453,7 +453,7 @@ def kernel_intersection(i: IdealLattice, j: IdealLattice) -> IdealLattice:
         for coord in range(n)
     ]
     out = []
-    for v in kernel_basis_Z(IntMatrix(rows)):
+    for v in reference_kernel(IntMatrix(rows)):
         out.append([sum(v[r] * li[r][idx] for r in range(n)) for idx in range(n)])
     return IdealLattice(field, out, den)
 
@@ -466,7 +466,7 @@ def kernel_smallest_positive_integer(lat: IdealLattice) -> int:
         [lat.basis[i, j] for i in range(n)] + [-lat.den if j == 0 else 0]
         for j in range(n)
     ]
-    kernel = kernel_basis_Z(IntMatrix(rows))
+    kernel = reference_kernel(IntMatrix(rows))
     assert len(kernel) == 1, "integer-intersection kernel should be rank one"
     return abs(kernel[0][-1])
 
@@ -509,6 +509,7 @@ def field_elimination_eigenvector(a: IntMatrix) -> EigenData:
     return EigenData(field=field, u=tuple(x * inv for x in u))
 
 
+@lru_cache(maxsize=8)  # tests read one operator's form several times
 def reference_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """(s, d, t, t_inv) by the plain Smith-form elimination: scan every entry
     for the first one of minimal absolute value, clear its row and column
@@ -598,3 +599,36 @@ def reference_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMat
         if a[k][k] == 0:
             break
     return IntMatrix(s), IntMatrix(a), IntMatrix(t), IntMatrix(t_inv)
+
+
+def integer_profile(m: IntMatrix, p: int) -> PrimePartProfile:
+    """The sorted p-adic valuations of the nonzero invariant factors of m,
+    and mu, the largest of them (0 when there are none), read off the
+    diagonal of `reference_snf`."""
+    _, d, _, _ = reference_snf(m)
+    diagonal = (d[i, i] for i in range(min(d.rows, d.cols)))
+    exps = sorted(valuation(x, p) for x in diagonal if x)
+    return PrimePartProfile(p, tuple(exps), exps[-1] if exps else 0)
+
+
+def reference_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
+    """Saturated basis of the integer kernel of m: the columns of
+    `reference_snf`'s t_inv past the nonzero invariant factors."""
+    _, d, _, t_inv = reference_snf(m)
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
+    return [t_inv.col(j) for j in range(rank, m.cols)]
+
+
+def reference_kernel_mod(m: IntMatrix, modulus: int) -> list[tuple[int, ...]]:
+    """Generators of {x mod modulus : m x = 0 mod modulus}: m t_inv = s d
+    with s unimodular, so x = t_inv y is a solution exactly when d_j y_j = 0
+    mod modulus for every j, and column j of t_inv contributes
+    (modulus / gcd(d_j, modulus)) times itself (d_j = 0 past the diagonal)."""
+    _, d, _, t_inv = reference_snf(m)
+    gens = []
+    for j in range(m.cols):
+        dj = d[j, j] if j < min(d.rows, d.cols) else 0
+        step = modulus // gcd(dj, modulus)
+        if step != modulus:
+            gens.append(tuple(step * x % modulus for x in t_inv.col(j)))
+    return gens

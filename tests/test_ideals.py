@@ -542,6 +542,14 @@ class TestThetaMembership:
         with pytest.raises(ValueError):
             theta_membership(other.beta(), CLASSIC_A)
 
+    def test_one_charpoly_per_call(self, charpolys):
+        # the field comes from the eigenvector rows that build the ideal
+        f = parse_poly("t^4-10t^2+1")
+        a = generate_pair(f, "unimodular", 0).a
+        charpolys.clear()
+        assert theta_membership(NumberField(f).beta(), a)
+        assert charpolys == [a]
+
 
 class TestCanonicalForm:
     def test_idempotent_construction(self, K, I2):

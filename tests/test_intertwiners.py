@@ -1,7 +1,8 @@
 """The decision path without the operator's integer Smith form: the n-size
-intertwiner basis and mu from a Smith form over Z/p^K, each against the
-integer Smith form as an oracle, the counters that pin the form's absence,
-and the reports recorded before the change."""
+intertwiner basis, mu from a Smith form over Z/p^K and the kernels from the
+Hermite form, each against the integer Smith form of the test oracles, the
+counters that pin the form's absence, and the reports recorded before the
+change."""
 
 from __future__ import annotations
 
@@ -23,11 +24,11 @@ from localconj import (
     conjugate_over_all_Zp,
     discriminant,
     generate_pair,
+    kernel_basis_Z,
+    kernel_mod,
     lift_kernel,
-    p_part,
     parse_poly,
     screen_primes,
-    snf,
     vec,
     verify_cert,
 )
@@ -39,6 +40,8 @@ from localconj.primes import PreconditionError, valuation
 from localconj.sylvester import _local_mu
 
 from conftest import PRIME_BY_PRIME_PAIRS, pair_with_conjugate, scalar_shifted
+from oracles import integer_profile, reference_kernel, reference_kernel_mod
+from test_local_precision import MU_CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "parent_reports.json"
@@ -91,6 +94,17 @@ def oracle_pairs():
 
 
 ORACLE_PAIRS = {name: (a, b) for name, a, b in oracle_pairs()}
+# the mu cases and the oracle pairs of n <= 6; a name in both is one pair
+KERNEL_CASES = {name: (a, b) for name, (a, b, _) in MU_CASES.items()} | {
+    name: (a, b) for name, (a, b) in ORACLE_PAIRS.items() if a.rows <= 6
+}
+
+
+def module_mod(gens, modulus: int, width: int) -> list[list[int]]:
+    """The Hermite form of the lattice that gens and modulus * Z^width span:
+    equal exactly when the gens span one module mod the modulus."""
+    unit = [[modulus if i == j else 0 for j in range(width)] for i in range(width)]
+    return _hnf_rows([list(g) for g in gens] + unit, width)
 
 
 class TestAgainstTheIntegerSmithForm:
@@ -100,23 +114,40 @@ class TestAgainstTheIntegerSmithForm:
         n = a.rows
         f = charpoly(a)
         op = SylvesterOperator(a, b)
-        dec = snf(op.l)
         mats = op.intertwiners
         assert len(mats) == n
         assert all(a @ x == x @ b for x in mats)
         # (a): the same lattice as the Smith form's saturated kernel basis
         assert _hnf_rows([list(vec(x)) for x in mats], n * n) == _hnf_rows(
-            [list(v) for v in dec.kernel_basis()], n * n
+            [list(v) for v in reference_kernel(op.l)], n * n
         )
         # (b): the pivot levels over Z/p^K are the valuations of the
         # nonzero invariant factors, so mu agrees
         for p in sorted({2, 3, 5, 7, *screen_primes(f)}):
-            want = p_part(dec, p)
+            want = integer_profile(op.l, p)
             k = valuation(discriminant(f), p) + 1
             pivots = _echelon_fp(op.l.entries, p, n * n, k)
             levels = sorted(min(valuation(x, p) for x in row if x) for row in pivots)
             assert levels == sorted(want.exponents), p
             assert _local_mu(op, p) == want, p
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_hermite_form_kernels(self, name):
+        # the integer kernel, the intertwiners and the kernel modulo
+        # p^(mu+2) against the Smith form's t^(-1) columns
+        a, b = KERNEL_CASES[name]
+        op = SylvesterOperator(a, b)
+        width = op.n**2
+        want = _hnf_rows([list(v) for v in reference_kernel(op.l)], width)
+        assert _hnf_rows([list(v) for v in kernel_basis_Z(op.l)], width) == want
+        assert _hnf_rows([list(vec(x)) for x in op.intertwiners], width) == want
+        for p in (2, 3):
+            modulus = p ** (op.mu(p) + 2)
+            got = kernel_mod(op.l, modulus)
+            assert all(0 <= x < modulus for g in got for x in g) and all(map(any, got))
+            assert module_mod(got, modulus, width) == module_mod(
+                reference_kernel_mod(op.l, modulus), modulus, width
+            ), p
 
     def test_pivot_count_is_checked(self, monkeypatch):
         # characteristic polynomials differ: rank n^2 - n does not hold, and

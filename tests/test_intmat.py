@@ -17,7 +17,6 @@ from localconj import (
     generate_pair,
     kernel_basis_Z,
     kernel_mod,
-    p_part,
     parse_poly,
     snf,
 )
@@ -160,7 +159,7 @@ class TestSNF:
         assert dec.s @ dec.d @ dec.t == m
 
     @pytest.mark.parametrize(
-        "s,d,t_inv,original,message",
+        "s,d,t,original,message",
         [
             # s @ d @ t == original holds, but d is not diagonal
             pytest.param(
@@ -171,12 +170,12 @@ class TestSNF:
                 EYE, M([1, 0], [0, 2]), EYE, M([1, 0], [0, 3]), "original",
                 id="d1-original1-original",
             ),
-            # s @ d @ t == original holds, but t_inv is not the inverse of t
+            # s @ d @ t == original holds, but det t = 2
             pytest.param(
-                EYE, M([1, 0], [0, 2]), M([1, 1], [0, 1]), M([1, 0], [0, 2]), "inverse",
-                id="wrong-t_inv",
+                EYE, M([1, 0], [0, 2]), M([2, 1], [0, 1]), M([2, 1], [0, 2]), "unimodular",
+                id="det-t-2",
             ),
-            # original @ t_inv == s @ d, but det s = 2
+            # s @ d @ t == original holds, but det s = 2
             pytest.param(
                 M([2, 0], [0, 1]), EYE, EYE, M([2, 0], [0, 1]), "unimodular", id="det-s-2"
             ),
@@ -186,9 +185,9 @@ class TestSNF:
             ),
         ],
     )
-    def test_bad_decomposition_rejected(self, s, d, t_inv, original, message):
+    def test_bad_decomposition_rejected(self, s, d, t, original, message):
         with pytest.raises(AssertionError, match=message):
-            SNFDecomposition(s=s, d=d, t=EYE, original=original, t_inv=t_inv)
+            SNFDecomposition(s=s, d=d, t=t, original=original)
 
     def test_transform_sizes(self):
         dec = snf(M([2, 4, 4], [-6, 6, 12]))
@@ -221,12 +220,12 @@ def wide_random_matrices(count: int, seed: int):
 
 class TestSNFAgainstReference:
     """snf returns exactly the transforms of the plain elimination, so reports
-    that print s, d or t, and every kernel read off t_inv, stay the same."""
+    that print s, d or t stay the same."""
 
     @staticmethod
     def assert_same(m):
         dec = snf(m)
-        assert (dec.s, dec.d, dec.t, dec.t_inv) == reference_snf(m)
+        assert (dec.s, dec.d, dec.t) == reference_snf(m)[:3]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_matrices(self, seed):
@@ -256,26 +255,6 @@ class TestEntries:
         assert type(m[0, 0]) is int
 
 
-class TestPPart:
-    def test_read_off(self):
-        dec = snf(M([2, 0], [0, 3]))  # invariant factors 1, 6
-        prof = p_part(dec, 2)
-        assert prof.exponents == (0, 1) and prof.mu == 1
-
-    def test_with_zero_column(self):
-        dec = snf(IntMatrix.diagonal([4, 12, 0]))
-        prof = p_part(dec, 2)
-        assert prof.exponents == (2, 2) and prof.mu == 2
-
-    def test_identity_mu_zero(self):
-        for p in (2, 3, 5):
-            assert p_part(snf(IntMatrix.identity(3)), p).mu == 0
-
-    def test_composite_rejected(self):
-        with pytest.raises(ValueError):
-            p_part(snf(IntMatrix.identity(2)), 4)
-
-
 class TestKernelZ:
     def test_identity_trivial(self):
         assert kernel_basis_Z(IntMatrix.identity(3)) == []
@@ -299,9 +278,8 @@ class TestKernelZ:
             assert all(x == 0 for x in m.mul_vec(v))
         if basis:
             # saturation: the stacked basis has all invariant factors 1
-            stacked = snf(IntMatrix([list(v) for v in basis]))
-            assert all(d == 1 for d in stacked.diagonal() if d != 0)
-            assert stacked.rank() == len(basis)
+            _, d, _, _ = reference_snf(IntMatrix([list(v) for v in basis]))
+            assert [d[i, i] for i in range(len(basis))] == [1] * len(basis)
 
 
 class TestKernelMod:

@@ -19,9 +19,7 @@ from localconj import (
     conjugate_over_Zp,
     discriminant,
     generate_pair,
-    p_part,
     parse_poly,
-    snf,
     verify_cert,
 )
 from localconj import conjugacy, sylvester
@@ -31,7 +29,7 @@ from localconj.primes import PreconditionError, valuation
 from localconj.sylvester import _local_mu
 
 from conftest import pair_with_conjugate, scalar_shifted
-from oracles import full_precision_mu
+from oracles import full_precision_mu, integer_profile
 
 
 def shifted_pair(n: int, p: int, k: int, conjugate: bool) -> tuple[IntMatrix, IntMatrix]:
@@ -109,7 +107,7 @@ class TestMuAgainstOracles:
         op = SylvesterOperator(a, b)
         mu = _local_mu(op, p).mu
         assert mu == full_precision_mu(op, f, p)
-        assert mu == p_part(snf(op.l), p).mu  # the operator's integer Smith form
+        assert mu == integer_profile(op.l, p).mu  # the operator's integer Smith form
 
     @pytest.mark.parametrize(
         "name,precisions_used",
@@ -228,22 +226,6 @@ class TestOneDiscriminantPerPair:
         for p in (2, 3):
             conj_p_report(pair.a, pair.b, "a.txt", "b.txt", p)
         assert len(discriminants) == 2
-
-
-@pytest.fixture
-def charpolys(monkeypatch):
-    """Matrices whose characteristic polynomial the package takes while the
-    test runs."""
-    taken = []
-
-    def counting(m):
-        taken.append(m)
-        return charpoly(m)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("localconj.") and getattr(module, "charpoly", None) is charpoly:
-            monkeypatch.setattr(module, "charpoly", counting)
-    return taken
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ and field arithmetic."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,10 +182,53 @@ class TestModPAcceptFirst:
 
     def test_rejected_polynomial_still_screens_roots(self, divisor_calls):
         # (t - 3)(t^2 + 5) keeps the factor t - 3 modulo every prime, so
-        # the mod-p test never accepts it and the root screen decides it
+        # the mod-p test never accepts it and the root screen decides it,
+        # from the roots mod p and not from the divisors of f(0)
         _irreducible_monic.cache_clear()
         assert not is_irreducible(P("t^3-3t^2+5t-15"))
-        assert divisor_calls == [-15]
+        assert divisor_calls == []
+
+
+def ten_patterns(f: IntPoly) -> list[list[int]]:
+    """The factor-degree patterns of f at the first ten primes not
+    dividing disc f."""
+    disc, tried, p = discriminant(f), [], 2
+    while len(tried) < 10:
+        if disc % p:
+            tried.append(p)
+        p = next_prime(p)
+    return [_degree_pattern(f, q) for q in tried]
+
+
+class TestHenselRootScreen:
+    """When degree 1 survives every pattern, the roots mod p are lifted by
+    Newton's iteration and tested exactly; the divisors of f(0) are never
+    listed."""
+
+    def test_wide_sextic_without_divisors(self, divisor_calls):
+        # 32-bit entries: f(0) has 185 bits, every pattern holds a 1 and f
+        # has no rational root
+        rng = random.Random(6004)
+        a = IntMatrix([[rng.randrange(-(2**32), 2**32) for _ in range(6)] for _ in range(6)])
+        f = charpoly(a)
+        assert all(1 in pattern for pattern in ten_patterns(f))
+        seconds = []
+        for _ in range(3):
+            _irreducible_monic.cache_clear()
+            start = time.perf_counter()
+            assert is_irreducible(f)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.010
+        assert divisor_calls == []
+
+    def test_finds_the_roots_of_wide_products(self, divisor_calls):
+        rng = random.Random(3)
+        for root in (3, -7, 2**40 + 1, -(2**70)):
+            cofactor = IntPoly([rng.randrange(-(2**32), 2**32) for _ in range(3)] + [1])
+            _irreducible_monic.cache_clear()
+            assert not is_irreducible(IntPoly([-root, 1]) * cofactor)
+        # a root the lift missed would have sent f to Kronecker's search
+        assert divisor_calls == []
 
 
 class TestKronecker:

@@ -12,13 +12,12 @@ from localconj import (
     SylvesterOperator,
     kernel_mod,
     lift_kernel,
-    p_part,
     parse_poly,
-    snf,
     unvec,
     vec,
 )
 from conftest import M, pair_with_conjugate, scalar_shifted
+from oracles import integer_profile
 from test_local_precision import MU_CASES
 
 
@@ -74,7 +73,7 @@ class TestMu:
     def test_definitional_consistency(self):
         c = parse_poly("t^2-t-1").companion()
         op = SylvesterOperator(c, c)
-        assert op.mu(5) == p_part(snf(op.l), 5).mu
+        assert op.mu(5) == integer_profile(op.l, 5).mu
 
     def test_unimodular_pair_lifts_at_lambda_one(self):
         a, b, p_mat = pair_with_conjugate(parse_poly("t^3-t-1").companion(), 4)

@@ -11,9 +11,12 @@ import importlib
 import importlib.util
 import inspect
 import json
+import re
+import shlex
 from pathlib import Path
 
 import localconj
+from localconj.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -129,10 +132,38 @@ def _snf_callers(tree: ast.Module, module: str) -> list[str]:
     return found
 
 
-def test_only_the_kernels_and_the_snf_command_build_an_integer_smith_form():
-    # mu, lifting and every decision read local Smith forms over Z/p^k; the
-    # integer Smith form serves the kernel functions and the `snf` command
+def test_only_the_snf_command_builds_an_integer_smith_form():
+    # mu, lifting and every decision read local Smith forms over Z/p^k, and
+    # the kernels come from the Hermite form; the integer Smith form serves
+    # the `snf` command alone
     callers = []
     for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
         callers += _snf_callers(ast.parse(path.read_text()), path.stem)
-    assert sorted(callers) == ["cli.cmd_snf", "intmat.kernel_basis_Z", "intmat.kernel_mod"]
+    assert callers == ["cli.cmd_snf"]
+
+
+def readme_commands() -> list[str]:
+    """The lines of README.md's `sh` block of `localconj` commands."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return next(b for b in blocks if b.startswith("localconj ")).splitlines()
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # the documented usage, `snf` among it, runs as written: every command
+    # exits 0 and `verify` accepts the report written by `conj-all`
+    monkeypatch.chdir(tmp_path)
+    lines = readme_commands()
+    assert lines[0].startswith("localconj gen ")
+    assert lines[-1].startswith("localconj companion-test ")
+    for line in lines:
+        words = shlex.split(line)
+        target = None
+        if ">" in words:
+            words, target = words[: words.index(">")], words[-1]
+        assert words[0] == "localconj", line
+        assert main(words[1:]) == 0, line
+        out = capsys.readouterr().out
+        if target:
+            (tmp_path / target).write_text(out)
+        if words[1] == "verify":
+            assert json.loads(out)["accepted"], out
