@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .bridge import ideal_of_matrix
 from .conjugacy import (
-    GlobalCert,
     IntegerPairCert,
     UnitModCert,
     Verdict,
@@ -131,8 +130,6 @@ def _serialize_cert(cert) -> dict | None:
         }
     if isinstance(cert, IntegerPairCert):
         return {"type": "integer_pair", "q": cert.q.to_lists(), "s": cert.s.to_lists()}
-    if isinstance(cert, GlobalCert):
-        return {"type": "global", "matrix": cert.p_matrix.to_lists()}
     raise TypeError(f"unknown certificate {cert!r}")
 
 
@@ -149,8 +146,6 @@ def _parse_cert(blob: dict):
             return IntegerPairCert(
                 IntMatrix(_json_rows(blob["q"])), IntMatrix(_json_rows(blob["s"]))
             )
-        if kind == "global":
-            return GlobalCert(IntMatrix(_json_rows(blob["matrix"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed certificate: {exc}") from None
     raise ParseFailure(f"unknown certificate type {kind!r}")
@@ -386,9 +381,9 @@ def _load_report(path: str) -> dict:
     return report
 
 
-def _is_int(x, n: int) -> bool:
-    """x is the JSON integer n; a boolean is not an integer."""
-    return type(x) is int and x == n
+def _is_json(x, value) -> bool:
+    """x is the JSON value `value`: 2.0 or true is not the integer 2 or 1."""
+    return json.dumps(x, sort_keys=True) == json.dumps(value, sort_keys=True)
 
 
 def _non_integer(primes) -> str | None:
@@ -412,19 +407,23 @@ def _member(obj: dict, key: str, kind: type, default=None):
     return value
 
 
-def _positive_error(op: SylvesterOperator, p, mu, blob: dict | None) -> str | None:
-    """Why a positive verdict at p, with this mu and certificate blob, fails
-    on the operator's pair; None when it holds."""
+def _stanza_error(op: SylvesterOperator | None, stanza: dict, where: str = "") -> str | None:
+    """Why one per-prime claim fails, or None: a negative carries no certificate;
+    a positive's unit-mod certificate names the stanza's prime, holds on op
+    (read only for a positive) and matches op's mu there."""
+    blob = _member(stanza, "certificate", dict)
+    if not stanza.get("conjugate"):
+        return None if blob is None else f"negative verdict{where} carries a certificate"
     if blob is None:
-        return "positive verdict without certificate"
-    cert = _parse_cert(blob)
+        return f"positive verdict without certificate{where}"
+    cert, p = _parse_cert(blob), stanza.get("prime")
     if not isinstance(cert, UnitModCert) or cert.prime != p:
-        return "certificate does not match the claimed prime"
+        return f"certificate does not match the claimed prime{where}"
     if not _unit_mod_holds(op, cert):
-        return "certificate rejected"
+        return f"certificate rejected{where}"
     # the certificate check has settled the operator's mu at p
-    if not _is_int(mu, op.mu(p)):
-        return "mu does not match the operator's"
+    if not _is_json(stanza.get("mu"), op.mu(p)):
+        return f"mu does not match the operator's{where}"
     return None
 
 
@@ -433,96 +432,92 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
     of the wrong JSON shape is a ParseFailure."""
     inputs = _member(report, "inputs", dict, {})
     for key, m in (("a", a), ("b", b)):
-        want = _member(inputs, key, dict, {}).get("sha256")
-        if want is not None and want != matrix_digest(m):
+        stanza = _member(inputs, key, dict, {})
+        if stanza.get("sha256") not in (None, matrix_digest(m)):
             return False, f"digest mismatch for input {key}"
+        if stanza.get("n") is not None and not _is_json(stanza["n"], m.rows):
+            return False, f"size mismatch for input {key}"
     command = report["command"]
     if command == "conj-p":
         verdict = _member(report, "verdict", dict, {})
-        blob = _member(report, "certificate", dict)
+        stanza = dict(verdict, certificate=_member(report, "certificate", dict))
         if report.get("prime") != verdict.get("prime"):
             return False, "report prime does not match the verdict's prime"
         why = _non_integer((report.get("prime"), verdict.get("prime")))
         if why:
             return False, why
         if not verdict.get("conjugate"):
-            if blob is not None:
-                return False, "negative verdict carries a certificate"
-            return True, "negative verdict carries no certificate"
+            why = _stanza_error(None, stanza)
+            return why is None, why or "negative verdict carries no certificate"
         try:
             op = SylvesterOperator(a, b)
             op.f  # a certificate check needs the shared polynomial
         except PreconditionError as exc:
             return False, str(exc)
-        why = _positive_error(op, verdict.get("prime"), verdict.get("mu"), blob)
+        why = _stanza_error(op, stanza)
         return why is None, why or "certificate verified"
     if command == "conj-all":
-        # one operator per report: its checked polynomial and discriminant
-        # give the screen (with an empty screen no certificate check would
-        # look at b), and its local Smith forms give every stanza's mu
+        verdict = _member(report, "verdict", dict, {})
+        screened = _member(report, "screened_primes", list, [])
+        per = _member(report, "per_prime", list, [])
+        if not all(isinstance(stanza, dict) for stanza in per):
+            raise ParseFailure("malformed report: a per_prime entry is not an object")
+        pair = _member(report, "pair_certificate", dict)
+        cross = _member(report, "cross_check", dict)
+        # one operator per report gives the screen (checking b even when it is
+        # empty) and, from its local Smith forms, every stanza's mu
         try:
             op = SylvesterOperator(a, b)
             screen = screen_primes(op.f, op.disc)
         except PreconditionError as exc:
             return False, str(exc)
-        screened = _member(report, "screened_primes", list, [])
-        why = _non_integer(screened)
+        primes = [stanza.get("prime") for stanza in per]
+        why = _non_integer(screened + primes)
         if why:
             return False, why
         if screened != screen:
             return False, "screened prime list does not match the discriminant"
-        per = _member(report, "per_prime", list, [])
-        verdict = _member(report, "verdict", dict, {})
-        seen, failing = [], []
-        for stanza in per:
-            if not isinstance(stanza, dict):
-                raise ParseFailure("malformed report: a per_prime entry is not an object")
-            p = stanza.get("prime")
-            why = _non_integer((p,))
+        # only a screened prime can fail: each has one stanza, in order
+        if primes != screen:
+            return False, "per-prime stanzas do not match the screened primes"
+        for stanza, p in zip(per, screen):
+            why = _stanza_error(op, stanza, f" at {p}")
             if why:
                 return False, why
-            seen.append(p)
-            blob = _member(stanza, "certificate", dict)
-            if stanza.get("conjugate"):
-                why = _positive_error(op, p, stanza.get("mu"), blob)
-                if why:
-                    return False, f"{why} at {p}"
-            elif blob is not None:
-                return False, f"negative verdict at {p} carries a certificate"
-            else:
-                failing.append(p)
         mus = [stanza.get("mu") for stanza in per]
-        if any(type(m) is not int for m in mus) or not _is_int(
-            verdict.get("mu"), max(mus, default=0)
-        ):
+        ints = all(type(m) is int for m in mus)
+        if not (ints and _is_json(verdict.get("mu"), max(mus, default=0))):
             return False, "global mu is not the largest per-prime mu"
-        pair = _member(report, "pair_certificate", dict)
+        if verdict.get("prime") != "all":
+            return False, 'verdict prime is not "all"'
+        conjugate = all(stanza.get("conjugate") for stanza in per)
         if verdict.get("conjugate"):
-            if failing:
+            if not conjugate:
                 return False, "global true verdict with a failing prime"
-            if sorted(seen) != screen:
-                return False, "true verdict does not cover every screened prime"
         elif pair is not None:
             return False, "negative verdict carries a pair certificate"
-        elif not failing:
+        elif conjugate:
             return False, "negative verdict without a failing prime"
-        if pair is not None:
-            cert = _parse_cert(pair)
-            if not verify_cert(a, b, cert):
-                return False, "pair certificate rejected"
+        # the ideal side agrees with the matrix side on every pair
+        want = {"weakly_equivalent": conjugate, "agrees": True}
+        if cross is not None and not _is_json(cross, want):
+            return False, "cross-check does not match the verdict"
+        if pair is not None and not verify_cert(a, b, _parse_cert(pair)):
+            return False, "pair certificate rejected"
         return True, "all certificates verified"
     if command == "weak-equiv":
         verdict = _member(report, "verdict", dict, {})
-        if not verdict.get("weakly_equivalent"):
-            return True, "negative verdict carries no witnesses"
         blob = report.get("witnesses")
+        if not verdict.get("weakly_equivalent"):
+            if blob is not None:
+                return False, "negative verdict carries witnesses"
+            return True, "negative verdict carries no witnesses"
         if not blob:
             return False, "positive verdict without witnesses"
         # without the input digests the matrices need not share one
         # irreducible polynomial: that rejects the report, as for conj-all
         try:
-            ia = ideal_of_matrix(a)
-            ib = ideal_of_matrix(b)
+            ia, ib = ideal_of_matrix(a), ideal_of_matrix(b)
         except PreconditionError as exc:
             return False, str(exc)
         try:

@@ -57,14 +57,7 @@ class IntegerPairCert:
     s: IntMatrix
 
 
-@dataclass(frozen=True)
-class GlobalCert:
-    """A single unimodular exact intertwiner."""
-
-    p_matrix: IntMatrix
-
-
-Certificate = Union[UnitModCert, IntegerPairCert, GlobalCert]
+Certificate = Union[UnitModCert, IntegerPairCert]
 
 
 @dataclass(frozen=True)
@@ -283,9 +276,6 @@ def verify_cert(a: IntMatrix, b: IntMatrix, cert: Certificate) -> bool:
             if a @ cert.q != cert.q @ b or a @ cert.s != cert.s @ b:
                 return False
             return gcd(abs(cert.q.det()), abs(cert.s.det())) == 1
-        if isinstance(cert, GlobalCert):
-            pm = cert.p_matrix
-            return a @ pm == pm @ b and abs(pm.det()) == 1
     except (ValueError, ArithmeticError):
         return False
     return False

@@ -205,7 +205,6 @@ class TestParsing:
             dict(unit, modulus=True),
             dict(unit, matrix=matrix),
             {"type": "integer_pair", "q": [[True, 0], [0, 1]], "s": [[1, 0], [0, 1]]},
-            {"type": "global", "matrix": [[1, False], [0, 1]]},
         ):
             with pytest.raises(PreconditionError, match="malformed certificate"):
                 _parse_cert(blob)
@@ -799,6 +798,166 @@ class TestVerifyTamperedFields:
         assert [s["conjugate"] for s in conj_all["per_prime"]] == [False, True]
         assert verify_report(conj_p, a, b) == (True, "negative verdict carries no certificate")
         assert verify_report(conj_all, a, b) == (True, "all certificates verified")
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    @pytest.mark.parametrize("key", ["a", "b"])
+    @pytest.mark.parametrize("change", ["plus-one", "float", "bool"])
+    def test_input_size_changed(self, field, seed, p, key, change):
+        a, b, conj_p, conj_all = self.reports(field, seed, p)
+        for report in (conj_p, conj_all):
+            n = report["inputs"][key]["n"]
+            report["inputs"][key]["n"] = {
+                "plus-one": n + 1, "float": float(n), "bool": True
+            }[change]
+            assert verify_report(report, a, b) == (
+                False, f"size mismatch for input {key}"
+            )
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    def test_input_size_may_be_absent(self, field, seed, p):
+        a, b, conj_p, conj_all = self.reports(field, seed, p)
+        for report in (conj_p, conj_all):
+            del report["inputs"]["a"]["n"]
+        assert verify_report(conj_p, a, b) == (True, "certificate verified")
+        assert verify_report(conj_all, a, b) == (True, "all certificates verified")
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
+    @pytest.mark.parametrize("value", [2, "ALL", None])
+    def test_conj_all_verdict_prime_changed(self, field, seed, p, value):
+        a, b, _, report = self.reports(field, seed, p)
+        report["verdict"]["prime"] = value
+        assert verify_report(report, a, b) == (False, 'verdict prime is not "all"')
+
+    # t^2+3 singular:2 seed 3 fails at its one screened prime 2; t^4+3
+    # singular:2 seed 0 screens 2 and 3 and fails at 2 only
+    @pytest.mark.parametrize("move", [7, -2, 3, 4, "drop"])
+    def test_conj_all_negative_stanza_moved_or_dropped(self, move):
+        pair = generate_pair(parse_poly("t^2+3"), "singular:2", 3)
+        report = conj_all_report(pair.a, pair.b, "a", "b", cross_check=True)
+        assert [(s["prime"], s["conjugate"]) for s in report["per_prime"]] == [(2, False)]
+        assert verify_report(report, pair.a, pair.b) == (True, "all certificates verified")
+        if move == "drop":
+            report["per_prime"] = []
+        else:
+            report["per_prime"][0]["prime"] = move
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "per-prime stanzas do not match the screened primes"
+        )
+
+    @pytest.mark.parametrize("change", ["drop-positive", "swap"])
+    def test_conj_all_negative_report_stanza_dropped_or_swapped(self, change):
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        report = conj_all_report(pair.a, pair.b, "a", "b")
+        if change == "drop-positive":
+            del report["per_prime"][1]
+        else:
+            report["per_prime"].reverse()
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "per-prime stanzas do not match the screened primes"
+        )
+
+    @pytest.mark.parametrize("field,strategy,seed", [
+        ("t^2+3", "unimodular", 2), ("t^2+3", "singular:2", 3),
+    ])
+    @pytest.mark.parametrize("key", ["weakly_equivalent", "agrees"])
+    def test_conj_all_cross_check_flipped(self, field, strategy, seed, key):
+        pair = generate_pair(parse_poly(field), strategy, seed)
+        report = conj_all_report(pair.a, pair.b, "a", "b", cross_check=True)
+        assert report["cross_check"] == {
+            "weakly_equivalent": report["verdict"]["conjugate"], "agrees": True
+        }
+        assert verify_report(report, pair.a, pair.b)[0]
+        report["cross_check"][key] = not report["cross_check"][key]
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "cross-check does not match the verdict"
+        )
+
+    def test_weak_equiv_negative_with_witnesses(self):
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        report = weak_equiv_report(pair.a, pair.b, "a", "b")
+        assert report["witnesses"] is not None
+        report["verdict"]["weakly_equivalent"] = False
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "negative verdict carries witnesses"
+        )
+
+
+class TestVerifyRejections:
+    """One case for each rejection of `verify_report` that no other test
+    reaches.  t^2+3 unimodular seed 2 is conjugate at its one screened
+    prime 2; t^4+3 singular:2 seed 0 fails at 2 and holds at 3."""
+
+    @staticmethod
+    def positive(command):
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        if command == "conj-p":
+            report = conj_p_report(pair.a, pair.b, "a", "b", 2)
+            return pair, report, report, ""
+        report = conj_all_report(pair.a, pair.b, "a", "b")
+        return pair, report, report["per_prime"][0], " at 2"
+
+    @pytest.mark.parametrize("command", ["conj-p", "conj-all"])
+    def test_positive_without_certificate(self, command):
+        pair, report, stanza, where = self.positive(command)
+        stanza["certificate"] = None
+        assert verify_report(report, pair.a, pair.b) == (
+            False, f"positive verdict without certificate{where}"
+        )
+
+    @pytest.mark.parametrize("command", ["conj-p", "conj-all"])
+    def test_certificate_names_another_prime(self, command):
+        pair, report, stanza, where = self.positive(command)
+        assert stanza["certificate"]["prime"] == 2
+        stanza["certificate"]["prime"] = 3
+        assert verify_report(report, pair.a, pair.b) == (
+            False, f"certificate does not match the claimed prime{where}"
+        )
+
+    @pytest.mark.parametrize("screened", [[], [3], [2, 3]])
+    def test_screened_primes_differ_from_the_screen(self, screened):
+        pair, report, _, _ = self.positive("conj-all")
+        report["screened_primes"] = screened
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "screened prime list does not match the discriminant"
+        )
+
+    def test_true_verdict_with_a_failing_stanza(self):
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        report = conj_all_report(pair.a, pair.b, "a", "b")
+        report["verdict"]["conjugate"] = True
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "global true verdict with a failing prime"
+        )
+
+    def test_true_verdict_missing_a_screened_prime(self):
+        pair, report, _, _ = self.positive("conj-all")
+        report["per_prime"] = []
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "per-prime stanzas do not match the screened primes"
+        )
+
+    def test_genuine_negative_weak_equiv(self):
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        report = weak_equiv_report(pair.a, pair.b, "a", "b")
+        assert report["verdict"]["weakly_equivalent"] is False
+        assert report["witnesses"] is None
+        assert verify_report(report, pair.a, pair.b) == (
+            True, "negative verdict carries no witnesses"
+        )
+
+    def test_positive_weak_equiv_without_witnesses(self):
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        report = weak_equiv_report(pair.a, pair.b, "a", "b")
+        report["witnesses"] = None
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "positive verdict without witnesses"
+        )
+
+    def test_unknown_command(self):
+        pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
+        assert verify_report({"command": "charpoly"}, pair.a, pair.b) == (
+            False, "reports of command 'charpoly' are not verifiable"
+        )
 
 
 class TestReportsRoundTrip:

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from localconj import (
-    GlobalCert,
     IntMatrix,
     IntPoly,
     IntegerPairCert,
@@ -146,7 +145,10 @@ class TestConjugateAll:
         pair = generate_pair(parse_poly("t^2+3"), "unimodular", 4)
         v = conjugate_over_all_Zp(pair.a, pair.b)
         assert v.conjugate
-        assert verify_cert(pair.a, pair.b, GlobalCert(pair.conjugator))
+        # a unimodular conjugator is a pair certificate on its own
+        q = pair.conjugator
+        assert abs(q.det()) == 1
+        assert verify_cert(pair.a, pair.b, IntegerPairCert(q, q))
 
     def test_squarefree_disc_vacuous(self):
         pair = generate_pair(parse_poly("t^2-t-1"), "singular:3", 1)
@@ -474,10 +476,6 @@ class TestVerifyCert:
         assert not verify_cert(
             pair.a, pair.b, IntegerPairCert(IntMatrix(rows), v.certificate.s)
         )
-
-    def test_global_cert_rejects_non_unimodular(self):
-        a, b, m = pair_with_conjugate(parse_poly("t^2+3").companion(), 1, singular=2)
-        assert not verify_cert(a, b, GlobalCert(m))
 
 
 class TestCompanionTest:
