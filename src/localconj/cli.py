@@ -395,6 +395,15 @@ def _non_integer(primes) -> str | None:
     return None
 
 
+def _non_boolean(flags) -> str | None:
+    """Why one of a report's verdict flags is not a JSON boolean (a string or
+    a number would read as one by truthiness); None when all are."""
+    for flag in flags:
+        if type(flag) is not bool:
+            return f"verdict flag {json.dumps(flag)} is not a JSON boolean"
+    return None
+
+
 def _member(obj: dict, key: str, kind: type, default=None):
     """obj[key] when it is a JSON object (kind dict) or array (kind list),
     default when it is absent or null; a ParseFailure otherwise."""
@@ -409,19 +418,24 @@ def _member(obj: dict, key: str, kind: type, default=None):
 
 def _stanza_error(op: SylvesterOperator | None, stanza: dict, where: str = "") -> str | None:
     """Why one per-prime claim fails, or None: a negative carries no certificate;
-    a positive's unit-mod certificate names the stanza's prime, holds on op
-    (read only for a positive) and matches op's mu there."""
+    a positive's unit-mod certificate names the stanza's prime and holds on
+    op; and the stanza's mu is op's there.  op is None only for a negative
+    conj-p verdict, which builds no operator and whose mu stays unchecked."""
     blob = _member(stanza, "certificate", dict)
-    if not stanza.get("conjugate"):
-        return None if blob is None else f"negative verdict{where} carries a certificate"
-    if blob is None:
-        return f"positive verdict without certificate{where}"
-    cert, p = _parse_cert(blob), stanza.get("prime")
-    if not isinstance(cert, UnitModCert) or cert.prime != p:
-        return f"certificate does not match the claimed prime{where}"
-    if not _unit_mod_holds(op, cert):
-        return f"certificate rejected{where}"
-    # the certificate check has settled the operator's mu at p
+    p = stanza.get("prime")
+    if not stanza["conjugate"]:
+        if blob is not None:
+            return f"negative verdict{where} carries a certificate"
+        if op is None:
+            return None
+    else:
+        if blob is None:
+            return f"positive verdict without certificate{where}"
+        cert = _parse_cert(blob)
+        if not isinstance(cert, UnitModCert) or cert.prime != p:
+            return f"certificate does not match the claimed prime{where}"
+        if not _unit_mod_holds(op, cert):
+            return f"certificate rejected{where}"
     if not _is_json(stanza.get("mu"), op.mu(p)):
         return f"mu does not match the operator's{where}"
     return None
@@ -444,9 +458,10 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         if report.get("prime") != verdict.get("prime"):
             return False, "report prime does not match the verdict's prime"
         why = _non_integer((report.get("prime"), verdict.get("prime")))
+        why = why or _non_boolean([verdict.get("conjugate")])
         if why:
             return False, why
-        if not verdict.get("conjugate"):
+        if not verdict["conjugate"]:
             why = _stanza_error(None, stanza)
             return why is None, why or "negative verdict carries no certificate"
         try:
@@ -473,6 +488,8 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
             return False, str(exc)
         primes = [stanza.get("prime") for stanza in per]
         why = _non_integer(screened + primes)
+        flags = [verdict.get("conjugate")] + [stanza.get("conjugate") for stanza in per]
+        why = why or _non_boolean(flags)
         if why:
             return False, why
         if screened != screen:
@@ -490,8 +507,8 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
             return False, "global mu is not the largest per-prime mu"
         if verdict.get("prime") != "all":
             return False, 'verdict prime is not "all"'
-        conjugate = all(stanza.get("conjugate") for stanza in per)
-        if verdict.get("conjugate"):
+        conjugate = all(stanza["conjugate"] for stanza in per)
+        if verdict["conjugate"]:
             if not conjugate:
                 return False, "global true verdict with a failing prime"
         elif pair is not None:
@@ -508,7 +525,10 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
     if command == "weak-equiv":
         verdict = _member(report, "verdict", dict, {})
         blob = report.get("witnesses")
-        if not verdict.get("weakly_equivalent"):
+        why = _non_boolean([verdict.get("weakly_equivalent")])
+        if why:
+            return False, why
+        if not verdict["weakly_equivalent"]:
             if blob is not None:
                 return False, "negative verdict carries witnesses"
             return True, "negative verdict carries no witnesses"

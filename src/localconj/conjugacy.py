@@ -4,25 +4,32 @@ The decision for one prime works modulo p^(mu+1), where mu is the largest
 p-adic valuation among the nonzero invariant factors of the intertwining
 operator.  Every decision and every check runs on one `SylvesterOperator`
 per pair: it holds the pair's checked irreducible characteristic polynomial
-f and disc f, each computed once, the intertwiner basis, and mu, read off
-the operator's Smith form over Z/p^k at the least k that shows it
-(`sylvester._local_mu`), so the operator's integer Smith form is never
-built.  The decision at p asks for a unit-determinant element in the mod-p
-span of an exact basis of the intertwiners {X : A X = X B} (n matrices,
-`SylvesterOperator.intertwiners`); the basis is saturated, so that span is
-every solution mod p that lifts.  A negative verdict has two routes:
+f and disc f, each computed once, the pair reduced at each prime, the
+intertwiner basis, and mu (`sylvester._local_mu`), so the operator's
+integer Smith form is never built.  The decision at p asks for a
+unit-determinant element in the mod-p span of the intertwiners
+{X : A X = X B}.  The reduced pair (`sylvester.ReducedPair`) picks the
+route: with a cyclic unit vector the span is n Krylov products mod p
+(`SylvesterOperator.intertwiners_mod`) and mu is k, with no n^2 x n^2 work;
+with a scalar a' or b' mod p the answer is a negative; otherwise the span
+is that of the exact basis (n matrices, `SylvesterOperator.intertwiners`),
+which is saturated, so it is every solution mod p that lifts.  On every
+route the span is the same space, so its reduced row echelon form, the
+walk and the verdict are too.  A negative verdict has three routes:
 
-- a shared null vector: when every basis matrix mod p kills one nonzero
+- a scalar reduced pair: every intertwiner mod p then kills a row of
+  a' - c I or a column of b' - c I, or is 0 (`_scalar_reduced_pair`);
+- a shared null vector: when every spanning matrix mod p kills one nonzero
   vector on the right, or every one kills one on the left, so does every
   element of the span, and nothing is searched.  This route is sound, not
   complete: for n >= 3 some spaces of singular matrices share no null vector;
-- an exhausted walk: otherwise the span is walked; a hit is realized from
-  the exact basis, reduced mod p^(mu+1), as the certificate, and a miss is
-  a sound rejection.  The walk needs coefficients only below s = min(p, n+1):
-  det(sum c_i X_i) has degree at most n in each c_i, so by Alon's
-  Combinatorial Nullstellensatz, and as it is homogeneous, it vanishes on
-  all of F_p^dim once it vanishes where c_0 = 1 and every other c_i lies in
-  {0, ..., n}.  A miss costs (s^dim - 1)/(s - 1) points.
+- an exhausted walk: otherwise the span is walked; a hit is the
+  certificate, lifted through the exact basis mod p^(mu+1) when mu > 0, and
+  a miss is a sound rejection.  The walk needs coefficients only below
+  s = min(p, n+1): det(sum c_i X_i) has degree at most n in each c_i, so by
+  Alon's Combinatorial Nullstellensatz, and as it is homogeneous, it
+  vanishes on all of F_p^dim once it vanishes where c_0 = 1 and every other
+  c_i lies in {0, ..., n}.  A miss costs (s^dim - 1)/(s - 1) points.
 
 Negative verdicts carry no certificate.  `verify_cert` re-checks every
 certificate from scratch; stored flags are never trusted.
@@ -163,9 +170,13 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     """Decide a ~ b over Z_p for the operator's checked pair.
 
     Equal matrices are conjugate.  Otherwise a null vector shared by the
-    mod-p span of the intertwiner basis (`_span_shares_a_null_vector`) is a
-    negative without a search; else the unit-determinant walk over that span
-    decides.  mu is the operator's (`SylvesterOperator.mu`) on every route.
+    mod-p span of the intertwiners is a negative without a search: at once
+    when the reduced pair is scalar mod p (`_scalar_reduced_pair`), else by
+    `_span_shares_a_null_vector`; else the unit-determinant walk over that span
+    decides.  The span is `SylvesterOperator.intertwiners_mod` when the
+    reduced pair has a cyclic unit vector, and the exact basis otherwise;
+    a hit is a unit mod p, lifted through the exact basis when mu > 0.  mu
+    is the operator's (`SylvesterOperator.mu`) on every route.
     """
     a, b, n = op.a, op.b, op.n
     mu = op.mu(p)
@@ -173,16 +184,40 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
         return Verdict(True, p, cert, mu)
-    if _span_shares_a_null_vector(op.intertwiners, p, n):
+    if _scalar_reduced_pair(op, p):
         return Verdict(False, p, None, mu)
-    gens = [vec(x) for x in op.intertwiners]
-    witness = _unit_det_witness(gens, p, modulus, n)
+    span = op.intertwiners_mod(p) if op.reduced(p).cyclic else op.intertwiners
+    if _span_shares_a_null_vector(span, p, n):
+        return Verdict(False, p, None, mu)
+    witness = _unit_det_witness([vec(x) for x in span], p, p, n)
     if witness is None:
         return Verdict(False, p, None, mu)
+    if mu:
+        witness = _lift_mod(op, witness, p, modulus)
     cert = UnitModCert(unvec(witness, n), p, modulus)
     if not _unit_mod_holds(op, cert):
         raise AssertionError("freshly built certificate failed verification")
     return Verdict(True, p, cert, mu)
+
+
+def _scalar_reduced_pair(op: SylvesterOperator, p: int) -> bool:
+    """For a != b: a' or b' of the reduced pair (`ReducedPair`) is a scalar
+    mod p, so the span test would fire.  If b' = c I mod p, every
+    intertwiner X mod p has (a' - c I) X = 0, so a nonzero row of a' - c I
+    kills every X on the left; if a' = c I, every X kills a nonzero column
+    of b' - c I on the right.  If both are scalar, a' = c I and b' = d I,
+    then c = a'[0, 0] = 0 and, as k is the largest level, d != 0: every X is
+    0 mod p."""
+    return op.reduced(p).scalar
+
+
+def _lift_mod(op: SylvesterOperator, x: Vector, p: int, modulus: int) -> Vector:
+    """The combination of the exact intertwiner basis, with coefficients in
+    [0, p), that is x mod p, reduced mod `modulus`: the basis is saturated,
+    so the coefficients are unique."""
+    basis = [vec(m) for m in op.intertwiners]
+    coords = _coordinates(basis, x, p, 1)
+    return tuple(sum(c * v[i] for c, v in zip(coords, basis)) % modulus for i in range(len(x)))
 
 
 def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:

@@ -280,10 +280,17 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 
 
 def discriminant(f: IntPoly) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)."""
-    n = f.degree
-    if n < 1:
+    """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f), memoized per
+    coefficient tuple so that a process takes it once per polynomial."""
+    if f.degree < 1:
         raise ValueError("discriminant needs a nonconstant polynomial")
+    return _discriminant(f.coeffs)
+
+
+@lru_cache(maxsize=32)
+def _discriminant(coeffs: tuple[int, ...]) -> int:
+    f = IntPoly(coeffs)
+    n = f.degree
     if n == 1:
         return 1
     r = resultant(f, f.derivative())
@@ -336,17 +343,15 @@ def _polgcd_p(a, b, p):
         a = tuple(x * inv % p for x in a)
     return a
 
-def _t_power_minus_t(fp, q, p):
-    """t^q - t reduced mod (fp, p), trimmed; t^q by square and multiply."""
-    d, base = (1,), _polmod_p((0, 1), fp, p)
-    while q:
-        if q & 1:
-            d = _polmod_p(_polmul_p(d, base, p), fp, p)
+def _powmod_p(base, e, fp, p):
+    """base^e reduced mod (fp, p), by square and multiply."""
+    out, base = _polmod_p((1,), fp, p), _polmod_p(base, fp, p)
+    while e:
+        if e & 1:
+            out = _polmod_p(_polmul_p(out, base, p), fp, p)
         base = _polmod_p(_polmul_p(base, base, p), fp, p)
-        q >>= 1
-    d = list(d) + [0] * (2 - len(d))
-    d[1] -= 1
-    return _poly_mod_p(d, p)
+        e >>= 1
+    return out
 
 def _degree_pattern(f: IntPoly, p: int) -> list[int]:
     """Degrees of the irreducible factors of f mod p, for monic f squarefree
@@ -354,12 +359,17 @@ def _degree_pattern(f: IntPoly, p: int) -> list[int]:
     gcd(f, t^(p^d) - t) is the product of the factors of degree dividing d,
     so deg g_d less the degrees already counted at the divisors of d is
     carried by factors of degree exactly d.  At most one factor has degree
-    above n/2, and it takes what is left."""
+    above n/2, and it takes what is left.  t^(p^d) is the p-th power of
+    t^(p^(d-1)) mod (f, p)."""
     fp = _poly_mod_p(f.coeffs, p)
     n = f.degree
     carried: dict[int, int] = {}
+    power = (0, 1)
     for d in range(1, n // 2 + 1):
-        g = _polgcd_p(fp, _t_power_minus_t(fp, p**d, p), p)
+        power = _powmod_p(power, p, fp, p)
+        t_diff = list(power) + [0] * (2 - len(power))
+        t_diff[1] -= 1
+        g = _polgcd_p(fp, _poly_mod_p(t_diff, p), p)
         carried[d] = len(g) - 1 - sum(c for e, c in carried.items() if d % e == 0)
     pattern = [d for d, c in carried.items() for _ in range(c // d)]
     rest = n - sum(carried.values())

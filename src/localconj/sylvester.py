@@ -4,11 +4,26 @@ n^2 x n^2 integer matrix, and what the paper defines on it at p.
 mu, the p-profile and exact lifting are defined for two matrices with one
 irreducible characteristic polynomial f; `SylvesterOperator.f` checks that
 once per pair, and the operator keeps f, disc f and the operator matrix.
-mu comes from the operator's Smith form over Z/p^k at the least k that
-shows it (`_local_mu`); lifting solves for coordinates in the saturated
-intertwiner basis (n matrices, from one Hermite form of width n through a
-cyclic vector of b) modulo p^lam.  Neither builds the operator's integer
-Smith form.
+
+Each prime starts from the pair reduced at p (`ReducedPair`): with
+lam = a[0, 0] and k the p-adic valuation of the gcd of the entries of
+a - lam I and b - lam I, a' = (a - lam I) / p^k and b' = (b - lam I) / p^k
+have the same intertwiners and L(a, b) = p^k L(a', b').  That gives three
+routes at p:
+
+- cyclic: when b', or a'^T, has a cyclic unit vector mod p, the cokernel of
+  L(a', b') is Ext^1_{Z_p[t]}(M_b', M_a'), free of rank n, so the profile is
+  (k, ..., k) and mu = k (`_local_mu`), and the intertwiners mod p are
+  spanned by n Krylov products (`SylvesterOperator.intertwiners_mod`);
+  neither touches the n^2 x n^2 operator or disc f;
+- scalar: when a' or b' is a scalar mod p, a != b are not conjugate over
+  Z_p (`conjugacy._scalar_reduced_pair`);
+- general: otherwise mu comes from the operator's Smith form over Z/p^k at
+  the least k that shows it (`_profile_by_elimination`), and the
+  intertwiners from the saturated exact basis (n matrices, from one Hermite
+  form of width n through a cyclic vector of b), which lifting also uses.
+
+Neither builds the operator's integer Smith form.
 
 Vectorization is column-major throughout the package; certificates and kernel
 vectors all share this one convention.
@@ -18,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import index, mul
 
@@ -51,10 +67,11 @@ class SylvesterOperator:
     """The pair (a, b) and the matrix of X -> a X - X b on column-major
     coordinates, l = (I kron a) - (b^T kron I).
 
-    l, f and disc are computed on first use and kept, and so is the profile
-    at each prime.  Reading f checks that a and b share one characteristic
-    polynomial, irreducible over Q; mu, p_profile and `lift_kernel` read it,
-    so outside that domain they raise PreconditionError.
+    l, f and disc are computed on first use and kept, and so are the
+    reduced pair and the profile at each prime.  Reading f checks that a and
+    b share one characteristic polynomial, irreducible over Q; mu, p_profile
+    and `lift_kernel` read it, so outside that domain they raise
+    PreconditionError.
     """
 
     def __init__(self, a: IntMatrix, b: IntMatrix) -> None:
@@ -64,6 +81,7 @@ class SylvesterOperator:
         self.b = b
         self.n = a.rows
         self._profiles: dict[int, PrimePartProfile] = {}
+        self._reduced: dict[int, ReducedPair] = {}
 
     @cached_property
     def l(self) -> IntMatrix:
@@ -138,6 +156,46 @@ class SylvesterOperator:
             basis.append(mat)
         return basis
 
+    def reduced(self, p: int) -> "ReducedPair":
+        """The pair at p less its common scalar part (`_reduce`), kept per
+        prime."""
+        if p not in self._reduced:
+            self._reduced[p] = _reduce(self.a, self.b, p)
+        return self._reduced[p]
+
+    def intertwiners_mod(self, p: int) -> list[IntMatrix]:
+        """n matrices that span the intertwiners mod p, reduced mod p, when
+        the reduced pair has a cyclic unit vector (`ReducedPair.cyclic`).
+
+        With v cyclic for b' mod p and K = K_b'(v), an intertwiner mod p is
+        fixed by x = X v and is X = K_a'(x) K^(-1), for every x in F_p^n:
+        X b'^m v = a'^m x, and b'^n v and a'^n x satisfy the one relation
+        of the shared characteristic polynomial.  So the n matrices
+        K_a'(e_i) K^(-1) span them.  When the cyclic vector is one of a'^T,
+        the same holds for the transposes, which intertwine (b'^T, a'^T).
+        The n^2 - n nonzero invariant factors of L(a', b') are units
+        (`_local_mu`), so the intertwiners mod p are the exact ones reduced
+        mod p: both spans have dimension n."""
+        red = self.reduced(p)
+        if red.cyclic is None:
+            raise ValueError(f"the reduced pair has no cyclic unit vector mod {p}")
+        transposed, inverse = red.cyclic
+        a = red.b.transpose() if transposed else red.a
+        # K_a'(e_i) has the columns a'^m e_i: column i of each power a'^m
+        n, rows = self.n, a.mod(p).entries
+        powers = [IntMatrix.identity(n).entries]
+        for _ in range(n - 1):
+            cols = list(zip(*powers[-1]))
+            powers.append([[sum(map(mul, row, col)) % p for col in cols] for row in rows])
+        cols = list(zip(*inverse.entries))
+        span = []
+        for i in range(n):
+            krylov = [[power[r][i] for power in powers] for r in range(n)]
+            span.append(IntMatrix._of(
+                [sum(map(mul, row, col)) % p for col in cols] for row in krylov
+            ))
+        return [x.transpose() for x in span] if transposed else span
+
     def mu(self, p: int) -> int:
         return self.p_profile(p).mu
 
@@ -163,6 +221,72 @@ def _annihilates(f: IntPoly, m: IntMatrix) -> bool:
 
 
 @dataclass(frozen=True)
+class ReducedPair:
+    """The pair at p less its common scalar part: a = lam I + p^k a' and
+    b = lam I + p^k b' with lam = a[0, 0] and k the p-adic valuation of the
+    gcd of the entries of a - lam I and b - lam I (0 when both vanish).
+    X intertwines (a, b) exactly when it intertwines (a', b'), and
+    L(a, b) = p^k L(a', b').
+
+    `scalar` says that a' or b' is a scalar matrix mod p.  `cyclic` is
+    (False, K^(-1)) when a unit vector v is cyclic for b' mod p, with K =
+    K_b'(v) invertible mod p, or else (True, K^(-1)) when one is cyclic for
+    a'^T, with K = K_a'^T(v); None when no unit vector is either."""
+
+    level: int
+    a: IntMatrix
+    b: IntMatrix
+    scalar: bool
+    cyclic: tuple[bool, IntMatrix] | None
+
+
+def _reduce(a: IntMatrix, b: IntMatrix, p: int) -> ReducedPair:
+    n, lam = a.rows, a[0, 0]
+    da, db = (
+        [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.entries)]
+        for m in (a, b)
+    )
+    g = gcd(*chain.from_iterable(da), *chain.from_iterable(db))
+    level = valuation(g, p) if g else 0
+    a1, b1 = (IntMatrix._of([[x // p**level for x in row] for row in m]) for m in (da, db))
+    scalar_a, scalar_b = _is_scalar_mod(a1, p), _is_scalar_mod(b1, p)
+    cyclic = None
+    for transposed, rows, scalar in (
+        (False, b1.entries, scalar_b), (True, list(zip(*a1.entries)), scalar_a)
+    ):
+        if scalar and n > 1:
+            continue  # a scalar has no cyclic vector
+        inverse = _cyclic_unit_inverse(rows, p)
+        if inverse is not None:
+            cyclic = (transposed, inverse)
+            break
+    return ReducedPair(level, a1, b1, scalar_a or scalar_b, cyclic)
+
+
+def _is_scalar_mod(m: IntMatrix, p: int) -> bool:
+    d = m[0, 0]
+    return all((x - d * (i == j)) % p == 0 for i, row in enumerate(m.entries)
+               for j, x in enumerate(row))
+
+
+def _cyclic_unit_inverse(rows, p: int) -> IntMatrix | None:
+    """K^(-1) mod p for K = [e_j, m e_j, ..., m^(n-1) e_j] at the first unit
+    vector e_j for which K is invertible mod p, m the square matrix of the
+    rows; None when there is none."""
+    n, rows = len(rows), [[x % p for x in row] for row in rows]
+    unit = IntMatrix.identity(n).entries
+    for v in unit:
+        krylov = [v]
+        for _ in range(n - 1):
+            v = tuple(sum(map(mul, row, v)) % p for row in rows)
+            krylov.append(v)
+        reduced = _echelon_fp([k + u for k, u in zip(zip(*krylov), unit)], p, n)
+        if len(reduced) == n:
+            return IntMatrix._of(row[n:] for row in reduced)
+    return None
+
+
+@dataclass(frozen=True)
 class PrimePartProfile:
     """p-adic valuations of the operator's nonzero invariant factors; mu is
     the largest (0 when there are no nonzero factors)."""
@@ -174,9 +298,32 @@ class PrimePartProfile:
 
 def _local_mu(op: SylvesterOperator, p: int) -> PrimePartProfile:
     """The profile of the operator at p: the p-adic valuations of its n^2 - n
-    nonzero invariant factors, and mu, the largest of them, from its Smith
-    form over Z/p^k at the least k of min(2, K), 4, 8, ..., capped at
-    K = v_p(disc f) + 1, that shows all n^2 - n pivots.
+    nonzero invariant factors, and mu, the largest of them.
+
+    Reading op.f first checks that a and b share the irreducible
+    characteristic polynomial f.  Then the pair is reduced at p
+    (`ReducedPair`): L(a, b) = p^k L(a', b'), so every valuation is k more
+    than the one of L(a', b').  When b' has a cyclic unit vector mod p, the
+    Z_p[t]-module M_b' of b' is cyclic, Z_p[t]/(g) with g the shared
+    characteristic polynomial of a' and b', and the cokernel of L(a', b')
+    is Ext^1_{Z_p[t]}(M_b', M_a') = M_a' / g(a') M_a' = M_a' = Z_p^n: free,
+    so all n^2 - n nonzero invariant factors of L(a', b') are units, the
+    profile is (k, ..., k) and mu = k, with no elimination and no disc f.
+    A cyclic unit vector of a'^T gives the same, as X -> X^T turns L(a', b')
+    into -L(b'^T, a'^T).  Otherwise the profile comes from
+    `_profile_by_elimination`."""
+    op.f  # the pair's check comes before any work at p
+    red = op.reduced(p)
+    if red.cyclic is None:
+        return _profile_by_elimination(op, p)
+    r = op.n * op.n - op.n
+    return PrimePartProfile(p, (red.level,) * r, red.level if r else 0)
+
+
+def _profile_by_elimination(op: SylvesterOperator, p: int) -> PrimePartProfile:
+    """The profile of the operator at p from its Smith form over Z/p^k at
+    the least k of min(2, K), 4, 8, ..., capped at K = v_p(disc f) + 1,
+    that shows all n^2 - n pivots.
 
     L = I kron a - b^T kron I has the eigenvalues theta_i - theta_j, n of
     them zero, so its rank is r = n^2 - n and the sum of its principal r x r

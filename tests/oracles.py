@@ -216,6 +216,58 @@ def brute_degree_pattern(f: IntPoly, p: int) -> list[int]:
     return sorted(degrees)
 
 
+def degree_pattern_from_scratch(f: IntPoly, p: int) -> list[int]:
+    """The distinct-degree pattern of monic f mod p, as `_degree_pattern`
+    took it before it iterated: t^(p^d) by square and multiply of t from
+    scratch for every d, with this module's own polynomial arithmetic."""
+    fp = [c % p for c in f.coeffs]
+    n = f.degree
+
+    def reduce(a):
+        a = [x % p for x in a]
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i]
+            if c:
+                for j, y in enumerate(fp):
+                    a[i - n + j] = (a[i - n + j] - c * y) % p
+        return (a + [0] * n)[:n]
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return reduce(out)
+
+    def gcd_degree(a, b):
+        # degree of the monic gcd over F_p by Euclid's algorithm
+        def trim(c):
+            c = [x % p for x in c]
+            while c and not c[-1]:
+                c.pop()
+            return c
+        a, b = trim(a), trim(b)
+        while b:
+            _, rem = _divmod_monic_p(a, [x * pow(b[-1], -1, p) % p for x in b], p)
+            a, b = b, trim(rem)
+        return len(a) - 1
+
+    carried: dict[int, int] = {}
+    for d in range(1, n // 2 + 1):
+        power, base, e = reduce([1]), reduce([0, 1]), p**d
+        while e:
+            if e & 1:
+                power = times(power, base)
+            base = times(base, base)
+            e >>= 1
+        power[1] -= 1
+        degree = gcd_degree(fp, power)
+        carried[d] = degree - sum(c for e, c in carried.items() if d % e == 0)
+    pattern = [d for d, c in carried.items() for _ in range(c // d)]
+    rest = n - sum(carried.values())
+    return pattern + [rest] if rest else pattern
+
+
 def _divmod_monic_p(a: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     a = a[:]
     dg = len(g) - 1

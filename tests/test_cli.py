@@ -872,6 +872,46 @@ class TestVerifyTamperedFields:
             False, "cross-check does not match the verdict"
         )
 
+    @pytest.mark.parametrize("value", ["no", "yes", 1])
+    def test_verdict_flag_not_a_boolean(self, value):
+        # each of these was read by truthiness and accepted
+        a, b, conj_p, conj_all = self.reports("t^2+3", 2, 2)
+        weak = weak_equiv_report(a, b, "a", "b")
+        assert verify_report(weak, a, b) == (True, "witness ideals verified")
+        want = (False, f"verdict flag {json.dumps(value)} is not a JSON boolean")
+        conj_p["verdict"]["conjugate"] = value
+        assert verify_report(conj_p, a, b) == want
+        conj_all["verdict"]["conjugate"] = value
+        assert verify_report(conj_all, a, b) == want
+        weak["verdict"]["weakly_equivalent"] = value
+        assert verify_report(weak, a, b) == want
+
+    @pytest.mark.parametrize("value", ["no", "yes", 1, None])
+    def test_conj_all_stanza_flag_not_a_boolean(self, value):
+        a, b, _, report = self.reports("t^2+3", 2, 2)
+        report["verdict"]["conjugate"] = "yes"
+        report["per_prime"][0]["conjugate"] = value
+        assert verify_report(report, a, b) == (
+            False, 'verdict flag "yes" is not a JSON boolean'
+        )
+        report["verdict"]["conjugate"] = True
+        assert verify_report(report, a, b) == (
+            False, f"verdict flag {json.dumps(value)} is not a JSON boolean"
+        )
+
+    @pytest.mark.parametrize("mu", [1, 5, True])
+    def test_conj_all_negative_stanza_mu_changed(self, mu):
+        # t^4+3 singular:2 seed 0: the stanza at 2 is negative with mu 0
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        report = conj_all_report(pair.a, pair.b, "a", "b")
+        stanza = report["per_prime"][0]
+        assert (stanza["prime"], stanza["conjugate"], stanza["mu"]) == (2, False, 0)
+        stanza["mu"] = mu
+        report["verdict"]["mu"] = max(mu, report["per_prime"][1]["mu"])
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "mu does not match the operator's at 2"
+        )
+
     def test_weak_equiv_negative_with_witnesses(self):
         pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
         report = weak_equiv_report(pair.a, pair.b, "a", "b")

@@ -2,12 +2,13 @@
 full-precision Smith form over Z/p^K and the operator's integer Smith form,
 the counters that pin which precisions the operator is eliminated at, the
 operator check that refuses a pair before any elimination, and one
-discriminant per pair on the decision path."""
+discriminant per polynomial per process."""
 
 from __future__ import annotations
 
 import inspect
 import sys
+from functools import lru_cache
 
 import pytest
 
@@ -22,11 +23,11 @@ from localconj import (
     parse_poly,
     verify_cert,
 )
-from localconj import conjugacy, sylvester
+from localconj import conjugacy, polyfield, sylvester
 from localconj.cli import conj_all_report, conj_p_report, verify_report
 from localconj.gen import conjugate_exact
 from localconj.primes import PreconditionError, valuation
-from localconj.sylvester import _local_mu
+from localconj.sylvester import _local_mu, _profile_by_elimination
 
 from conftest import pair_with_conjugate, scalar_shifted
 from oracles import full_precision_mu, integer_profile
@@ -81,6 +82,39 @@ def discriminants(monkeypatch):
     return taken
 
 
+class _FreshMemos(list):
+    """A list whose clear() also empties the discriminant and irreducibility
+    memos, as a fresh process starts with none."""
+
+    memos = ()
+
+    def clear(self):
+        super().clear()
+        for memo in self.memos:
+            memo.cache_clear()
+
+
+@pytest.fixture
+def computed_discriminants(monkeypatch):
+    """Polynomials whose discriminant is computed while the test runs, the
+    irreducibility test's included.  The memos start empty, as in a fresh
+    process, and `clear()` empties them again."""
+    taken = _FreshMemos()
+    compute = polyfield._discriminant.__wrapped__
+
+    def counting(coeffs):
+        taken.append(polyfield.IntPoly(coeffs))
+        return compute(coeffs)
+
+    taken.memos = (
+        lru_cache(maxsize=32)(counting),
+        lru_cache(maxsize=32)(polyfield._irreducible_monic.__wrapped__),
+    )
+    monkeypatch.setattr(polyfield, "_discriminant", taken.memos[0])
+    monkeypatch.setattr(polyfield, "_irreducible_monic", taken.memos[1])
+    return taken
+
+
 def mu_cases():
     for n in (4, 5, 6):
         for conjugate in (True, False):
@@ -123,7 +157,7 @@ class TestMuAgainstOracles:
     )
     def test_doubles_until_every_pivot_shows(self, name, precisions_used, precisions):
         a, b, p = MU_CASES[name]
-        _local_mu(SylvesterOperator(a, b), p)
+        _profile_by_elimination(SylvesterOperator(a, b), p)
         assert operator_precisions(precisions, a.rows) == precisions_used
         assert precisions_used[-1] <= top_precision(a, p)
 
@@ -138,14 +172,21 @@ class TestMuAgainstOracles:
 class TestPrecisionCounters:
     """Which precisions a decision eliminates the n^2 x n^2 operator at."""
 
-    @pytest.mark.parametrize("conjugate", [True, False])
-    def test_mu_one_conj_p_eliminates_only_modulo_p_squared(self, conjugate, precisions):
-        # the search-deep mu = 1 strata: lam I + p C(g) at n = 5, 6
+    @pytest.mark.parametrize(
+        "conjugate,precisions_used", [(True, []), (False, [2])], ids=["True", "False"]
+    )
+    def test_mu_one_conj_p_eliminates_only_modulo_p_squared(
+        self, conjugate, precisions_used, precisions
+    ):
+        # the search-deep mu = 1 strata: lam I + p C(g) at n = 5, 6.  The
+        # conjugate pair reduces to C(g) and a conjugate, which are cyclic,
+        # so mu = 1 needs no elimination; the other reduces to p C(g), a
+        # scalar mod p, against a matrix with no cyclic unit vector mod p
         a, b = shifted_pair(5, 5, 1, conjugate)
         assert top_precision(a, 5) == 21
         verdict = conjugate_over_Zp(a, b, 5)
         assert (verdict.conjugate, verdict.mu_used) == (conjugate, 1)
-        assert operator_precisions(precisions, 5) == [2]
+        assert operator_precisions(precisions, 5) == precisions_used
 
     def test_mu_zero_conj_p_stops_at_the_first_precision(self, precisions):
         # the search-deep mu = 0 strata: unimodular pairs of t^5 - 7 at p = 7
@@ -153,14 +194,16 @@ class TestPrecisionCounters:
         assert top_precision(pair.a, 7) == 5
         verdict = conjugate_over_Zp(pair.a, pair.b, 7)
         assert (verdict.conjugate, verdict.mu_used) == (True, 0)
-        assert operator_precisions(precisions, 5) == [2]
+        # the reduced pair has a cyclic unit vector mod 7: no elimination
+        assert operator_precisions(precisions, 5) == []
 
     def test_conj_p_at_an_unscreened_prime_stays_at_the_cap(self, precisions):
         a, b, p = MU_CASES["unscreened-p7"]
         assert top_precision(a, p) == 1
         report = conj_p_report(a, b, "a.txt", "b.txt", p)
         assert report["verdict"]["mu"] == 0
-        assert operator_precisions(precisions, 5) == [1]
+        # cyclic mod 7, so not even the capped elimination runs
+        assert operator_precisions(precisions, 5) == []
 
     def test_a_b_not_annihilated_by_f_is_refused_before_any_elimination(
         self, precisions
@@ -178,22 +221,22 @@ class TestOneDiscriminantPerPair:
         # screened primes 2 and 3
         return generate_pair(parse_poly("t^4-10t^2+1"), "unimodular", 0)
 
-    def test_conj_all_takes_disc_f_once(self, discriminants):
+    def test_conj_all_takes_disc_f_once(self, computed_discriminants):
         pair = self.pair()
         report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt", cross_check=True)
         assert report["screened_primes"] == [2, 3]
         assert report["verdict"]["conjugate"] and report["cross_check"]["agrees"]
-        assert discriminants == [charpoly(pair.a)]
+        assert computed_discriminants == [charpoly(pair.a)]
 
-    def test_verify_takes_disc_f_once_per_report(self, discriminants):
+    def test_verify_takes_disc_f_once_per_report(self, computed_discriminants):
         pair = self.pair()
         report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt")
-        discriminants.clear()
+        computed_discriminants.clear()
         assert verify_report(report, pair.a, pair.b) == (True, "all certificates verified")
         assert len(report["per_prime"]) == 2
-        assert discriminants == [charpoly(pair.a)]
+        assert computed_discriminants == [charpoly(pair.a)]
 
-    def test_verify_builds_one_operator_per_report(self, monkeypatch, discriminants):
+    def test_verify_builds_one_operator_per_report(self, monkeypatch, computed_discriminants):
         # two unit-mod stanzas share one operator: one operator matrix built
         # from its entries (no Kronecker product), f once and disc f once
         pair = self.pair()
@@ -215,17 +258,18 @@ class TestOneDiscriminantPerPair:
         for name, module in list(sys.modules.items()):
             if name.startswith("localconj.") and getattr(module, "charpoly", None) is charpoly:
                 monkeypatch.setattr(module, "charpoly", counting_charpoly)
-        discriminants.clear()
+        computed_discriminants.clear()
         assert verify_report(report, pair.a, pair.b) == (True, "all certificates verified")
         assert krons == []
         assert charpolys == [pair.a]
-        assert discriminants == [charpoly(pair.a)]
+        assert computed_discriminants == [charpoly(pair.a)]
 
-    def test_conj_p_takes_disc_f_once(self, discriminants):
+    def test_conj_p_takes_disc_f_once(self, computed_discriminants):
         pair = self.pair()
         for p in (2, 3):
             conj_p_report(pair.a, pair.b, "a.txt", "b.txt", p)
-        assert len(discriminants) == 2
+        # the irreducibility test takes it, and the process keeps it
+        assert computed_discriminants == [charpoly(pair.a)]
 
 
 @pytest.fixture
@@ -259,7 +303,8 @@ class TestOneCheckPerPair:
         op = SylvesterOperator(pair.a, pair.b)
         for p in (2, 3, 5, 7):
             conjugacy._decide_at_prime(op, p)
-        assert len(operator_precisions(precisions, 4)) == 4
+        # the reduced pair has a cyclic unit vector at every one of them
+        assert operator_precisions(precisions, 4) == []
         assert charpolys == [pair.a]
         assert annihilator_checks == [pair.b]
 

@@ -33,6 +33,7 @@ from localconj.primes import next_prime
 from conftest import M, P, wide_pair
 from oracles import (
     brute_degree_pattern,
+    degree_pattern_from_scratch,
     euclid_inverse,
     has_monic_factor_bruteforce,
     lagrange_interpolate,
@@ -179,6 +180,19 @@ class TestModPAcceptFirst:
                 continue
             seen += 1
             assert sorted(_degree_pattern(f, p)) == brute_degree_pattern(f, p)
+
+    def test_iterated_powers_give_the_same_patterns(self):
+        # t^(p^d) as the p-th power of t^(p^(d-1)) against t^(p^d) from
+        # scratch for each d, on monic polynomials of degree 2 to 8
+        rng = random.Random(23)
+        seen = 0
+        while seen < 200:
+            f = IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(2, 8))] + [1])
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            if not squarefree_mod_p(f, p):
+                continue
+            seen += 1
+            assert _degree_pattern(f, p) == degree_pattern_from_scratch(f, p), (f, p)
 
     def test_rejected_polynomial_still_screens_roots(self, divisor_calls):
         # (t - 3)(t^2 + 5) keeps the factor t - 3 modulo every prime, so

@@ -1,0 +1,239 @@
+"""The pair reduced at p (`sylvester.ReducedPair`): a = lam I + p^k a' and
+b = lam I + p^k b'.  A cyclic unit vector of b' or of a'^T mod p gives mu = k
+and the mod-p intertwiner span with no n^2 x n^2 work, and a scalar a' or b'
+mod p gives the negative that the span test reaches.  Each route against the
+general one (elimination of the operator, the exact intertwiner basis)."""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from localconj import (
+    IntMatrix,
+    SylvesterOperator,
+    charpoly,
+    conjugate_over_Zp,
+    conjugate_over_all_Zp,
+    generate_pair,
+    is_irreducible,
+    parse_poly,
+    random_unimodular,
+)
+from localconj import conjugacy, sylvester
+from localconj.cli import conj_p_report
+from localconj.gen import conjugate_exact
+from localconj.sylvester import _reduce
+
+from conftest import scalar_shifted
+
+FIELDS = ("t^2+3", "t^3-t-1", "t^4+3", "t^5-2", "t^6+t+3", "t^7-3")
+
+
+def nilpotent_mod_p(n: int, p: int, rng: random.Random) -> IntMatrix:
+    """lam I + E_01 + p R with an irreducible characteristic polynomial: at
+    n >= 3 neither scalar nor cyclic mod p."""
+    while True:
+        rows = [[p * rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        rows[0][1] += 1
+        a = rng.randrange(-3, 4) * IntMatrix.identity(n) + IntMatrix(rows)
+        if is_irreducible(charpoly(a)):
+            return a
+
+
+def oracle_pairs():
+    """(name, a, b) at n = 2..7, each with a unimodular conjugate and with
+    its conjugate by diag(p, 1, ..., 1) when that is integral: C(f) in a
+    seeded basis, lam I + p^k C(f) (k = 1, and k = 2 for a scalar mod p^2),
+    and at n = 3, 4 a matrix y that is neither scalar nor cyclic mod p; then
+    lam I + p^k C(g) against lam I + p^k y, with g the characteristic
+    polynomial of y, and generated unimodular and singular:p pairs."""
+    rng = random.Random(2311)
+    for field in FIELDS:
+        f = parse_poly(field)
+        n = f.degree
+        diag = {p: IntMatrix.diagonal([p] + [1] * (n - 1)) for p in (2, 3, 5)}
+        for p in (2, 3, 5):
+            starts = [
+                (f"{k}", scalar_shifted(rng.randrange(-3, 4), p, k, field)) for k in (0, 1, 2)
+            ]
+            if 3 <= n <= 4:
+                starts.append(("E01", nilpotent_mod_p(n, p, rng)))
+            for kind, a in starts:
+                a = conjugate_exact(a, random_unimodular(n, rng))
+                for name, m in (("unimodular", random_unimodular(n, rng)), ("diag", diag[p])):
+                    b = conjugate_exact(a, m)
+                    if b is not None:
+                        yield f"{field}/{kind}/{p}/{name}", a, b
+            if 3 <= n <= 4:
+                # C(g) is cyclic mod p and y is not: never conjugate
+                y = nilpotent_mod_p(n, p, rng)
+                c = charpoly(y).companion()
+                for k in (0, 1):
+                    lam = rng.randrange(-3, 4) * IntMatrix.identity(n)
+                    yield f"{field}/C-against-E01/{p}^{k}", lam + p**k * c, lam + p**k * y
+        for strategy in ("unimodular", "singular:2", "singular:3"):
+            pair = generate_pair(f, strategy, n)
+            yield f"{field}/{strategy}", pair.a, pair.b
+
+
+def route(op: SylvesterOperator, p: int) -> str:
+    if op.a == op.b:
+        return "equal"
+    red = op.reduced(p)
+    if red.scalar:
+        return "scalar"
+    if red.cyclic is None:
+        return "general"
+    return "cyclic, k = 0" if red.level == 0 else "cyclic, k > 0"
+
+
+@pytest.fixture
+def general_path(monkeypatch):
+    """A function that runs its argument with every reduced pair marked
+    neither scalar nor cyclic, so that mu comes from the elimination and
+    the decision from the exact intertwiner basis."""
+
+    def run(thunk):
+        with monkeypatch.context() as m:
+            m.setattr(sylvester, "_reduce",
+                      lambda *args: replace(_reduce(*args), scalar=False, cyclic=None))
+            return thunk()
+
+    return run
+
+
+class TestAgainstTheGeneralPath:
+    def test_verdict_mu_profile_and_certificate(self, general_path):
+        routes = Counter()
+        for name, a, b in oracle_pairs():
+            for p in (2, 3, 5, 7):
+                if a.rows >= 6 and p == 7:
+                    continue  # the general walk at n >= 6, p = 7 is slow
+                op = SylvesterOperator(a, b)
+                got = (conjugacy._decide_at_prime(op, p), op.p_profile(p))
+                general = SylvesterOperator(a, b)
+                want = general_path(
+                    lambda: (conjugacy._decide_at_prime(general, p), general.p_profile(p))
+                )
+                assert got == want, (name, p)
+                routes[route(op, p), got[0].conjugate] += 1
+        # every route is taken, with both verdicts where both can occur
+        assert {key for key, count in routes.items() if count >= 2} == {
+            ("cyclic, k = 0", True), ("cyclic, k = 0", False),
+            ("cyclic, k > 0", True), ("cyclic, k > 0", False),
+            ("scalar", False), ("general", True), ("general", False), ("equal", True),
+        }, routes
+
+    @pytest.mark.parametrize("field", ["t^2+3", "t^4+3", "t^5-2"])
+    def test_conj_all_and_pair_certificate(self, general_path, field):
+        for strategy in ("unimodular", "singular:2", "singular:3"):
+            pair = generate_pair(parse_poly(field), strategy, 1)
+            got = conjugate_over_all_Zp(pair.a, pair.b)
+            assert got == general_path(lambda: conjugate_over_all_Zp(pair.a, pair.b))
+
+
+class TestReduction:
+    def test_level_and_reduced_matrices(self):
+        # a = 2 I + 9 C(g) and a conjugate: the common scalar part is 2 I
+        # and the level at 3 is 2
+        a = scalar_shifted(2, 3, 2, "t^3-t-1")
+        b = conjugate_exact(a, random_unimodular(3, random.Random(0)))
+        red = _reduce(a, b, 3)
+        assert red.level == 2
+        assert 2 * IntMatrix.identity(3) + 9 * red.a == a
+        assert 2 * IntMatrix.identity(3) + 9 * red.b == b
+        assert not red.scalar and red.cyclic is not None
+        assert _reduce(a, b, 5).level == 0
+
+    def test_scalar_side_is_never_cyclic(self):
+        # a = I + 5 C reduces to 5 C, zero mod 5, against b' with entries
+        # prime to 5
+        p = 5
+        a = scalar_shifted(1, p, 1, "t^3-t-1")
+        b = conjugate_exact(a, IntMatrix.diagonal([p, 1, 1]))
+        red = _reduce(a, b, p)
+        assert red.level == 0 and red.scalar
+        assert red.cyclic is None or not red.cyclic[0]  # never a'^T
+
+    def test_one_by_one_pair_is_cyclic_with_no_factors(self):
+        op = SylvesterOperator(IntMatrix([[5]]), IntMatrix([[5]]))
+        profile = op.p_profile(2)
+        assert (profile.exponents, profile.mu) == ((), 0)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_span_mod_p_intertwines_and_has_dimension_n(self, transposed):
+        pair = generate_pair(parse_poly("t^4+3"), "singular:3", 0)
+        a, b = (pair.b.transpose(), pair.a.transpose()) if transposed else (pair.a, pair.b)
+        op = SylvesterOperator(a, b)
+        for p in (2, 3, 5, 7):
+            if op.reduced(p).cyclic is None:
+                continue
+            span = op.intertwiners_mod(p)
+            red = op.reduced(p)
+            assert len(span) == 4
+            assert all((red.a @ x - x @ red.b).mod(p) == IntMatrix.zeros(4, 4) for x in span)
+            assert len(sylvester._echelon_fp([sylvester.vec(x) for x in span], p, 16)) == 4
+
+    def test_span_needs_a_cyclic_vector(self):
+        a = nilpotent_mod_p(3, 5, random.Random(0))
+        b = conjugate_exact(a, random_unimodular(3, random.Random(1)))
+        op = SylvesterOperator(a, b)
+        red = op.reduced(5)
+        assert red.cyclic is None and not red.scalar
+        with pytest.raises(ValueError, match="no cyclic unit vector"):
+            op.intertwiners_mod(5)
+
+
+class TestNoOperatorWork:
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """(rows, width) of every elimination over Z/p^k, the operator's
+        being n^2 x n^2, and the number of exact intertwiner bases built
+        while the test runs."""
+        done = {"echelon": [], "intertwiners": 0}
+        echelon = sylvester._echelon_fp
+        basis = SylvesterOperator.intertwiners.func
+
+        def counting_echelon(rows, p, width, k=1):
+            done["echelon"].append((len(rows), width))
+            return echelon(rows, p, width, k)
+
+        def counting_basis(op):
+            done["intertwiners"] += 1
+            return basis(op)
+
+        monkeypatch.setattr(sylvester, "_echelon_fp", counting_echelon)
+        monkeypatch.setattr(conjugacy, "_echelon_fp", counting_echelon)
+        monkeypatch.setattr(SylvesterOperator, "intertwiners", property(counting_basis))
+        return done
+
+    @pytest.mark.parametrize("field,strategy,p", [
+        ("t^5-7", "unimodular", 7),  # search-deep mu = 0, positive
+        ("t^5-2", "singular:2", 2),
+        ("t^4+3", "singular:2", 2),  # negative by the span test
+    ])
+    def test_cyclic_conj_p_makes_no_operator_elimination_and_no_basis(
+        self, work, field, strategy, p
+    ):
+        pair = generate_pair(parse_poly(field), strategy, 0)
+        n = pair.a.rows
+        op = SylvesterOperator(pair.a, pair.b)
+        assert op.reduced(p).cyclic is not None and op.reduced(p).level == 0
+        report = conj_p_report(pair.a, pair.b, "a", "b", p)
+        assert report["verdict"]["mu"] == 0
+        assert (n * n, n * n) not in work["echelon"]
+        assert work["intertwiners"] == 0
+
+    def test_positive_with_mu_one_lifts_through_the_exact_basis(self, work):
+        # lam I + 5 C(g) and a unimodular conjugate: k = 1, cyclic, mu = 1
+        p = 5
+        a = scalar_shifted(2, p, 1, "t^5-t-1")
+        b = conjugate_exact(a, random_unimodular(5, random.Random(1)))
+        v = conjugate_over_Zp(a, b, p)
+        assert (v.conjugate, v.mu_used, v.certificate.modulus) == (True, 1, 25)
+        assert (25, 25) not in work["echelon"]
+        assert work["intertwiners"] == 1
