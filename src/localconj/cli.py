@@ -42,7 +42,7 @@ from .gen import generate_pair
 from .ideals import IdealLattice, mul as ideal_mul, weak_equivalence_data
 from .intmat import IntMatrix, snf
 from .polyfield import charpoly, parse_poly
-from .primes import PreconditionError
+from .primes import PreconditionError, is_prime
 from .sylvester import SylvesterOperator
 
 
@@ -416,18 +416,17 @@ def _member(obj: dict, key: str, kind: type, default=None):
     return value
 
 
-def _stanza_error(op: SylvesterOperator | None, stanza: dict, where: str = "") -> str | None:
-    """Why one per-prime claim fails, or None: a negative carries no certificate;
-    a positive's unit-mod certificate names the stanza's prime and holds on
-    op; and the stanza's mu is op's there.  op is None only for a negative
-    conj-p verdict, which builds no operator and whose mu stays unchecked."""
+def _stanza_error(op: SylvesterOperator, stanza: dict, where: str = "") -> str | None:
+    """Why one per-prime claim fails, or None: its prime is a prime; a
+    negative carries no certificate; a positive's unit-mod certificate names
+    the stanza's prime and holds on op; and the stanza's mu is op's there."""
     blob = _member(stanza, "certificate", dict)
     p = stanza.get("prime")
+    if not is_prime(p):
+        return f"prime {p} is not a prime{where}"
     if not stanza["conjugate"]:
         if blob is not None:
             return f"negative verdict{where} carries a certificate"
-        if op is None:
-            return None
     else:
         if blob is None:
             return f"positive verdict without certificate{where}"
@@ -461,16 +460,15 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         why = why or _non_boolean([verdict.get("conjugate")])
         if why:
             return False, why
-        if not verdict["conjugate"]:
-            why = _stanza_error(None, stanza)
-            return why is None, why or "negative verdict carries no certificate"
         try:
             op = SylvesterOperator(a, b)
-            op.f  # a certificate check needs the shared polynomial
+            op.f  # mu and a certificate check need the shared polynomial
         except PreconditionError as exc:
             return False, str(exc)
         why = _stanza_error(op, stanza)
-        return why is None, why or "certificate verified"
+        if verdict["conjugate"]:
+            return why is None, why or "certificate verified"
+        return why is None, why or "negative verdict carries no certificate"
     if command == "conj-all":
         verdict = _member(report, "verdict", dict, {})
         screened = _member(report, "screened_primes", list, [])

@@ -6,31 +6,39 @@ operator.  Every decision and every check runs on one `SylvesterOperator`
 per pair: it holds the pair's checked irreducible characteristic polynomial
 f and disc f, each computed once, the pair reduced at each prime, the
 intertwiner basis, and mu (`sylvester._local_mu`), so the operator's
-integer Smith form is never built.  The decision at p asks for a
-unit-determinant element in the mod-p span of the intertwiners
-{X : A X = X B}.  The reduced pair (`sylvester.ReducedPair`) picks the
-route: with a cyclic unit vector the span is n Krylov products mod p
-(`SylvesterOperator.intertwiners_mod`) and mu is k, with no n^2 x n^2 work;
-with a scalar a' or b' mod p the answer is a negative; otherwise the span
-is that of the exact basis (n matrices, `SylvesterOperator.intertwiners`),
-which is saturated, so it is every solution mod p that lifts.  On every
-route the span is the same space, so its reduced row echelon form, the
-walk and the verdict are too.  A negative verdict has three routes:
+integer Smith form is never built.  The reduced pair
+(`sylvester.ReducedPair`) picks the route at p:
 
-- a scalar reduced pair: every intertwiner mod p then kills a row of
-  a' - c I or a column of b' - c I, or is 0 (`_scalar_reduced_pair`);
+- scalar: a' or b' is a scalar mod p, and a != b is a negative
+  (`_scalar_reduced_pair`);
+- both cyclic: a' and b' each have a cyclic unit vector mod p (b'^T and
+  a'^T, transposed), so their Z_p[t]-modules are both Z_p[t]/(g) by
+  Nakayama's lemma, and K_a'(w) K_b'(v)^(-1) mod p is a certificate mod
+  p^(k+1) = p^(mu+1) (`_cyclic_pair_witness`): no span and no walk;
+- one side cyclic: the intertwiners mod p are spanned by n Krylov products
+  (`SylvesterOperator.intertwiners_mod`), mu is k, and a unit in their span
+  is a certificate mod p^(mu+1) as it stands;
+- general: the span is that of the exact basis (n matrices,
+  `SylvesterOperator.intertwiners`), which is saturated, so it is every
+  solution mod p that lifts; a unit in it is realized on the basis mod
+  p^(mu+1).
+
+On the last two routes a negative verdict has two ways besides the scalar
+one:
+
 - a shared null vector: when every spanning matrix mod p kills one nonzero
   vector on the right, or every one kills one on the left, so does every
   element of the span, and nothing is searched.  This route is sound, not
   complete: for n >= 3 some spaces of singular matrices share no null vector;
 - an exhausted walk: otherwise the span is walked; a hit is the
-  certificate, lifted through the exact basis mod p^(mu+1) when mu > 0, and
-  a miss is a sound rejection.  The walk needs coefficients only below
-  s = min(p, n+1): det(sum c_i X_i) has degree at most n in each c_i, so by
-  Alon's Combinatorial Nullstellensatz, and as it is homogeneous, it
-  vanishes on all of F_p^dim once it vanishes where c_0 = 1 and every other
-  c_i lies in {0, ..., n}.  A miss costs (s^dim - 1)/(s - 1) points.
+  certificate and a miss is a sound rejection.  The walk needs coefficients
+  only below s = min(p, n+1): det(sum c_i X_i) has degree at most n in each
+  c_i, so by Alon's Combinatorial Nullstellensatz, and as it is
+  homogeneous, it vanishes on all of F_p^dim once it vanishes where c_0 = 1
+  and every other c_i lies in {0, ..., n}.  A miss costs (s^dim - 1)/(s - 1)
+  points.
 
+Verdicts and mu do not depend on the route; certificate matrices do.
 Negative verdicts carry no certificate.  `verify_cert` re-checks every
 certificate from scratch; stored flags are never trusted.
 """
@@ -44,7 +52,7 @@ from typing import Optional, Union
 from .intmat import IntMatrix, Vector, _coordinates, _echelon_fp, _pair_reduced, det
 from .polyfield import IntPoly, discriminant, is_irreducible
 from .primes import PreconditionError, factorize, is_prime, valuation
-from .sylvester import SylvesterOperator, unvec, vec
+from .sylvester import SylvesterOperator, _cyclic_unit_krylov, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -169,14 +177,17 @@ def _span_shares_a_null_vector(mats: list[IntMatrix], p: int, n: int) -> bool:
 def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     """Decide a ~ b over Z_p for the operator's checked pair.
 
-    Equal matrices are conjugate.  Otherwise a null vector shared by the
-    mod-p span of the intertwiners is a negative without a search: at once
-    when the reduced pair is scalar mod p (`_scalar_reduced_pair`), else by
-    `_span_shares_a_null_vector`; else the unit-determinant walk over that span
-    decides.  The span is `SylvesterOperator.intertwiners_mod` when the
-    reduced pair has a cyclic unit vector, and the exact basis otherwise;
-    a hit is a unit mod p, lifted through the exact basis when mu > 0.  mu
-    is the operator's (`SylvesterOperator.mu`) on every route.
+    Equal matrices are conjugate, and a scalar reduced pair is a negative
+    (`_scalar_reduced_pair`).  When a' and b' of the reduced pair both have
+    a cyclic unit vector mod p, they are conjugate, and
+    `_cyclic_pair_witness` is the certificate: no span and no walk.
+    Otherwise a null vector shared by the mod-p span of the intertwiners is
+    a negative without a search (`_span_shares_a_null_vector`), and else the
+    unit-determinant walk over that span decides.  The span is
+    `SylvesterOperator.intertwiners_mod` when the reduced pair has a cyclic
+    unit vector, and a hit is then a certificate mod p^(k+1) as it stands;
+    otherwise it is the exact basis, and the hit is realized on it mod
+    p^(mu+1).  mu is the operator's (`SylvesterOperator.mu`) on every route.
     """
     a, b, n = op.a, op.b, op.n
     mu = op.mu(p)
@@ -186,15 +197,17 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
         return Verdict(True, p, cert, mu)
     if _scalar_reduced_pair(op, p):
         return Verdict(False, p, None, mu)
-    span = op.intertwiners_mod(p) if op.reduced(p).cyclic else op.intertwiners
-    if _span_shares_a_null_vector(span, p, n):
-        return Verdict(False, p, None, mu)
-    witness = _unit_det_witness([vec(x) for x in span], p, p, n)
-    if witness is None:
-        return Verdict(False, p, None, mu)
-    if mu:
-        witness = _lift_mod(op, witness, p, modulus)
-    cert = UnitModCert(unvec(witness, n), p, modulus)
+    x = _cyclic_pair_witness(op, p)
+    if x is None:
+        cyclic = op.reduced(p).cyclic is not None
+        span = op.intertwiners_mod(p) if cyclic else op.intertwiners
+        if _span_shares_a_null_vector(span, p, n):
+            return Verdict(False, p, None, mu)
+        witness = _unit_det_witness([vec(m) for m in span], p, p if cyclic else modulus, n)
+        if witness is None:
+            return Verdict(False, p, None, mu)
+        x = unvec(witness, n)
+    cert = UnitModCert(x, p, modulus)
     if not _unit_mod_holds(op, cert):
         raise AssertionError("freshly built certificate failed verification")
     return Verdict(True, p, cert, mu)
@@ -211,13 +224,29 @@ def _scalar_reduced_pair(op: SylvesterOperator, p: int) -> bool:
     return op.reduced(p).scalar
 
 
-def _lift_mod(op: SylvesterOperator, x: Vector, p: int, modulus: int) -> Vector:
-    """The combination of the exact intertwiner basis, with coefficients in
-    [0, p), that is x mod p, reduced mod `modulus`: the basis is saturated,
-    so the coefficients are unique."""
-    basis = [vec(m) for m in op.intertwiners]
-    coords = _coordinates(basis, x, p, 1)
-    return tuple(sum(c * v[i] for c, v in zip(coords, basis)) % modulus for i in range(len(x)))
+def _cyclic_pair_witness(op: SylvesterOperator, p: int) -> Optional[IntMatrix]:
+    """X = K_a'(w) K_b'(v)^(-1) mod p, entries in [0, p), when the reduced
+    pair's cyclic unit vector v is one of b' (`ReducedPair.cyclic`) and a'
+    has a cyclic unit vector w too; when v is one of a'^T, the transpose of
+    K_b'^T(w) K_a'^T(v)^(-1) for a cyclic unit vector w of b'^T.  None when
+    the other side has no cyclic unit vector.
+
+    X b'^m v = a'^m w for m < n, and b'^n v and a'^n w satisfy the one
+    relation of the shared characteristic polynomial g, so a' X = X b' mod
+    p and det X is a unit: then a X - X b = p^k (a' X - X b') = 0 mod
+    p^(k+1), and k is mu on this route.  This is the Latimer-MacDuffee
+    correspondence at p: by Nakayama's lemma a cyclic vector mod p makes
+    each Z_p[t]-module Z_p[t]/(g), so a' and b' are conjugate over Z_p."""
+    red = op.reduced(p)
+    if red.cyclic is None:
+        return None
+    transposed, inverse = red.cyclic
+    other = list(zip(*red.b.entries)) if transposed else red.a.entries
+    found = _cyclic_unit_krylov(other, p)
+    if found is None:
+        return None
+    x = (found[0] @ inverse).mod(p)
+    return x.transpose() if transposed else x
 
 
 def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:

@@ -15,13 +15,17 @@ routes at p:
   L(a', b') is Ext^1_{Z_p[t]}(M_b', M_a'), free of rank n, so the profile is
   (k, ..., k) and mu = k (`_local_mu`), and the intertwiners mod p are
   spanned by n Krylov products (`SylvesterOperator.intertwiners_mod`);
-  neither touches the n^2 x n^2 operator or disc f;
+  neither touches the n^2 x n^2 operator or disc f.  When the other side
+  has a cyclic unit vector too, the same Krylov search
+  (`_cyclic_unit_krylov`) gives the decision its certificate
+  (`conjugacy._cyclic_pair_witness`), and the span is not needed;
 - scalar: when a' or b' is a scalar mod p, a != b are not conjugate over
   Z_p (`conjugacy._scalar_reduced_pair`);
 - general: otherwise mu comes from the operator's Smith form over Z/p^k at
   the least k that shows it (`_profile_by_elimination`), and the
   intertwiners from the saturated exact basis (n matrices, from one Hermite
-  form of width n through a cyclic vector of b), which lifting also uses.
+  form of width n through a cyclic vector of b), which lifting also uses;
+  only this route lifts a decision's mod-p hit.
 
 Neither builds the operator's integer Smith form.
 
@@ -256,9 +260,9 @@ def _reduce(a: IntMatrix, b: IntMatrix, p: int) -> ReducedPair:
     ):
         if scalar and n > 1:
             continue  # a scalar has no cyclic vector
-        inverse = _cyclic_unit_inverse(rows, p)
-        if inverse is not None:
-            cyclic = (transposed, inverse)
+        found = _cyclic_unit_krylov(rows, p)
+        if found is not None:
+            cyclic = (transposed, found[1])
             break
     return ReducedPair(level, a1, b1, scalar_a or scalar_b, cyclic)
 
@@ -269,10 +273,10 @@ def _is_scalar_mod(m: IntMatrix, p: int) -> bool:
                for j, x in enumerate(row))
 
 
-def _cyclic_unit_inverse(rows, p: int) -> IntMatrix | None:
-    """K^(-1) mod p for K = [e_j, m e_j, ..., m^(n-1) e_j] at the first unit
-    vector e_j for which K is invertible mod p, m the square matrix of the
-    rows; None when there is none."""
+def _cyclic_unit_krylov(rows, p: int) -> tuple[IntMatrix, IntMatrix] | None:
+    """(K, K^(-1)) mod p for K = [e_j, m e_j, ..., m^(n-1) e_j] at the first
+    unit vector e_j for which K is invertible mod p, m the square matrix of
+    the rows; None when there is none."""
     n, rows = len(rows), [[x % p for x in row] for row in rows]
     unit = IntMatrix.identity(n).entries
     for v in unit:
@@ -282,7 +286,7 @@ def _cyclic_unit_inverse(rows, p: int) -> IntMatrix | None:
             krylov.append(v)
         reduced = _echelon_fp([k + u for k, u in zip(zip(*krylov), unit)], p, n)
         if len(reduced) == n:
-            return IntMatrix._of(row[n:] for row in reduced)
+            return IntMatrix._of(zip(*krylov)), IntMatrix._of(row[n:] for row in reduced)
     return None
 
 

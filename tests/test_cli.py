@@ -602,6 +602,20 @@ class TestVerifyMismatchedPair:
         assert payload["accepted"] is False
 
 
+    def test_negative_against_other_polynomial_is_rejected(self):
+        # a negative conj-p verdict is checked on the operator too, so the
+        # pair must share one irreducible polynomial
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        report = conj_p_report(pair.a, pair.b, "a.txt", "b.txt", 2)
+        assert not report["verdict"]["conjugate"]
+        for stanza in report["inputs"].values():
+            del stanza["sha256"]
+        other = parse_poly("t^4+5").companion()
+        assert verify_report(report, pair.a, other) == (
+            False, "characteristic polynomials differ"
+        )
+
+
 class TestVerifyEmptyScreen:
     # t^2+t+1 has discriminant -3, so its screen is empty and no stanza's
     # certificate check ever reads b
@@ -912,6 +926,24 @@ class TestVerifyTamperedFields:
             False, "mu does not match the operator's at 2"
         )
 
+    @pytest.mark.parametrize("mu", [1, 5, True])
+    def test_conj_p_negative_mu_changed(self, mu):
+        # t^4+3 singular:2 seed 0 is negative at 2 with mu 0
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        report = conj_p_report(pair.a, pair.b, "a", "b", 2)
+        assert (report["verdict"]["conjugate"], report["verdict"]["mu"]) == (False, 0)
+        report["verdict"]["mu"] = mu
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "mu does not match the operator's"
+        )
+
+    def test_conj_p_negative_prime_not_a_prime(self):
+        pair = generate_pair(parse_poly("t^4+3"), "singular:2", 0)
+        report = conj_p_report(pair.a, pair.b, "a", "b", 2)
+        assert not report["verdict"]["conjugate"]
+        report["prime"] = report["verdict"]["prime"] = 4
+        assert verify_report(report, pair.a, pair.b) == (False, "prime 4 is not a prime")
+
     def test_weak_equiv_negative_with_witnesses(self):
         pair = generate_pair(parse_poly("t^2+3"), "unimodular", 2)
         report = weak_equiv_report(pair.a, pair.b, "a", "b")
@@ -1114,41 +1146,41 @@ GOLDEN_REPORTS = {
     ("t^2+3", "unimodular", 1, "conj-p", 2):
         "ad4228c5c75e5bde7f404449ab00377371df893bd0d17c385fd93b7ff59ef427",
     ("t^4-10t^2+1", "unimodular", 0, "conj-all", None):
-        "589589fa22bbb8a9414923a6427693f722144ec15c172680402944d026a3882e",
+        "7b8cc6d733b09c82b64fd045391fe5a83a25cf72324cde06020498ff68c33fce",
     ("t^4-10t^2+1", "unimodular", 0, "conj-p", 2):
-        "19c34c7eabfc08243736d529a7e0b5eb22a1a4faa103e5e48aa1012bf77146b0",
+        "fc57de4ce0341395b4d75681ab8cc550b5d020568c73148055253320e52cc083",
     ("t^4-10t^2+1", "unimodular", 0, "conj-p", 3):
-        "7afe567a0926900f4d93081f1bc14f49d8e33496c7fef1f2dd821d81055215a7",
+        "09f9059eb6f6c7f6eb141a865ccbc5466fad4bedc1b6f622bb03a481c451a27a",
     ("t^4-10t^2+1", "unimodular", 1, "conj-all", None):
-        "a56b2178ceecbb7b366a3a9d06e8ecfe113a53e27e765374d549dca435a88727",
+        "39fa14817c92bd64d7a85d97444bacebe4f5037bedd67bc4c3a919b29d7766a9",
     ("t^4-10t^2+1", "unimodular", 1, "conj-p", 2):
         "5f7b74e5aac7ccc72b212d768914a1d56ca6bcacff09a9e37a9a7a3250cb4405",
     ("t^4-10t^2+1", "unimodular", 1, "conj-p", 3):
-        "e5c49732e98ce4a9253bbfab5153f27bb3080e388fdd211e3e89c884313dce71",
+        "a73294c1f312ec3d72530a4956b837c642c489301bb2a9f5480ede1726fd8d2f",
     ("t^5-2", "unimodular", 0, "conj-all", None):
-        "269e69d98b2a84eba4524a8d9b2afeac0fb42b8c7e65d56f8f87ef00ec369b67",
+        "c56f20e53cf736d3927b8afee59e74cd1b141f9bb14a6bbfeba03ee71a3744f0",
     ("t^5-2", "unimodular", 0, "conj-p", 2):
         "1974ca7cebc7394d885744c910da719cf99cf1e7995fa828836fa0cc1dbe3d96",
     ("t^5-2", "unimodular", 0, "conj-p", 5):
-        "902da8438f0d850af7d46f316597ad22589abb859d725a6bf1d3ba2d60723bc0",
+        "2745e28473af2c7329e8b0b1fb37349c7f0e6012f64263ce8db8f2519cd3dea9",
     ("t^5-2", "unimodular", 1, "conj-all", None):
-        "e3359fc3daffd42e5065bb7b5e4754775bb0f10a74967c0d69bbf1b9e5e1402c",
+        "f9fa0e7b0a9f0ddafb764b158b7cee24c16a2e64bc08f4cd69fe717f71f7999f",
     ("t^5-2", "unimodular", 1, "conj-p", 2):
         "bff75ffe58da8c734e71421c456db54c7d5016f68727503b8ae7460ed22b2ada",
     ("t^5-2", "unimodular", 1, "conj-p", 5):
-        "afbdc9cc70ec9fa325261479ae6e94d6b406ef40cca6c17f5437a0d9ab510129",
+        "18282eb62bba410b453958de04bf6c0ee936f4e638372fedcb890804b257f6be",
     ("t^7-3", "unimodular", 0, "conj-all", None):
-        "4f92390c256e32b5d6c2cf98b25ade4b22688e099f84756b165326bd2e606165",
+        "ec5248a4d90b519454b7c461a5db8810fb8989c3ce4357d82e64c1b037dc594f",
     ("t^7-3", "unimodular", 0, "conj-p", 3):
-        "6be6c03b44fed8f18a580bb51a74593d6745df646dfd644730e628e803e9062e",
+        "dc5044b41e79a41e36b3f9cc17764a2d9914336f5490ff13139fd180f57a2bff",
     ("t^7-3", "unimodular", 0, "conj-p", 7):
-        "e8d4c6b6b020ececa075c323275471c4ef2700ecf51f819245773223cd61cdb5",
+        "2783c570493a479cdf14f16c7a1737ed9a3038af6eb394f89de37392fed88ea1",
     ("t^3-4", "singular:2", 0, "conj-all", None):
-        "a1d74ec74d0af59a920728d2c55bf7b686ed00a6e2f3c358055669bd48eb8820",
+        "750493e21064e4ab250a9502653dba82aa84d6717ae8391996b88cdd6dd71ff7",
     ("t^3-4", "singular:2", 0, "conj-p", 2):
         "b8ab0e19d34cb9b5ebd03b3b1cdc92fcd64b6db7228a5210e852bc414657022a",
     ("t^3-4", "singular:2", 0, "conj-p", 3):
-        "0f88d924d9d7cb76039c057b7e9e179387368cdb665cba975086f9746fac5849",
+        "150c7b2542fef0a2a699bed283eb5e96d4ecd29eff67e1db678de5f1995830b6",
 }
 
 # (field, strategy, seed, command) -> report_digest of the ideal-side
@@ -1167,7 +1199,7 @@ GOLDEN_IDEAL_REPORTS = {
     ('t^2+3', 'singular:2', 0, 'weak-equiv'):
         '99c60fd8d88c2dc55e74ae0341022745ae04d83a02c2a2b89f530264fadac393',
     ('t^2+3', 'singular:2', 0, 'conj-all --cross-check'):
-        '491e546734d94cffb26e7d1801cc5ef0d99517211df17595360591f21a1c2c84',
+        'f24b908d762fa1f424ae70d0b193dd1f649f408e54eee695fc9b025f352ee151',
     ('t^2+3', 'singular:2', 1, 'weak-equiv'):
         '2e9b1885c6f04716d9a1fefbd261ca04a2d36da318a2cda9e1a0904537a4a429',
     ('t^2+3', 'singular:2', 1, 'conj-all --cross-check'):
@@ -1175,7 +1207,7 @@ GOLDEN_IDEAL_REPORTS = {
     ('t^3-t^2-2t-8', 'unimodular', 0, 'weak-equiv'):
         '5dce0aac189879a04fd3f8fac51093793b6cb0dc1c69e8daa822dd2626d85835',
     ('t^3-t^2-2t-8', 'unimodular', 0, 'conj-all --cross-check'):
-        '64acd1b32ad403de8acc6693b8629c63f739ef6a0ee5816758ec7f9f7a2d76c0',
+        'b6a6b8c29dd82300f5111b331ac6126c3d24b29267628e4511a746894548fe91',
     ('t^3-t^2-2t-8', 'unimodular', 1, 'weak-equiv'):
         'e0d6eb8cf97b042593cc5eb8410804ee5c985f073c8fe43d786335bbd9072480',
     ('t^3-t^2-2t-8', 'unimodular', 1, 'conj-all --cross-check'):
@@ -1191,39 +1223,39 @@ GOLDEN_IDEAL_REPORTS = {
     ('t^4-10t^2+1', 'unimodular', 0, 'weak-equiv'):
         '53df61e6230493e4de215e27ff6783094762d7fc69bc12b6065994a0819a9d56',
     ('t^4-10t^2+1', 'unimodular', 0, 'conj-all --cross-check'):
-        '0f983f4d191702475c4fb2d8d5fba6287c5ca34d254e48dbc82df7c92905f25e',
+        'faffe0ced6c4a30059973bef0e316944402c1c4f20759a8c90480f6f33d98451',
     ('t^4-10t^2+1', 'unimodular', 1, 'weak-equiv'):
         'c5fd5829d3886b4cd192b849e99f516bf7c38d784783bacf8eb90f9afef8b9f7',
     ('t^4-10t^2+1', 'unimodular', 1, 'conj-all --cross-check'):
-        'daa37d64a2fb1048d2545bcff653ee8ee976af8d0af8eee6451a31606fd84263',
+        '300edd441fcc2b5ffb2dcb7bccf75fb05c066261c364383d41d7d79d8b049d7c',
     ('t^4-10t^2+1', 'singular:2', 0, 'weak-equiv'):
         '52f22530db126bb43cf2a66d9766a5f338713ebb4301ae3d25d67ca1fa81ca94',
     ('t^4-10t^2+1', 'singular:2', 0, 'conj-all --cross-check'):
-        '05f4f0a212480fd5327c6dfe51829d1e08cac89d1d8d8f442236547da46aab9b',
+        'fe496075c7e8a3d6d1c1a108d17b010720723c39eeb2d0d7d9273c53b0e89803',
     ('t^4-10t^2+1', 'singular:2', 1, 'weak-equiv'):
         'c8f5bf088fa120f3f209c088299c53ae064dbaf3a10330e3f35f7187299d2c80',
     ('t^4-10t^2+1', 'singular:2', 1, 'conj-all --cross-check'):
-        '66eb369f1b0b8c38cc904cd526d411bb2e6903427f651baad1f89e2b122adf3a',
+        'f2fa4c639e903d1ec679616b51666980d0a2d5b1d11694d55e0d37811cf3cdcb',
     ('t^5-2', 'unimodular', 0, 'weak-equiv'):
         '80df60823888aec52ac8fa8ddbf5654055c2f61a5d726bfe59f2d6472f9e02f3',
     ('t^5-2', 'unimodular', 0, 'conj-all --cross-check'):
-        '3700833aed98aab621550e156043c8ada5e4935b511174c5a3fccce267e60b57',
+        'c926c01b960ec48f46b5818f6314342de4c284ba1d3ce721fff822b80feabfc8',
     ('t^5-2', 'unimodular', 1, 'weak-equiv'):
         '412279a3fdec7e9f1ecbf30f1191be7b8193601894493a7d42d56d53ce516e3f',
     ('t^5-2', 'unimodular', 1, 'conj-all --cross-check'):
-        'f4a31124e9933f2ef76c0aa58eef0bcf48c62b3d75d5e17ef862d09029a81401',
+        '203dfcbb5eb4bb577d4f1c981ed1c7170fbad2e62221b096c4ed798b693ebbd1',
     ('t^5-2', 'singular:2', 0, 'weak-equiv'):
         'de2b7897f5fb638d15a42dcf61c03fecec33adb46239013bc93c2421e970c819',
     ('t^5-2', 'singular:2', 0, 'conj-all --cross-check'):
-        '8d9470ab9c95035489fbc904feeb5a839f50736e8bd9c600ab0a96ba1c6be1e3',
+        '839d7e5abff178abe08d9a316168562245707dbcc0e757b611248a26d363e019',
     ('t^5-2', 'singular:2', 1, 'weak-equiv'):
         'caa34cdfe6b01193747488e346f24b6ea8da145c569acb3e62679536bec0fcaa',
     ('t^5-2', 'singular:2', 1, 'conj-all --cross-check'):
-        '2b7f503c9fcf0df287a638d64d75c1ed168b5d6cbb74e82eeea8e5f7cc957e7c',
+        '89a51188d902606fa47f6804061c3fa962536102856895a1825bea9f90807692',
     ('t^6-2', 'unimodular', 0, 'weak-equiv'):
         '897a8d02193c539e0e2fcb8b4456629761b471dc3aafdb9711829be2e480d6c6',
     ('t^6-2', 'unimodular', 0, 'conj-all --cross-check'):
-        'e16ab3dfdf0858f5ca3a1f897a65f2db91b36a7efd4a75fb6012c41ce3db9d0f',
+        '97b1415ab7dc38d2fe013a1d6b96709b1be693d893b28c825b1f85c46989500d',
 }
 
 

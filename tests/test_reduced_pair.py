@@ -1,8 +1,10 @@
 """The pair reduced at p (`sylvester.ReducedPair`): a = lam I + p^k a' and
 b = lam I + p^k b'.  A cyclic unit vector of b' or of a'^T mod p gives mu = k
-and the mod-p intertwiner span with no n^2 x n^2 work, and a scalar a' or b'
-mod p gives the negative that the span test reaches.  Each route against the
-general one (elimination of the operator, the exact intertwiner basis)."""
+and the mod-p intertwiner span with no n^2 x n^2 work, one on the other side
+too gives the certificate K_a'(w) K_b'(v)^(-1) mod p with no span and no
+walk, and a scalar a' or b' mod p gives the negative that the span test
+reaches.  Each route against the general one (elimination of the operator,
+the exact intertwiner basis)."""
 
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from localconj import (
     is_irreducible,
     parse_poly,
     random_unimodular,
+    verify_cert,
 )
 from localconj import conjugacy, sylvester
 from localconj.cli import conj_p_report
@@ -29,6 +32,7 @@ from localconj.gen import conjugate_exact
 from localconj.sylvester import _reduce
 
 from conftest import scalar_shifted
+from test_span_negatives import radical_order_pair
 
 FIELDS = ("t^2+3", "t^3-t-1", "t^4+3", "t^5-2", "t^6+t+3", "t^7-3")
 
@@ -80,6 +84,19 @@ def oracle_pairs():
             yield f"{field}/{strategy}", pair.a, pair.b
 
 
+def seeded_pairs():
+    """(name, a, b, p): lam I + p^k C(f) in a seeded basis against a
+    unimodular conjugate, at k = 0, 1, 2 and p = 2, 3, 5, 7."""
+    rng = random.Random(2412)
+    for field in FIELDS:
+        n = parse_poly(field).degree
+        for p in (2, 3, 5, 7):
+            for k in (0, 1, 2):
+                a = scalar_shifted(rng.randrange(-3, 4), p, k, field)
+                a = conjugate_exact(a, random_unimodular(n, rng))
+                yield f"{field}/{k}/{p}", a, conjugate_exact(a, random_unimodular(n, rng)), p
+
+
 def route(op: SylvesterOperator, p: int) -> str:
     if op.a == op.b:
         return "equal"
@@ -106,6 +123,18 @@ def general_path(monkeypatch):
     return run
 
 
+def claims(v) -> tuple:
+    """A verdict without its certificates: the two routes may find
+    different ones."""
+    return (v.conjugate, v.prime, v.mu_used, v.screened, tuple(map(claims, v.per_prime)))
+
+
+def certified(a: IntMatrix, b: IntMatrix, v) -> bool:
+    """Every certificate of the verdict passes `verify_cert`."""
+    certs = [w.certificate for w in (v, *v.per_prime) if w.certificate is not None]
+    return (v.certificate is None) != v.conjugate and all(verify_cert(a, b, c) for c in certs)
+
+
 class TestAgainstTheGeneralPath:
     def test_verdict_mu_profile_and_certificate(self, general_path):
         routes = Counter()
@@ -114,13 +143,13 @@ class TestAgainstTheGeneralPath:
                 if a.rows >= 6 and p == 7:
                     continue  # the general walk at n >= 6, p = 7 is slow
                 op = SylvesterOperator(a, b)
-                got = (conjugacy._decide_at_prime(op, p), op.p_profile(p))
+                got = conjugacy._decide_at_prime(op, p)
                 general = SylvesterOperator(a, b)
-                want = general_path(
-                    lambda: (conjugacy._decide_at_prime(general, p), general.p_profile(p))
-                )
-                assert got == want, (name, p)
-                routes[route(op, p), got[0].conjugate] += 1
+                want = general_path(lambda: conjugacy._decide_at_prime(general, p))
+                assert claims(got) == claims(want), (name, p)
+                assert op.p_profile(p) == general.p_profile(p), (name, p)
+                assert certified(a, b, got) and certified(a, b, want), (name, p)
+                routes[route(op, p), got.conjugate] += 1
         # every route is taken, with both verdicts where both can occur
         assert {key for key, count in routes.items() if count >= 2} == {
             ("cyclic, k = 0", True), ("cyclic, k = 0", False),
@@ -133,7 +162,46 @@ class TestAgainstTheGeneralPath:
         for strategy in ("unimodular", "singular:2", "singular:3"):
             pair = generate_pair(parse_poly(field), strategy, 1)
             got = conjugate_over_all_Zp(pair.a, pair.b)
-            assert got == general_path(lambda: conjugate_over_all_Zp(pair.a, pair.b))
+            want = general_path(lambda: conjugate_over_all_Zp(pair.a, pair.b))
+            assert claims(got) == claims(want)
+            assert certified(pair.a, pair.b, got) and certified(pair.a, pair.b, want)
+
+
+class TestCyclicPairWitness:
+    """When a' and b' both have a cyclic unit vector mod p, the decision is
+    the Krylov witness (`conjugacy._cyclic_pair_witness`)."""
+
+    def test_every_exit_is_a_positive_of_the_general_path(self, general_path):
+        decisions = [
+            (name, a, b, p)
+            for name, a, b in oracle_pairs()
+            for p in (2, 3, 5, 7)
+            if not (a.rows >= 6 and p == 7)
+        ]
+        decisions += list(seeded_pairs())
+        taken = Counter()
+        for name, a, b, p in decisions:
+            for x, y in ((a, b), (b.transpose(), a.transpose())):
+                op = SylvesterOperator(x, y)
+                if not route(op, p).startswith("cyclic"):
+                    continue
+                witness = conjugacy._cyclic_pair_witness(op, p)
+                if witness is None:
+                    continue
+                got = conjugacy._decide_at_prime(op, p)
+                general = SylvesterOperator(x, y)
+                want = general_path(lambda: conjugacy._decide_at_prime(general, p))
+                assert want.conjugate and claims(got) == claims(want), (name, p)
+                assert op.p_profile(p) == general.p_profile(p), (name, p)
+                cert = got.certificate
+                assert cert.x == witness and cert.modulus == p ** (got.mu_used + 1)
+                assert all(0 <= v < p for row in cert.x.entries for v in row)
+                assert verify_cert(x, y, cert), (name, p)
+                taken[op.reduced(p).cyclic[0], op.reduced(p).level > 0] += 1
+        # both orientations of the Krylov search, and levels 0 and above
+        assert {key for key, count in taken.items() if count >= 2} >= {
+            (False, False), (False, True), (True, False)
+        }, taken
 
 
 class TestReduction:
@@ -192,23 +260,35 @@ class TestNoOperatorWork:
     @pytest.fixture
     def work(self, monkeypatch):
         """(rows, width) of every elimination over Z/p^k, the operator's
-        being n^2 x n^2, and the number of exact intertwiner bases built
+        being n^2 x n^2, the number of exact intertwiner bases and of mod-p
+        spans built, of determinants the walk took and of span tests run
         while the test runs."""
-        done = {"echelon": [], "intertwiners": 0}
+        done = {"echelon": [], "intertwiners": 0, "intertwiners_mod": 0, "det_mod": 0,
+                "span_test": 0}
         echelon = sylvester._echelon_fp
         basis = SylvesterOperator.intertwiners.func
+        span_mod = SylvesterOperator.intertwiners_mod
+        det_mod, span_test = conjugacy._det_mod, conjugacy._span_shares_a_null_vector
 
         def counting_echelon(rows, p, width, k=1):
             done["echelon"].append((len(rows), width))
             return echelon(rows, p, width, k)
 
-        def counting_basis(op):
-            done["intertwiners"] += 1
-            return basis(op)
+        def counting(key, func):
+            def run(*args):
+                done[key] += 1
+                return func(*args)
+            return run
 
         monkeypatch.setattr(sylvester, "_echelon_fp", counting_echelon)
         monkeypatch.setattr(conjugacy, "_echelon_fp", counting_echelon)
-        monkeypatch.setattr(SylvesterOperator, "intertwiners", property(counting_basis))
+        monkeypatch.setattr(SylvesterOperator, "intertwiners",
+                            property(counting("intertwiners", basis)))
+        monkeypatch.setattr(SylvesterOperator, "intertwiners_mod",
+                            counting("intertwiners_mod", span_mod))
+        monkeypatch.setattr(conjugacy, "_det_mod", counting("det_mod", det_mod))
+        monkeypatch.setattr(conjugacy, "_span_shares_a_null_vector",
+                            counting("span_test", span_test))
         return done
 
     @pytest.mark.parametrize("field,strategy,p", [
@@ -229,11 +309,54 @@ class TestNoOperatorWork:
         assert work["intertwiners"] == 0
 
     def test_positive_with_mu_one_lifts_through_the_exact_basis(self, work):
-        # lam I + 5 C(g) and a unimodular conjugate: k = 1, cyclic, mu = 1
+        # lam I + 5 C(g) and a unimodular conjugate: k = 1, cyclic, mu = 1;
+        # the witness mod 5 is a certificate mod 25 as it stands
         p = 5
         a = scalar_shifted(2, p, 1, "t^5-t-1")
         b = conjugate_exact(a, random_unimodular(5, random.Random(1)))
         v = conjugate_over_Zp(a, b, p)
         assert (v.conjugate, v.mu_used, v.certificate.modulus) == (True, 1, 25)
+        assert all(0 <= x < p for row in v.certificate.x.entries for x in row)
         assert (25, 25) not in work["echelon"]
-        assert work["intertwiners"] == 1
+        assert work["intertwiners"] == 0
+
+    @pytest.mark.parametrize("field,p", [
+        ("t^5-7", 7),  # search-deep mu = 0, positive
+        ("t^5-2", 5),
+        ("t^7-3", 7),
+    ])
+    def test_both_cyclic_conj_p_makes_no_walk_span_or_basis(self, work, field, p):
+        pair = generate_pair(parse_poly(field), "unimodular", 0)
+        n = pair.a.rows
+        op = SylvesterOperator(pair.a, pair.b)
+        assert conjugacy._cyclic_pair_witness(op, p) is not None
+        work.update(echelon=[], det_mod=0)
+        report = conj_p_report(pair.a, pair.b, "a", "b", p)
+        assert report["verdict"]["conjugate"]
+        assert (n * n, n * n) not in work["echelon"]
+        assert (work["det_mod"], work["intertwiners_mod"], work["intertwiners"]) == (0, 0, 0)
+        assert work["span_test"] == 0
+
+    def test_transposed_both_cyclic_pair_makes_no_walk(self, work):
+        # b' = b + I has no cyclic unit vector mod 2, a'^T and b'^T have one
+        a = IntMatrix([[-1, 2, 0], [2, 0, -2], [-1, -1, 2]])
+        b = IntMatrix([[0, 2, -2], [2, -1, 0], [-1, -1, 2]])
+        p = 2
+        op = SylvesterOperator(a, b)
+        assert op.reduced(p).cyclic[0] and conjugacy._cyclic_pair_witness(op, p) is not None
+        work.update(echelon=[], det_mod=0)
+        v = conjugate_over_Zp(a, b, p)
+        assert v.conjugate and verify_cert(a, b, v.certificate)
+        assert (work["det_mod"], work["intertwiners_mod"], work["intertwiners"]) == (0, 0, 0)
+
+    def test_cyclic_negative_reaches_the_span_test(self, work):
+        # C(t^5 - 4 * 5) against beta on a larger order: b' has no cyclic
+        # vector mod 2, so no Krylov witness, and the span test rejects
+        a, b = radical_order_pair(5, 2, 2, 5, 7)
+        op = SylvesterOperator(a, b)
+        assert op.reduced(2).cyclic is not None and not op.reduced(2).scalar
+        v = conjugate_over_Zp(a, b, 2)
+        assert not v.conjugate
+        assert work["span_test"] == 1 and work["intertwiners_mod"] == 1
+        assert work["det_mod"] == 0 and work["intertwiners"] == 0
+

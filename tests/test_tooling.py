@@ -115,24 +115,33 @@ def test_only_primes_strips_prime_factors():
     assert offenders == []
 
 
-def _snf_callers(tree: ast.Module, module: str) -> list[str]:
-    """module.function of every call of `snf(...)` or `x.snf(...)`, named by
-    the innermost enclosing function (the module itself at top level)."""
+def _scopes(tree: ast.Module, module: str, hit) -> list[str]:
+    """module.function of every node for which hit(node) holds, named by the
+    innermost enclosing function (the module itself at top level)."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "snf":
-                found.append(f"{module}.{scope}")
+        if hit(node):
+            found.append(f"{module}.{scope}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, "<module>")
     return found
+
+
+def _snf_callers(tree: ast.Module, module: str) -> list[str]:
+    """The scopes of every call of `snf(...)` or `x.snf(...)`."""
+
+    def is_snf_call(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "snf"
+
+    return _scopes(tree, module, is_snf_call)
 
 
 def test_only_the_snf_command_builds_an_integer_smith_form():
@@ -143,6 +152,24 @@ def test_only_the_snf_command_builds_an_integer_smith_form():
     for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
         callers += _snf_callers(ast.parse(path.read_text()), path.stem)
     assert callers == ["cli.cmd_snf"]
+
+
+def test_only_the_general_route_reads_the_exact_basis():
+    # a cyclic reduced pair is decided mod p with no exact intertwiner: the
+    # basis serves the general route's span and lifting, the pair
+    # certificate and `lift_kernel`, and no helper rebuilds a mod-p hit on it
+    readers, defined = [], set()
+    for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        readers += _scopes(
+            tree, path.stem,
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "intertwiners",
+        )
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert readers == [
+        "conjugacy._decide_at_prime", "conjugacy._pair_cert", "sylvester.lift_kernel"
+    ]
+    assert "_lift_mod" not in defined
 
 
 def readme_commands() -> list[str]:
