@@ -7,24 +7,21 @@ per pair: it holds the pair's checked irreducible characteristic polynomial
 f and disc f, each computed once, the pair reduced at each prime, the
 intertwiner basis, and mu (`sylvester._local_mu`), so the operator's
 integer Smith form is never built.  The reduced pair
-(`sylvester.ReducedPair`) picks the route at p:
+(`sylvester.ReducedPair`) picks one of three cases at p, after a = b:
 
-- scalar: a' or b' is a scalar mod p, and a != b is a negative
-  (`_scalar_reduced_pair`);
-- both cyclic: a' and b' each have a cyclic unit vector mod p (b'^T and
-  a'^T, transposed), so their Z_p[t]-modules are both Z_p[t]/(g) by
-  Nakayama's lemma, and K_a'(w) K_b'(v)^(-1) mod p is a certificate mod
-  p^(k+1) = p^(mu+1) (`_cyclic_pair_witness`): no span and no walk;
-- one side cyclic: the intertwiners mod p are spanned by n Krylov products
-  (`SylvesterOperator.intertwiners_mod`), mu is k, and a unit in their span
-  is a certificate mod p^(mu+1) as it stands;
-- general: the span is that of the exact basis (n matrices,
-  `SylvesterOperator.intertwiners`), which is saturated, so it is every
-  solution mod p that lifts; a unit in it is realized on the basis mod
-  p^(mu+1).
+- reject: a' or b' is a scalar mod p, or exactly one of them is regular
+  (has a cyclic vector mod p), and a != b is a negative
+  (`_reduced_pair_rejects`);
+- both regular: by Nakayama's lemma both Z_p[t]-modules are Z_p[t]/(g), so
+  a' and b' are conjugate over Z_p, and K_a'(w) K_b'(v)^(-1) mod p, from a
+  cyclic vector on each side, is a certificate mod p^(k+1) = p^(mu+1): no
+  span, walk or exact basis;
+- general: neither side is regular.  The span is that of the exact basis
+  (n matrices, `SylvesterOperator.intertwiners`), which is saturated, so it
+  is every solution mod p that lifts; a unit in it is realized on the basis
+  mod p^(mu+1).
 
-On the last two routes a negative verdict has two ways besides the scalar
-one:
+On the general route a negative verdict has two ways:
 
 - a shared null vector: when every spanning matrix mod p kills one nonzero
   vector on the right, or every one kills one on the left, so does every
@@ -52,7 +49,7 @@ from typing import Optional, Union
 from .intmat import IntMatrix, Vector, _coordinates, _echelon_fp, _pair_reduced, det
 from .polyfield import IntPoly, discriminant, is_irreducible
 from .primes import PreconditionError, factorize, is_prime, valuation
-from .sylvester import SylvesterOperator, _cyclic_unit_krylov, unvec, vec
+from .sylvester import SylvesterOperator, _cyclic_krylov, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -177,17 +174,18 @@ def _span_shares_a_null_vector(mats: list[IntMatrix], p: int, n: int) -> bool:
 def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     """Decide a ~ b over Z_p for the operator's checked pair.
 
-    Equal matrices are conjugate, and a scalar reduced pair is a negative
-    (`_scalar_reduced_pair`).  When a' and b' of the reduced pair both have
-    a cyclic unit vector mod p, they are conjugate, and
-    `_cyclic_pair_witness` is the certificate: no span and no walk.
-    Otherwise a null vector shared by the mod-p span of the intertwiners is
-    a negative without a search (`_span_shares_a_null_vector`), and else the
-    unit-determinant walk over that span decides.  The span is
-    `SylvesterOperator.intertwiners_mod` when the reduced pair has a cyclic
-    unit vector, and a hit is then a certificate mod p^(k+1) as it stands;
-    otherwise it is the exact basis, and the hit is realized on it mod
-    p^(mu+1).  mu is the operator's (`SylvesterOperator.mu`) on every route.
+    Equal matrices are conjugate, and `_reduced_pair_rejects` gives the
+    negatives that the reduced pair settles.  When a' and b' are both
+    regular mod p, with cyclic vectors w and v, X = K_a'(w) K_b'(v)^(-1)
+    mod p, entries in [0, p), is the certificate: X b'^m v = a'^m w for
+    m < n, and b'^n v and a'^n w satisfy the one relation of the shared
+    characteristic polynomial, so a' X = X b' mod p with det X a unit, and
+    a X - X b = p^k (a' X - X b') = 0 mod p^(k+1), k being mu there.
+    Otherwise a null vector shared by the mod-p span of the exact
+    intertwiner basis is a negative without a search
+    (`_span_shares_a_null_vector`), and else the unit-determinant walk over
+    that span decides and realizes its hit on the basis mod p^(mu+1).  mu
+    is the operator's (`SylvesterOperator.mu`) in every case.
     """
     a, b, n = op.a, op.b, op.n
     mu = op.mu(p)
@@ -195,15 +193,16 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
         return Verdict(True, p, cert, mu)
-    if _scalar_reduced_pair(op, p):
+    if _reduced_pair_rejects(op, p):
         return Verdict(False, p, None, mu)
-    x = _cyclic_pair_witness(op, p)
-    if x is None:
-        cyclic = op.reduced(p).cyclic is not None
-        span = op.intertwiners_mod(p) if cyclic else op.intertwiners
+    red = op.reduced(p)
+    if red.krylov_a is not None and red.krylov_b is not None:
+        x = (red.krylov_a[0] @ red.krylov_b[1]).mod(p)
+    else:
+        span = op.intertwiners
         if _span_shares_a_null_vector(span, p, n):
             return Verdict(False, p, None, mu)
-        witness = _unit_det_witness([vec(m) for m in span], p, p if cyclic else modulus, n)
+        witness = _unit_det_witness([vec(m) for m in span], p, modulus, n)
         if witness is None:
             return Verdict(False, p, None, mu)
         x = unvec(witness, n)
@@ -213,40 +212,17 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     return Verdict(True, p, cert, mu)
 
 
-def _scalar_reduced_pair(op: SylvesterOperator, p: int) -> bool:
-    """For a != b: a' or b' of the reduced pair (`ReducedPair`) is a scalar
-    mod p, so the span test would fire.  If b' = c I mod p, every
-    intertwiner X mod p has (a' - c I) X = 0, so a nonzero row of a' - c I
-    kills every X on the left; if a' = c I, every X kills a nonzero column
-    of b' - c I on the right.  If both are scalar, a' = c I and b' = d I,
-    then c = a'[0, 0] = 0 and, as k is the largest level, d != 0: every X is
-    0 mod p."""
-    return op.reduced(p).scalar
-
-
-def _cyclic_pair_witness(op: SylvesterOperator, p: int) -> Optional[IntMatrix]:
-    """X = K_a'(w) K_b'(v)^(-1) mod p, entries in [0, p), when the reduced
-    pair's cyclic unit vector v is one of b' (`ReducedPair.cyclic`) and a'
-    has a cyclic unit vector w too; when v is one of a'^T, the transpose of
-    K_b'^T(w) K_a'^T(v)^(-1) for a cyclic unit vector w of b'^T.  None when
-    the other side has no cyclic unit vector.
-
-    X b'^m v = a'^m w for m < n, and b'^n v and a'^n w satisfy the one
-    relation of the shared characteristic polynomial g, so a' X = X b' mod
-    p and det X is a unit: then a X - X b = p^k (a' X - X b') = 0 mod
-    p^(k+1), and k is mu on this route.  This is the Latimer-MacDuffee
-    correspondence at p: by Nakayama's lemma a cyclic vector mod p makes
-    each Z_p[t]-module Z_p[t]/(g), so a' and b' are conjugate over Z_p."""
+def _reduced_pair_rejects(op: SylvesterOperator, p: int) -> bool:
+    """For a != b: the reduced pair (`ReducedPair`) shows that a and b are
+    not conjugate over Z_p.  If b' = c I mod p, every intertwiner X mod p
+    has (a' - c I) X = 0, so a nonzero row of a' - c I kills every X on the
+    left; if a' = c I, every X kills a nonzero column of b' - c I on the
+    right.  If both are scalar, a' = c I and b' = d I, then c = a'[0, 0] = 0
+    and, as k is the largest level, d != 0: every X is 0 mod p.  And a ~ b
+    over Z_p makes a' and b' conjugate mod p, so regular on both sides or
+    on neither."""
     red = op.reduced(p)
-    if red.cyclic is None:
-        return None
-    transposed, inverse = red.cyclic
-    other = list(zip(*red.b.entries)) if transposed else red.a.entries
-    found = _cyclic_unit_krylov(other, p)
-    if found is None:
-        return None
-    x = (found[0] @ inverse).mod(p)
-    return x.transpose() if transposed else x
+    return red.scalar or (red.krylov_a is None) != (red.krylov_b is None)
 
 
 def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
@@ -362,16 +338,14 @@ def _unit_mod_holds(op: SylvesterOperator, cert: UnitModCert) -> bool:
 
 def companion_test(a: IntMatrix, p: int) -> bool:
     """True iff a is similar to the companion matrix of its characteristic
-    polynomial over the p-adic integers: a mod p has a cyclic vector, that
-    is, its centralizer has dimension n, so X -> a X - X a has rank n^2 - n
-    over F_p (all its n^2 - n nonzero invariant factors are prime to p, and
-    mu = 0): one elimination mod p, no disc f."""
+    polynomial over the p-adic integers: a mod p has a cyclic vector v
+    (`sylvester._cyclic_krylov`), and then K(v) = [v, a v, ..., a^(n-1) v]
+    is invertible over Z_p and K(v)^(-1) a K(v) is a companion matrix of
+    it.  No operator and no disc f."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    op = SylvesterOperator(a, a)
-    op.f  # the rank over Q is n^2 - n only for an irreducible f
-    n = op.n
-    return len(_echelon_fp(op.l.entries, p, n * n)) == n * n - n
+    SylvesterOperator(a, a).f  # a square, with an irreducible characteristic polynomial
+    return _cyclic_krylov(a, p) is not None
 
 
 def ell_invariant(a: IntMatrix, p: int) -> EllInvariant:

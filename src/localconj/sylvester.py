@@ -8,26 +8,26 @@ once per pair, and the operator keeps f, disc f and the operator matrix.
 Each prime starts from the pair reduced at p (`ReducedPair`): with
 lam = a[0, 0] and k the p-adic valuation of the gcd of the entries of
 a - lam I and b - lam I, a' = (a - lam I) / p^k and b' = (b - lam I) / p^k
-have the same intertwiners and L(a, b) = p^k L(a', b').  That gives three
-routes at p:
+have the same intertwiners and L(a, b) = p^k L(a', b').  A side is regular
+mod p when it has a cyclic vector there (`_cyclic_krylov`), that is, when
+its minimal polynomial mod p is its characteristic polynomial.  By
+Nakayama's lemma its Z_p[t]-module is then Z_p[t]/(g), g the shared
+characteristic polynomial of a' and b'.  That gives three cases at p:
 
-- cyclic: when b', or a'^T, has a cyclic unit vector mod p, the cokernel of
-  L(a', b') is Ext^1_{Z_p[t]}(M_b', M_a'), free of rank n, so the profile is
-  (k, ..., k) and mu = k (`_local_mu`), and the intertwiners mod p are
-  spanned by n Krylov products (`SylvesterOperator.intertwiners_mod`);
-  neither touches the n^2 x n^2 operator or disc f.  When the other side
-  has a cyclic unit vector too, the same Krylov search
-  (`_cyclic_unit_krylov`) gives the decision its certificate
-  (`conjugacy._cyclic_pair_witness`), and the span is not needed;
-- scalar: when a' or b' is a scalar mod p, a != b are not conjugate over
-  Z_p (`conjugacy._scalar_reduced_pair`);
-- general: otherwise mu comes from the operator's Smith form over Z/p^k at
-  the least k that shows it (`_profile_by_elimination`), and the
-  intertwiners from the saturated exact basis (n matrices, from one Hermite
-  form of width n through a cyclic vector of b), which lifting also uses;
-  only this route lifts a decision's mod-p hit.
+- reject: a' or b' is a scalar mod p, or exactly one of them is regular;
+  then a != b are not conjugate over Z_p (`conjugacy._reduced_pair_rejects`);
+- both regular: the pair is conjugate and K_a'(w) K_b'(v)^(-1) mod p is its
+  certificate, with no span, walk or exact basis;
+- general: neither side is regular, and the exact basis (n matrices, from
+  one Hermite form of width n through a cyclic vector of b) gives the span
+  that the decision walks and realizes its hit on.
 
-Neither builds the operator's integer Smith form.
+mu needs no elimination as soon as one side is regular: the cokernel of
+L(a', b') is then free and the profile is (k, ..., k) (`_local_mu`).  Only
+when neither side is regular does mu come from the operator's Smith form
+over Z/p^k at the least k that shows it (`_profile_by_elimination`).
+
+No case builds the operator's integer Smith form.
 
 Vectorization is column-major throughout the package; certificates and kernel
 vectors all share this one convention.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 from operator import index, mul
 
@@ -167,39 +167,6 @@ class SylvesterOperator:
             self._reduced[p] = _reduce(self.a, self.b, p)
         return self._reduced[p]
 
-    def intertwiners_mod(self, p: int) -> list[IntMatrix]:
-        """n matrices that span the intertwiners mod p, reduced mod p, when
-        the reduced pair has a cyclic unit vector (`ReducedPair.cyclic`).
-
-        With v cyclic for b' mod p and K = K_b'(v), an intertwiner mod p is
-        fixed by x = X v and is X = K_a'(x) K^(-1), for every x in F_p^n:
-        X b'^m v = a'^m x, and b'^n v and a'^n x satisfy the one relation
-        of the shared characteristic polynomial.  So the n matrices
-        K_a'(e_i) K^(-1) span them.  When the cyclic vector is one of a'^T,
-        the same holds for the transposes, which intertwine (b'^T, a'^T).
-        The n^2 - n nonzero invariant factors of L(a', b') are units
-        (`_local_mu`), so the intertwiners mod p are the exact ones reduced
-        mod p: both spans have dimension n."""
-        red = self.reduced(p)
-        if red.cyclic is None:
-            raise ValueError(f"the reduced pair has no cyclic unit vector mod {p}")
-        transposed, inverse = red.cyclic
-        a = red.b.transpose() if transposed else red.a
-        # K_a'(e_i) has the columns a'^m e_i: column i of each power a'^m
-        n, rows = self.n, a.mod(p).entries
-        powers = [IntMatrix.identity(n).entries]
-        for _ in range(n - 1):
-            cols = list(zip(*powers[-1]))
-            powers.append([[sum(map(mul, row, col)) % p for col in cols] for row in rows])
-        cols = list(zip(*inverse.entries))
-        span = []
-        for i in range(n):
-            krylov = [[power[r][i] for power in powers] for r in range(n)]
-            span.append(IntMatrix._of(
-                [sum(map(mul, row, col)) % p for col in cols] for row in krylov
-            ))
-        return [x.transpose() for x in span] if transposed else span
-
     def mu(self, p: int) -> int:
         return self.p_profile(p).mu
 
@@ -232,20 +199,29 @@ class ReducedPair:
     X intertwines (a, b) exactly when it intertwines (a', b'), and
     L(a, b) = p^k L(a', b').
 
-    `scalar` says that a' or b' is a scalar matrix mod p.  `cyclic` is
-    (False, K^(-1)) when a unit vector v is cyclic for b' mod p, with K =
-    K_b'(v) invertible mod p, or else (True, K^(-1)) when one is cyclic for
-    a'^T, with K = K_a'^T(v); None when no unit vector is either."""
+    `scalar` says that a' or b' is a scalar matrix mod p.  `krylov_b` and
+    `krylov_a` are `_cyclic_krylov` of b' and of a': (K, K^(-1)) mod p at a
+    cyclic vector, or None when that side is derogatory mod p.  Each is
+    computed on first use, so mu, which b' settles when it is regular, need
+    not search a'."""
 
+    prime: int
     level: int
     a: IntMatrix
     b: IntMatrix
     scalar: bool
-    cyclic: tuple[bool, IntMatrix] | None
+
+    @cached_property
+    def krylov_b(self) -> tuple[IntMatrix, IntMatrix] | None:
+        return _cyclic_krylov(self.b, self.prime)
+
+    @cached_property
+    def krylov_a(self) -> tuple[IntMatrix, IntMatrix] | None:
+        return _cyclic_krylov(self.a, self.prime)
 
 
 def _reduce(a: IntMatrix, b: IntMatrix, p: int) -> ReducedPair:
-    n, lam = a.rows, a[0, 0]
+    lam = a[0, 0]
     da, db = (
         [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.entries)]
         for m in (a, b)
@@ -253,18 +229,7 @@ def _reduce(a: IntMatrix, b: IntMatrix, p: int) -> ReducedPair:
     g = gcd(*chain.from_iterable(da), *chain.from_iterable(db))
     level = valuation(g, p) if g else 0
     a1, b1 = (IntMatrix._of([[x // p**level for x in row] for row in m]) for m in (da, db))
-    scalar_a, scalar_b = _is_scalar_mod(a1, p), _is_scalar_mod(b1, p)
-    cyclic = None
-    for transposed, rows, scalar in (
-        (False, b1.entries, scalar_b), (True, list(zip(*a1.entries)), scalar_a)
-    ):
-        if scalar and n > 1:
-            continue  # a scalar has no cyclic vector
-        found = _cyclic_unit_krylov(rows, p)
-        if found is not None:
-            cyclic = (transposed, found[1])
-            break
-    return ReducedPair(level, a1, b1, scalar_a or scalar_b, cyclic)
+    return ReducedPair(p, level, a1, b1, _is_scalar_mod(a1, p) or _is_scalar_mod(b1, p))
 
 
 def _is_scalar_mod(m: IntMatrix, p: int) -> bool:
@@ -273,21 +238,54 @@ def _is_scalar_mod(m: IntMatrix, p: int) -> bool:
                for j, x in enumerate(row))
 
 
-def _cyclic_unit_krylov(rows, p: int) -> tuple[IntMatrix, IntMatrix] | None:
-    """(K, K^(-1)) mod p for K = [e_j, m e_j, ..., m^(n-1) e_j] at the first
-    unit vector e_j for which K is invertible mod p, m the square matrix of
-    the rows; None when there is none."""
-    n, rows = len(rows), [[x % p for x in row] for row in rows]
+def _cyclic_krylov(m: IntMatrix, p: int) -> tuple[IntMatrix, IntMatrix] | None:
+    """(K, K^(-1)) mod p for K = [v, m v, ..., m^(n-1) v] at a cyclic vector
+    v of m mod p, or None exactly when m is derogatory mod p.
+
+    A scalar m (n > 1) is derogatory at once.  Otherwise the unit vectors
+    are tried first, in order.  If none is cyclic, one rank test decides: m
+    is regular exactly when I, m, ..., m^(n-1) are independent mod p, and
+    column i of m^j is m^j e_i, read off the n Krylov sequences just
+    computed.  A regular m has a cyclic vector in the grid {0, ..., s-1}^n
+    with s = min(p, n + 1), walked in lexicographic order.  The walk is
+    complete: v fails to be cyclic only when (g / g_i)(m) v = 0 for one of
+    the at most n irreducible factors g_i of the minimal polynomial g, a
+    proper subspace, which lies in a hyperplane and so meets the grid in at
+    most s^(n-1) points; n s^(n-1) < s^n at s = n + 1, and at s = p the
+    grid is all of F_p^n."""
+    n = m.rows
+    if n > 1 and _is_scalar_mod(m, p):
+        return None
+    rows = [[x % p for x in row] for row in m.entries]
     unit = IntMatrix.identity(n).entries
-    for v in unit:
-        krylov = [v]
+
+    def krylov(v) -> list[Vector]:
+        seq = [v]
         for _ in range(n - 1):
             v = tuple(sum(map(mul, row, v)) % p for row in rows)
-            krylov.append(v)
-        reduced = _echelon_fp([k + u for k, u in zip(zip(*krylov), unit)], p, n)
-        if len(reduced) == n:
-            return IntMatrix._of(zip(*krylov)), IntMatrix._of(row[n:] for row in reduced)
-    return None
+            seq.append(v)
+        return seq
+
+    def inverted(seq: list[Vector]) -> tuple[IntMatrix, IntMatrix] | None:
+        reduced = _echelon_fp([k + u for k, u in zip(zip(*seq), unit)], p, n)
+        if len(reduced) < n:
+            return None
+        return IntMatrix._of(zip(*seq)), IntMatrix._of(row[n:] for row in reduced)
+
+    seqs = []
+    for v in unit:
+        seqs.append(krylov(v))
+        found = inverted(seqs[-1])
+        if found is not None:
+            return found
+    powers = [tuple(chain.from_iterable(seq[j] for seq in seqs)) for j in range(n)]
+    if len(_echelon_fp(powers, p, n * n)) < n:
+        return None
+    for v in product(range(min(p, n + 1)), repeat=n):
+        found = inverted(krylov(v))
+        if found is not None:
+            return found
+    raise AssertionError(f"a regular matrix has no cyclic vector in the grid mod {p}")
 
 
 @dataclass(frozen=True)
@@ -307,18 +305,18 @@ def _local_mu(op: SylvesterOperator, p: int) -> PrimePartProfile:
     Reading op.f first checks that a and b share the irreducible
     characteristic polynomial f.  Then the pair is reduced at p
     (`ReducedPair`): L(a, b) = p^k L(a', b'), so every valuation is k more
-    than the one of L(a', b').  When b' has a cyclic unit vector mod p, the
-    Z_p[t]-module M_b' of b' is cyclic, Z_p[t]/(g) with g the shared
-    characteristic polynomial of a' and b', and the cokernel of L(a', b')
-    is Ext^1_{Z_p[t]}(M_b', M_a') = M_a' / g(a') M_a' = M_a' = Z_p^n: free,
-    so all n^2 - n nonzero invariant factors of L(a', b') are units, the
-    profile is (k, ..., k) and mu = k, with no elimination and no disc f.
-    A cyclic unit vector of a'^T gives the same, as X -> X^T turns L(a', b')
-    into -L(b'^T, a'^T).  Otherwise the profile comes from
-    `_profile_by_elimination`."""
+    than the one of L(a', b').  When b' is regular mod p (it has a cyclic
+    vector there), the Z_p[t]-module M_b' of b' is cyclic by Nakayama's
+    lemma, Z_p[t]/(g) with g the shared characteristic polynomial of a' and
+    b', and the cokernel of L(a', b') is Ext^1_{Z_p[t]}(M_b', M_a') =
+    M_a' / g(a') M_a' = M_a' = Z_p^n: free, so all n^2 - n nonzero invariant
+    factors of L(a', b') are units, the profile is (k, ..., k) and mu = k,
+    with no elimination and no disc f.  A regular a' gives the same, as
+    X -> X^T turns L(a', b') into -L(b'^T, a'^T) and a'^T is regular too.
+    Otherwise the profile comes from `_profile_by_elimination`."""
     op.f  # the pair's check comes before any work at p
     red = op.reduced(p)
-    if red.cyclic is None:
+    if red.krylov_b is None and red.krylov_a is None:
         return _profile_by_elimination(op, p)
     r = op.n * op.n - op.n
     return PrimePartProfile(p, (red.level,) * r, red.level if r else 0)

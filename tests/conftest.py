@@ -183,11 +183,11 @@ CLASSIC_B = IntMatrix([[-1, 2], [-2, 1]])
 
 def walk_only(monkeypatch, decide, *args):
     """The verdict of `decide` with the span test taken out, and with it the
-    scalar reduced pair that answers it early, so that only the
+    rejections of the reduced pair that answer early, so that only the
     unit-determinant walk can reject."""
     with monkeypatch.context() as m:
         m.setattr(conjugacy, "_span_shares_a_null_vector", lambda *_: False)
-        m.setattr(conjugacy, "_scalar_reduced_pair", lambda *_: False)
+        m.setattr(conjugacy, "_reduced_pair_rejects", lambda *_: False)
         return decide(*args)
 
 

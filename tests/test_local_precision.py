@@ -179,9 +179,9 @@ class TestPrecisionCounters:
         self, conjugate, precisions_used, precisions
     ):
         # the search-deep mu = 1 strata: lam I + p C(g) at n = 5, 6.  The
-        # conjugate pair reduces to C(g) and a conjugate, which are cyclic,
+        # conjugate pair reduces to C(g) and a conjugate, which are regular,
         # so mu = 1 needs no elimination; the other reduces to p C(g), a
-        # scalar mod p, against a matrix with no cyclic unit vector mod p
+        # scalar mod p, against a matrix that is not regular mod p
         a, b = shifted_pair(5, 5, 1, conjugate)
         assert top_precision(a, 5) == 21
         verdict = conjugate_over_Zp(a, b, 5)
@@ -194,7 +194,7 @@ class TestPrecisionCounters:
         assert top_precision(pair.a, 7) == 5
         verdict = conjugate_over_Zp(pair.a, pair.b, 7)
         assert (verdict.conjugate, verdict.mu_used) == (True, 0)
-        # the reduced pair has a cyclic unit vector mod 7: no elimination
+        # the reduced pair has a regular side mod 7: no elimination
         assert operator_precisions(precisions, 5) == []
 
     def test_conj_p_at_an_unscreened_prime_stays_at_the_cap(self, precisions):
@@ -303,7 +303,7 @@ class TestOneCheckPerPair:
         op = SylvesterOperator(pair.a, pair.b)
         for p in (2, 3, 5, 7):
             conjugacy._decide_at_prime(op, p)
-        # the reduced pair has a cyclic unit vector at every one of them
+        # the reduced pair has a regular side at every one of them
         assert operator_precisions(precisions, 4) == []
         assert charpolys == [pair.a]
         assert annihilator_checks == [pair.b]
@@ -322,19 +322,22 @@ class TestOneCheckPerPair:
         assert (charpolys, annihilator_checks) == ([a], [])
 
 
-class TestCompanionTestByOneRank:
-    def test_one_elimination_mod_p_and_no_discriminant(self, monkeypatch, discriminants):
+class TestCompanionTestByACyclicVector:
+    def test_no_operator_elimination_and_no_discriminant(self, monkeypatch, discriminants):
+        # the Krylov search eliminates n x 2n blocks, and n x n^2 rows for
+        # the rank test when no unit vector is cyclic; never the operator
         calls = []
-        echelon = conjugacy._echelon_fp
+        echelon = sylvester._echelon_fp
 
         def counting(rows, p, width, k=1):
             calls.append((len(rows), width, k))
             return echelon(rows, p, width, k)
 
+        monkeypatch.setattr(sylvester, "_echelon_fp", counting)
         monkeypatch.setattr(conjugacy, "_echelon_fp", counting)
         a = generate_pair(parse_poly("t^5-2"), "singular:2", 0).a
         answers = [companion_test(a, p) for p in (2, 3, 5, 7)]
-        assert calls == [(25, 25, 1)] * 4
+        assert calls and all(shape in {(5, 5, 1), (5, 25, 1)} for shape in calls), calls
         assert discriminants == []
         assert True in answers
 

@@ -155,9 +155,10 @@ def test_only_the_snf_command_builds_an_integer_smith_form():
 
 
 def test_only_the_general_route_reads_the_exact_basis():
-    # a cyclic reduced pair is decided mod p with no exact intertwiner: the
-    # basis serves the general route's span and lifting, the pair
-    # certificate and `lift_kernel`, and no helper rebuilds a mod-p hit on it
+    # a reduced pair with a regular side is decided mod p with no exact
+    # intertwiner: the basis serves the general route's span and lifting,
+    # the pair certificate and `lift_kernel`, and no helper rebuilds a mod-p
+    # hit on it or spans the intertwiners mod p another way
     readers, defined = [], set()
     for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -169,7 +170,24 @@ def test_only_the_general_route_reads_the_exact_basis():
     assert readers == [
         "conjugacy._decide_at_prime", "conjugacy._pair_cert", "sylvester.lift_kernel"
     ]
-    assert "_lift_mod" not in defined
+    gone = {"_lift_mod", "intertwiners_mod", "_cyclic_pair_witness", "_cyclic_unit_krylov"}
+    assert not gone & defined
+
+
+def test_only_elimination_and_lifting_read_the_operator_matrix():
+    # mu at p and `companion_test` read the reduced pair's cyclic vectors;
+    # the n^2 x n^2 operator serves the elimination when neither side is
+    # regular, exact lifting and the kernel mod a prime power
+    readers = []
+    for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
+        readers += _scopes(
+            ast.parse(path.read_text()), path.stem,
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "l",
+        )
+    assert sorted(readers) == [
+        "sylvester._profile_by_elimination", "sylvester.lift_kernel",
+        "sylvester.solution_generators_mod",
+    ]
 
 
 def readme_commands() -> list[str]:
