@@ -30,6 +30,7 @@ from .conjugacy import (
     IntegerPairCert,
     UnitModCert,
     Verdict,
+    _decide_at_prime,
     _unit_mod_holds,
     companion_test,
     conjugate_over_Zp,
@@ -418,8 +419,9 @@ def _member(obj: dict, key: str, kind: type, default=None):
 
 def _stanza_error(op: SylvesterOperator, stanza: dict, where: str = "") -> str | None:
     """Why one per-prime claim fails, or None: its prime is a prime; a
-    negative carries no certificate; a positive's unit-mod certificate names
-    the stanza's prime and holds on op; and the stanza's mu is op's there."""
+    negative carries no certificate and the pair, decided afresh on op, is
+    not conjugate there; a positive's unit-mod certificate names the
+    stanza's prime and holds on op; and the stanza's mu is op's there."""
     blob = _member(stanza, "certificate", dict)
     p = stanza.get("prime")
     if not is_prime(p):
@@ -427,6 +429,8 @@ def _stanza_error(op: SylvesterOperator, stanza: dict, where: str = "") -> str |
     if not stanza["conjugate"]:
         if blob is not None:
             return f"negative verdict{where} carries a certificate"
+        if _decide_at_prime(op, p).conjugate:
+            return f"negative verdict{where} but the pair is conjugate there"
     else:
         if blob is None:
             return f"positive verdict without certificate{where}"
@@ -481,7 +485,7 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         # empty) and, from its local Smith forms, every stanza's mu
         try:
             op = SylvesterOperator(a, b)
-            screen = screen_primes(op.f, op.disc)
+            screen = screen_primes(op.f)
         except PreconditionError as exc:
             return False, str(exc)
         primes = [stanza.get("prime") for stanza in per]

@@ -4,10 +4,10 @@ The decision for one prime works modulo p^(mu+1), where mu is the largest
 p-adic valuation among the nonzero invariant factors of the intertwining
 operator.  Every decision and every check runs on one `SylvesterOperator`
 per pair: it holds the pair's checked irreducible characteristic polynomial
-f and disc f, each computed once, the pair reduced at each prime, the
-intertwiner basis, and mu (`sylvester._local_mu`), so the operator's
-integer Smith form is never built.  The reduced pair
-(`sylvester.ReducedPair`) picks one of three cases at p, after a = b:
+f, computed once, the pair reduced at each prime, the intertwiner basis,
+and mu (`sylvester._local_mu`), so the operator's integer Smith form is
+never built.  The reduced pair (`sylvester.ReducedPair`) picks one of
+three cases at p, after a = b:
 
 - reject: a' or b' is a scalar mod p, or exactly one of them is regular
   (has a cyclic vector mod p), and a != b is a negative
@@ -18,8 +18,8 @@ integer Smith form is never built.  The reduced pair
   span, walk or exact basis;
 - general: neither side is regular.  The span is that of the exact basis
   (n matrices, `SylvesterOperator.intertwiners`), which is saturated, so it
-  is every solution mod p that lifts; a unit in it is realized on the basis
-  mod p^(mu+1).
+  is every solution mod p that lifts; the walk runs on the basis's own
+  coefficients and a unit is realized on the basis mod p^(mu+1).
 
 On the general route a negative verdict has two ways:
 
@@ -29,11 +29,11 @@ On the general route a negative verdict has two ways:
   complete: for n >= 3 some spaces of singular matrices share no null vector;
 - an exhausted walk: otherwise the span is walked; a hit is the
   certificate and a miss is a sound rejection.  The walk needs coefficients
-  only below s = min(p, n+1): det(sum c_i X_i) has degree at most n in each
-  c_i, so by Alon's Combinatorial Nullstellensatz, and as it is
-  homogeneous, it vanishes on all of F_p^dim once it vanishes where c_0 = 1
-  and every other c_i lies in {0, ..., n}.  A miss costs (s^dim - 1)/(s - 1)
-  points.
+  only below s = min(p, n): at the last lead l where det(sum c_i X_i) is
+  not identically zero it vanishes at c_l = 0, so it is c_l T with T
+  homogeneous of degree n - 1, and by Alon's Combinatorial Nullstellensatz
+  n residues settle T (`_unit_det_witness`).  A miss costs
+  (s^dim - 1)/(s - 1) points.
 
 Verdicts and mu do not depend on the route; certificate matrices do.
 Negative verdicts carry no certificate.  `verify_cert` re-checks every
@@ -97,46 +97,26 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
 def _unit_det_witness(
     gens: list[Vector], p: int, modulus: int, n: int
 ) -> Optional[Vector]:
-    """An element of the span of the exact kernel vectors `gens`, reduced mod
-    `modulus`, whose unvectorization has determinant prime to p, or None
-    when the span mod p holds no such element.
+    """sum c_i gens_i mod `modulus` for the first coefficients c whose
+    unvectorization has determinant prime to p, or None when the span mod p
+    holds no such element.
 
-    The span is walked projectively, later leads first: for each lead, the
-    coefficients are 0 before it and 1 at it, and the later ones run over
-    S = {0, ..., s - 1} with s = min(p, n + 1), in lexicographic order; the
-    walk stops at the first unit.  It is complete.  P(c) = det(sum c_i X_i)
-    is homogeneous of degree n, so if it is not zero on F_p^dim then
-    P(1, c_1, ..., c_(dim-1)) is a nonzero polynomial of degree at most n in
-    each c_i, and by Alon's Combinatorial Nullstellensatz it is not zero on
-    S^(dim-1), which the lead-0 pass visits.  A miss therefore visits
-    (s^dim - 1) / (s - 1) points.  At p <= n + 1 that is the whole projective
-    span and a hit is the lexicographically smallest witness as a mod-p
-    vector; above, it is the smallest among the points visited.
+    The coefficients are walked projectively, later leads first: for each
+    lead, they are 0 before it and 1 at it, and the later ones run over
+    {0, ..., s - 1} with s = min(p, n), in lexicographic order; the walk
+    stops at the first unit.  It is complete.  At s = p it is every
+    projective point.  Below, P(c) = det(sum c_i X_i) is homogeneous of
+    degree n < p; let l be the last lead where P(0, ..., 0, c_l, ...) is
+    not identically zero.  There it vanishes at c_l = 0, so P = c_l T with
+    T homogeneous of degree n - 1, and T(1, c_(l+1), ...) is a nonzero
+    polynomial of degree below n in each coefficient: by Alon's
+    Combinatorial Nullstellensatz it is not zero on {0, ..., n - 1}, so n
+    residues settle T and the first hit never uses coefficient n.  A miss
+    visits (s^dim - 1) / (s - 1) points, dim = len(gens).
     """
-    # an identity block records each basis row as a combination of gens
-    count, width = len(gens), n * n
-    reduced = _echelon_fp(
-        [tuple(g) + tuple(int(k == i) for k in range(count)) for i, g in enumerate(gens)],
-        p, width,
-    )
-    basis = [row[:width] for row in reduced]
-    combos = [row[width:] for row in reduced]
-    dim = len(basis)
-    mats = [[[v[j * n + i] for j in range(n)] for i in range(n)] for v in basis]
-    residues = range(min(p, n + 1))
-
-    def realize(coeffs: tuple[int, ...]) -> Vector:
-        gen_coeffs = [0] * len(gens)
-        for c, combo in zip(coeffs, combos):
-            if c:
-                for idx, x in enumerate(combo):
-                    gen_coeffs[idx] = (gen_coeffs[idx] + c * x) % p
-        out = [0] * (n * n)
-        for cg, g in zip(gen_coeffs, gens):
-            if cg:
-                for idx, x in enumerate(g):
-                    out[idx] = (out[idx] + cg * x) % modulus
-        return tuple(out)
+    dim = len(gens)
+    mats = [[[v[j * n + i] % p for j in range(n)] for i in range(n)] for v in gens]
+    residues = range(min(p, n))
 
     def walk(k: int, m: list[list[int]], coeffs: tuple[int, ...]):
         # tails in lexicographic order, carrying the running sum m
@@ -151,14 +131,11 @@ def _unit_det_witness(
                 return found
         return None
 
-    # The basis is in reduced row echelon form, so a vector's entry at the
-    # pivot of basis row i is its coefficient i and the rows before i vanish
-    # there: lex order on vectors is lex order on coefficients.  Among
-    # projective representatives a later leading 1 is smaller.
     for lead in reversed(range(dim)):
         found = walk(lead + 1, mats[lead], (0,) * lead + (1,))
         if found is not None:
-            return realize(found)
+            return tuple(sum(c * x for c, x in zip(found, col)) % modulus
+                         for col in zip(*gens))
     return None
 
 
@@ -230,14 +207,12 @@ def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
     return _decide_at_prime(SylvesterOperator(a, b), p)
 
 
-def screen_primes(f: IntPoly, disc: Optional[int] = None) -> list[int]:
+def screen_primes(f: IntPoly) -> list[int]:
     """Primes whose square divides disc(f): outside this set, all matrices
-    with characteristic polynomial f are conjugate p-adically.  disc, when
-    given, is disc(f), which the caller has computed."""
+    with characteristic polynomial f are conjugate p-adically."""
     if not is_irreducible(f):
         raise PreconditionError("polynomial must be irreducible")
-    if disc is None:
-        disc = discriminant(f)
+    disc = discriminant(f)
     if disc == 0:
         raise AssertionError("irreducible polynomial with zero discriminant")
     return sorted(p for p, e in factorize(disc).items() if e >= 2)
@@ -252,7 +227,7 @@ def conjugate_over_all_Zp(a: IntMatrix, b: IntMatrix) -> Verdict:
     per-prime certificates remain the authoritative proof.
     """
     op = SylvesterOperator(a, b)
-    screen = screen_primes(op.f, op.disc)
+    screen = screen_primes(op.f)
     per = tuple(_decide_at_prime(op, p) for p in screen)
     ok = all(v.conjugate for v in per)
     mu_used = max((v.mu_used for v in per), default=0)

@@ -3,7 +3,7 @@ n^2 x n^2 integer matrix, and what the paper defines on it at p.
 
 mu, the p-profile and exact lifting are defined for two matrices with one
 irreducible characteristic polynomial f; `SylvesterOperator.f` checks that
-once per pair, and the operator keeps f, disc f and the operator matrix.
+once per pair, and the operator keeps f and the operator matrix.
 
 Each prime starts from the pair reduced at p (`ReducedPair`): with
 lam = a[0, 0] and k the p-adic valuation of the gcd of the entries of
@@ -71,10 +71,10 @@ class SylvesterOperator:
     """The pair (a, b) and the matrix of X -> a X - X b on column-major
     coordinates, l = (I kron a) - (b^T kron I).
 
-    l, f and disc are computed on first use and kept, and so are the
-    reduced pair and the profile at each prime.  Reading f checks that a and
-    b share one characteristic polynomial, irreducible over Q; mu, p_profile
-    and `lift_kernel` read it, so outside that domain they raise
+    l and f are computed on first use and kept, and so are the reduced pair
+    and the profile at each prime.  Reading f checks that a and b share one
+    characteristic polynomial, irreducible over Q; mu, p_profile and
+    `lift_kernel` read it, so outside that domain they raise
     PreconditionError.
     """
 
@@ -111,10 +111,6 @@ class SylvesterOperator:
         if not is_irreducible(f):
             raise PreconditionError("characteristic polynomial is reducible over Q")
         return f
-
-    @cached_property
-    def disc(self) -> int:
-        return discriminant(self.f)
 
     @cached_property
     def intertwiners(self) -> list[IntMatrix]:
@@ -340,7 +336,7 @@ def _profile_by_elimination(op: SylvesterOperator, p: int) -> PrimePartProfile:
     """
     n = op.n
     r = n * n - n
-    top = valuation(op.disc, p) + 1
+    top = valuation(discriminant(op.f), p) + 1
     k = min(2, top)
     while True:
         pivots = _echelon_fp(op.l.entries, p, n * n, k)

@@ -143,21 +143,21 @@ def kernel_search_intertwiner(a: IntMatrix, b: IntMatrix, p: int, bound: int = 3
     return False
 
 
-def projective_unit_det(gens, p: int, n: int) -> list[list[int]] | None:
-    """A matrix of determinant prime to p in the mod-p span of the
-    column-major vectorized n x n matrices `gens`, or None when there is
-    none: an ordered walk of every projective point of F_p^len(gens), later
-    leading 1s first and each tail over all of F_p, in cofactor arithmetic."""
-    mats = [[[v[j * n + i] for j in range(n)] for i in range(n)] for v in gens]
-    for lead in reversed(range(len(mats))):
-        for tail in itertools.product(range(p), repeat=len(mats) - lead - 1):
-            coeffs = (1,) + tail
-            x = [
-                [sum(c * m[i][j] for c, m in zip(coeffs, mats[lead:])) % p for j in range(n)]
-                for i in range(n)
-            ]
-            if laplace_det(x) % p:
-                return x
+def projective_walk(gens, p: int, n: int, modulus: int, s: int) -> tuple[int, ...] | None:
+    """sum c_i gens_i mod `modulus` at the first coefficients c whose
+    combination of the column-major vectorized n x n `gens` has determinant
+    prime to p, or None when the walk finds none.  The walk is ordered and
+    projective over the generators as given: later leading 1s first, each
+    tail over {0, ..., s - 1} in lexicographic order, in cofactor
+    arithmetic.  With s = p it is every projective point of F_p^len(gens),
+    so None means the mod-p span holds no unit."""
+    dim = len(gens)
+    for lead in reversed(range(dim)):
+        for tail in itertools.product(range(s), repeat=dim - lead - 1):
+            coeffs = (0,) * lead + (1,) + tail
+            v = [sum(c * g[idx] for c, g in zip(coeffs, gens)) for idx in range(n * n)]
+            if laplace_det([[v[j * n + i] for j in range(n)] for i in range(n)]) % p:
+                return tuple(x % modulus for x in v)
     return None
 
 

@@ -762,6 +762,28 @@ class TestVerifyTamperedFields:
         )
 
     @pytest.mark.parametrize("field,seed,p", PAIRS)
+    def test_conj_p_flip_dropping_certificate(self, field, seed, p):
+        # verify decides the prime afresh: the reduced pair is regular on
+        # both sides there, so the pair is conjugate
+        a, b, report, _ = self.reports(field, seed, p)
+        report["verdict"]["conjugate"] = False
+        report["certificate"] = None
+        assert verify_report(report, a, b) == (
+            False, "negative verdict but the pair is conjugate there"
+        )
+
+    def test_conj_all_flip_dropping_every_certificate(self):
+        a, b, _, report = self.reports("t^2+3", 2, 2)
+        report["verdict"]["conjugate"] = False
+        report["pair_certificate"] = None
+        for stanza in report["per_prime"]:
+            stanza["conjugate"] = False
+            stanza["certificate"] = None
+        assert verify_report(report, a, b) == (
+            False, "negative verdict at 2 but the pair is conjugate there"
+        )
+
+    @pytest.mark.parametrize("field,seed,p", PAIRS)
     def test_conj_all_negative_without_failing_prime(self, field, seed, p):
         # with an empty screen this is the whole flip: no stanza to change
         a, b, _, report = self.reports(field, seed, p)

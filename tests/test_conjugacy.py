@@ -46,7 +46,7 @@ from oracles import (
     brute_companion_test,
     brute_similar_mod,
     kernel_search_intertwiner,
-    projective_unit_det,
+    projective_walk,
 )
 
 
@@ -131,7 +131,7 @@ class TestSoundness:
         assert v1 == v2
 
     def test_large_prime_sampling_path(self):
-        # p > n + 1: the walk's tail coefficients stop at n, below p
+        # p > n: the walk's tail coefficients stop at n - 1, below p - 1
         a, b, _ = pair_with_conjugate(parse_poly("t^2+3").companion(), 6)
         for p in (11, 13):
             v = conjugate_over_Zp(a, b, p)
@@ -254,9 +254,9 @@ class TestOneSmithFormPerDecision:
 
 
 class TestSearchStopsAtFirstUnit:
-    """The search walks the projective span from the smallest witness up,
-    with tail coefficients below min(p, n + 1), and stops at the first unit;
-    only a negative verdict visits every point of the walk."""
+    """The search walks the projective span of the exact basis, with tail
+    coefficients below min(p, n), and stops at the first unit; only a
+    negative verdict visits every point of the walk."""
 
     @pytest.mark.parametrize(
         "field,seed", [("t^7-3", 0), ("t^7-3", 1), ("t^7-3", 2), ("t^8-3", 1)]
@@ -303,22 +303,22 @@ class TestSearchStopsAtFirstUnit:
         dim = len(_echelon_fp(gens, p, 9))
         det_mod_calls.clear()
         assert not walk_only(monkeypatch, conjugate_over_Zp, a, b, p).conjugate
-        s = min(p, 3 + 1)  # tail coefficients below n + 1, n = 3
-        assert len(det_mod_calls) == (s**dim - 1) // (s - 1) == 21
+        s = min(p, 3)  # tail coefficients below n, n = 3
+        assert len(det_mod_calls) == (s**dim - 1) // (s - 1) == 13
         det_mod_calls.clear()
         assert not conjugate_over_Zp(a, b, p).conjugate
         assert det_mod_calls == []
 
     def test_residual_negative_walk_is_bounded(self, monkeypatch, det_mod_calls):
         # the same repro at n = 5, p = 11: the walk takes tails below
-        # n + 1 = 6, (6^5 - 1) / 5 points, not (11^5 - 1) / 10 = 16,105
+        # n = 5, (5^5 - 1) / 4 points, not (11^5 - 1) / 10 = 16,105
         n, p = 5, 11
         a = scalar_shifted(1, p, 2, f"t^{n}-t-1")
         b = conjugate_exact(a, IntMatrix.diagonal([p] + [1] * (n - 1)))
         assert b is not None and b != a and b.mod(p) == IntMatrix.identity(n)
         det_mod_calls.clear()
         assert not walk_only(monkeypatch, conjugate_over_Zp, a, b, p).conjugate
-        assert len(det_mod_calls) == (6**5 - 1) // 5 == 1555
+        assert len(det_mod_calls) == (5**5 - 1) // 4 == 781
         det_mod_calls.clear()
         assert not conjugate_over_Zp(a, b, p).conjugate
         assert det_mod_calls == []
@@ -348,13 +348,16 @@ def _seeded_span(rng: random.Random, n: int, dim: int, p: int) -> list[tuple[int
 
 
 class TestWalkIsComplete:
-    """The walk takes tail coefficients below min(p, n + 1) only, so at
-    p > n + 1 it must still agree with an exhaustive walk over all of
-    F_p^dim: None exactly when the span holds no unit."""
+    """The walk takes tail coefficients below s = min(p, n) only, so at
+    p > n it must still agree with an exhaustive walk over all of F_p^dim:
+    None exactly when the span holds no unit.  With P(c) = det(sum c_i X_i),
+    let l be the last lead where P(0, ..., 0, c_l, ...) is not identically
+    zero: there P = c_l T with T homogeneous of degree n - 1, so n residues
+    settle T, and the first hit never uses coefficient n."""
 
     def check(self, gens, p, n, modulus):
         found = conjugacy._unit_det_witness(gens, p, modulus, n)
-        expected = projective_unit_det(gens, p, n)
+        expected = projective_walk(gens, p, n, modulus, p)
         assert (found is None) == (expected is None), gens
         if found is not None:
             assert all(0 <= x < modulus for x in found)
@@ -380,17 +383,65 @@ class TestWalkIsComplete:
         assert self.check(gens, p, n, p) is None
 
     def test_lead_line_unit_at_coefficient_n(self, det_mod_calls):
-        # b0 = [[1, 0], [0, 0]] and b1 = [[0, -1], [1, -1]] are already a
-        # reduced echelon basis, and det(b0 + t b1) = t(t - 1) at n = 2: on
-        # the line of the first lead the only unit with t in {0, ..., n} is
-        # at t = n.  The walk visits the later lead first, and det b1 = 1,
-        # the leading coefficient of t(t - 1), makes b1 the witness.
+        # b0 = [[1, 0], [0, 0]] and b1 = [[0, -1], [1, -1]] have
+        # det(b0 + t b1) = t(t - 1) at n = 2: on the line of the first lead
+        # the only unit with t in {0, ..., n} is at t = n.  The walk visits
+        # the later lead first, and det b1 = 1, the leading coefficient of
+        # t(t - 1), makes b1 the witness.
         n, p = 2, 13
         b0, b1 = IntMatrix([[1, 0], [0, 0]]), IntMatrix([[0, -1], [1, -1]])
         assert [(b0 + t * b1).det() for t in range(n + 1)] == [0, 0, 2]
         found = self.check([vec(b0), vec(b1)], p, n, p)
         assert found == tuple(x % p for x in vec(b1))
         assert det_mod_calls == [p]
+
+    def test_first_hit_is_that_of_the_walk_below_n_plus_one(self):
+        # the same first hit as tails below min(p, n + 1), on generators as
+        # given: some are combinations of the others, so dim exceeds the
+        # rank, and some pencils first hit a unit at coefficient n - 1
+        rng = random.Random(26)
+        outcomes = {"hit": 0, "none": 0, "dependent": 0, "p > n": 0, "late": 0}
+        for _ in range(240):
+            n, p = rng.randint(2, 4), rng.choice([2, 3, 5, 7, 11, 13])
+            late = rng.random() < 0.25
+            if late:
+                gens = _late_pencil(rng, n, p)
+                want = tuple((x + (n - 1) * y) % p for x, y in zip(*gens))
+            else:
+                gens = _seeded_span(rng, n, rng.randint(1, 4), p)
+            if len(gens) > 1 and rng.random() < 0.4:
+                k = rng.randrange(len(gens))
+                others = gens[:k] + gens[k + 1:]
+                coeffs = [rng.randrange(-p, p) for _ in others]
+                gens[k] = tuple(sum(c * g[i] for c, g in zip(coeffs, others))
+                                for i in range(n * n))
+                outcomes["dependent"] += 1
+                late = False
+            modulus = p ** rng.randint(1, 2)
+            found = self.check(gens, p, n, modulus)
+            assert found == projective_walk(gens, p, n, modulus, min(p, n + 1)), gens
+            if late and p >= n:
+                assert found is not None and tuple(x % p for x in found) == want
+                outcomes["late"] += 1
+            outcomes["none" if found is None else "hit"] += 1
+            outcomes["p > n"] += p > n
+        assert min(outcomes.values()) >= 25, outcomes
+
+
+def _late_pencil(rng: random.Random, n: int, p: int) -> list[tuple[int, ...]]:
+    """[g0, g1] = [U D0 V, U D1 V] with U, V invertible mod p, D1 =
+    diag(0, 1, ..., 1) singular and D0 = diag(1, 0, -1, ..., 2 - n), so
+    det(g0 + t g1) is a unit times t (t - 1) ... (t - n + 2): for p >= n the
+    walk's first unit is g0 + (n - 1) g1, and for p < n there is none."""
+    def invertible():
+        while True:
+            m = IntMatrix([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+            if m.det() % p:
+                return m
+    u, v = invertible(), invertible()
+    d0 = IntMatrix.diagonal([1] + [-i for i in range(n - 1)])
+    d1 = IntMatrix.diagonal([0] + [1] * (n - 1))
+    return [vec(u @ d0 @ v), vec(u @ d1 @ v)]
 
 
 class TestSpanNullVector:

@@ -69,8 +69,8 @@ def operator_precisions(calls, n: int) -> list[int]:
 @pytest.fixture
 def discriminants(monkeypatch):
     """Polynomials whose discriminant the decision path takes (the bindings
-    in `sylvester`, which the operator's disc reads, and `conjugacy`) while
-    the test runs."""
+    in `sylvester`, which `_profile_by_elimination` reads, and `conjugacy`)
+    while the test runs."""
     taken = []
 
     def counting(f):

@@ -74,9 +74,9 @@ class TestF6Residual:
     @pytest.mark.parametrize("n,p", REPROS)
     def test_agrees_with_walk_and_ideal_side(self, monkeypatch, n, p):
         a, b = f6_residual(n, p)
-        # the walk alone visits (s^n - 1)/(s - 1) points, s = min(p, n + 1):
+        # the walk alone visits (s^n - 1)/(s - 1) points, s = min(p, n):
         # it runs here where that stays below 10^4
-        primes = [p] if min(p, n + 1) ** n <= 10**4 else []
+        primes = [p] if min(p, n) ** n <= 10**4 else []
         assert span_test(a, b, p)
         assert check_pair(monkeypatch, a, b, primes) == p
 

@@ -190,6 +190,32 @@ def test_only_elimination_and_lifting_read_the_operator_matrix():
     ]
 
 
+def test_the_walk_runs_on_the_generators_as_given():
+    # the exact basis is saturated, so independent mod p: the unit search
+    # walks it with no elimination, no identity block and no realize step
+    tree = ast.parse((ROOT / "src" / "localconj" / "conjugacy.py").read_text())
+    witness = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_unit_det_witness")
+    names = {node.id for node in ast.walk(witness) if isinstance(node, ast.Name)}
+    names |= {node.name for node in ast.walk(witness) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_echelon_fp", "realize"}
+
+
+def test_no_operator_attribute_or_screen_argument_carries_disc_f():
+    # discriminant is memoized per polynomial, so no operator attribute or
+    # screen argument carries disc f beside it
+    assert "disc" not in localconj.SylvesterOperator.__dict__
+    assert list(inspect.signature(conjugacy.screen_primes).parameters) == ["f"]
+    readers = []
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            readers += _scopes(
+                ast.parse(path.read_text()), path.stem,
+                lambda node: isinstance(node, ast.Attribute) and node.attr == "disc",
+            )
+    assert readers == []
+
+
 def readme_commands() -> list[str]:
     """The lines of README.md's `sh` block of `localconj` commands."""
     blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
