@@ -9,6 +9,9 @@ are one Krylov matrix times a Hankel matrix, and normalizing them is one
 exact solve: the ideal is built in integer coordinates, with no field
 element.  The rows V are checked, like a multiplication representation in a
 report, by the integer identity a V = V C, with C the companion matrix of f.
+The second matrix of a pair takes the first one's field when f(b) e_1 = 0
+(`_field_of`), so a pair takes one characteristic polynomial and one
+irreducibility test.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .ideals import IdealLattice, coeff_ring
 from .intmat import IntMatrix, _krylov, solve
 from .polyfield import FieldElement, IntPoly, NumberField, charpoly, is_irreducible
 from .primes import PreconditionError
+from .sylvester import _annihilates
 
 
 @dataclass(frozen=True)
@@ -38,9 +42,28 @@ class EigenData:
             raise AssertionError("eigenvector is not normalized")
 
 
-def _eigen_rows(a: IntMatrix) -> tuple[NumberField, list[list[int]]]:
-    """The field and the primitive integer coordinate rows V of the
-    eigenvector normalized by u_0, with V[0] = (den, 0, ..., 0) and den > 0.
+def _field_of(a: IntMatrix, field: NumberField | None = None) -> NumberField:
+    """Q[t]/(f) for the characteristic polynomial f of a, which must be
+    irreducible.  A given field is taken when f(a) e_1 = 0 for its modulus
+    f, an O(n^3) check: f is irreducible, so it is then the minimal
+    polynomial of e_1 under a, of degree n, and a's characteristic
+    polynomial.  Otherwise, or with no field, f is computed and tested."""
+    if field is not None and a.shape == (field.degree,) * 2 and _annihilates(
+        field.modulus, a
+    ):
+        return field
+    f = charpoly(a)
+    if not is_irreducible(f):
+        raise PreconditionError("characteristic polynomial is reducible")
+    return NumberField(f)
+
+
+def _eigen_rows(
+    a: IntMatrix, field: NumberField | None = None
+) -> tuple[NumberField, list[list[int]]]:
+    """The field (`_field_of`) and the primitive integer coordinate rows V
+    of the eigenvector normalized by u_0, with V[0] = (den, 0, ..., 0) and
+    den > 0.
 
     f(a) = 0, so (a - beta I) h(a, beta) = 0.  The coefficient of beta^k in
     h(a, beta) e_1 is sum_i c_(i+k+1) a^i e_1 over the coefficients c of f,
@@ -51,10 +74,8 @@ def _eigen_rows(a: IntMatrix) -> tuple[NumberField, list[list[int]]]:
     Mult(u_0)^T with right-hand side U^T gives d U Mult(u_0)^(-1),
     transposed, whose first row is d e_1.
     """
-    f = charpoly(a)
-    if not is_irreducible(f):
-        raise PreconditionError("characteristic polynomial is reducible")
-    field = NumberField(f)
+    field = _field_of(a, field)
+    f = field.modulus
     n, c = a.rows, f.coeffs
     hankel = IntMatrix._of(
         [c[i + k + 1] if i + k < n else 0 for k in range(n)] for i in range(n)
@@ -86,9 +107,17 @@ def _acts_as_beta(a: IntMatrix, rows: list[list[int]], f: IntPoly) -> bool:
     """True iff a V = V C, with V the integer coordinate rows and C the
     companion matrix of f: row i of a V holds the coordinates of
     sum_j a_ij u_j and row i of V C those of beta u_i, over one common
-    positive denominator."""
-    v = IntMatrix(rows)
-    return a.shape == v.shape and a @ v == v @ f.companion()
+    positive denominator.  Row r of V C is r shifted right by one, less
+    r[-1] times the coefficients of f below the leading 1."""
+    v = IntMatrix._of(rows)
+    if a.shape != v.shape:
+        return False
+    av = (a @ v).entries
+    c = f.coeffs
+    return all(
+        row == tuple(x - r[-1] * y for x, y in zip((0, *r[:-1]), c))
+        for row, r in zip(av, v.entries)
+    )
 
 
 def primitive_rows(data: EigenData) -> list[list[int]]:
@@ -103,9 +132,11 @@ def _divide_content(rows: list[list[int]], sign: int = 1) -> list[list[int]]:
     return [[v // g for v in row] for row in rows]
 
 
-def ideal_of_matrix(a: IntMatrix) -> IdealLattice:
-    """The lattice spanned by the coordinates of the normalized eigenvector."""
-    field, rows = _eigen_rows(a)
+def ideal_of_matrix(a: IntMatrix, field: NumberField | None = None) -> IdealLattice:
+    """The lattice spanned by the coordinates of the normalized eigenvector.
+    For the second matrix of a pair, pass the first one's field: it is taken
+    when it is a's too (`_field_of`), so a pair takes one charpoly."""
+    field, rows = _eigen_rows(a, field)
     return IdealLattice(field, rows, 1)  # raises if the rank dropped
 
 

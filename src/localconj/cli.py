@@ -30,7 +30,7 @@ from .conjugacy import (
     IntegerPairCert,
     UnitModCert,
     Verdict,
-    _decide_at_prime,
+    _conjugate_at_prime,
     _unit_mod_holds,
     companion_test,
     conjugate_over_Zp,
@@ -232,7 +232,8 @@ def conj_all_report(
         "pair_certificate": _serialize_cert(verdict.certificate),
     }
     if cross_check:
-        ok, _, _ = weak_equivalence_data(ideal_of_matrix(a), ideal_of_matrix(b))
+        ia = ideal_of_matrix(a)
+        ok, _, _ = weak_equivalence_data(ia, ideal_of_matrix(b, ia.field))
         payload["cross_check"] = {
             "weakly_equivalent": ok,
             "agrees": ok == verdict.conjugate,
@@ -244,7 +245,7 @@ def conj_all_report(
 def weak_equiv_report(a: IntMatrix, b: IntMatrix, path_a: str, path_b: str) -> dict:
     start = time.perf_counter()
     ia = ideal_of_matrix(a)
-    ib = ideal_of_matrix(b)
+    ib = ideal_of_matrix(b, ia.field)
     ok, x, y = weak_equivalence_data(ia, ib)
     return {
         "command": "weak-equiv",
@@ -419,9 +420,10 @@ def _member(obj: dict, key: str, kind: type, default=None):
 
 def _stanza_error(op: SylvesterOperator, stanza: dict, where: str = "") -> str | None:
     """Why one per-prime claim fails, or None: its prime is a prime; a
-    negative carries no certificate and the pair, decided afresh on op, is
-    not conjugate there; a positive's unit-mod certificate names the
-    stanza's prime and holds on op; and the stanza's mu is op's there."""
+    negative carries no certificate and the pair, decided afresh on op
+    (`conjugacy._conjugate_at_prime`, which builds no certificate), is not
+    conjugate there; a positive's unit-mod certificate names the stanza's
+    prime and holds on op; and the stanza's mu is op's there."""
     blob = _member(stanza, "certificate", dict)
     p = stanza.get("prime")
     if not is_prime(p):
@@ -429,7 +431,7 @@ def _stanza_error(op: SylvesterOperator, stanza: dict, where: str = "") -> str |
     if not stanza["conjugate"]:
         if blob is not None:
             return f"negative verdict{where} carries a certificate"
-        if _decide_at_prime(op, p).conjugate:
+        if _conjugate_at_prime(op, p):
             return f"negative verdict{where} but the pair is conjugate there"
     else:
         if blob is None:
@@ -539,7 +541,8 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         # without the input digests the matrices need not share one
         # irreducible polynomial: that rejects the report, as for conj-all
         try:
-            ia, ib = ideal_of_matrix(a), ideal_of_matrix(b)
+            ia = ideal_of_matrix(a)
+            ib = ideal_of_matrix(b, ia.field)
         except PreconditionError as exc:
             return False, str(exc)
         try:

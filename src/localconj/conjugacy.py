@@ -202,6 +202,23 @@ def _reduced_pair_rejects(op: SylvesterOperator, p: int) -> bool:
     return red.scalar or (red.krylov_a is None) != (red.krylov_b is None)
 
 
+def _conjugate_at_prime(op: SylvesterOperator, p: int) -> bool:
+    """The verdict of `_decide_at_prime`, with no certificate built where
+    the reduced pair settles it: a = b, a rejection
+    (`_reduced_pair_rejects`), or a' and b' both regular mod p, which are
+    conjugate by Nakayama's lemma.  Only the general route, neither side
+    regular, asks `_decide_at_prime`."""
+    op.f  # the pair's check comes before any work at p
+    if op.a == op.b:
+        return True
+    if _reduced_pair_rejects(op, p):
+        return False
+    red = op.reduced(p)
+    if red.krylov_a is not None and red.krylov_b is not None:
+        return True
+    return _decide_at_prime(op, p).conjugate
+
+
 def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:
     """Decide similarity of a and b over the p-adic integers."""
     return _decide_at_prime(SylvesterOperator(a, b), p)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul as _mul
 
 from .intmat import (
     IntMatrix,
@@ -56,16 +57,15 @@ class IdealLattice:
         rows = [list(r) for r in rows]
         if any(len(r) != n for r in rows):
             raise ValueError(f"basis rows must have {n} entries, the field degree")
+        # the content of the rows is a lattice invariant, so it comes out
+        # before the Hermite form, which then works on smaller entries
+        g = gcd(den, *(x for r in rows for x in r))
+        if g > 1:
+            rows = [[x // g for x in r] for r in rows]
+            den //= g
         hnf = _hnf_rows(rows, n)
         if len(hnf) != n:
             raise ValueError("lattice is not of full rank")
-        g = den
-        for r in hnf:
-            for x in r:
-                g = gcd(g, x)
-        if g > 1:
-            hnf = [[x // g for x in r] for r in hnf]
-            den //= g
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "basis", IntMatrix(hnf))
@@ -228,10 +228,12 @@ def quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:
     _require_same_field(j, i)
     field = i.field
     n = field.degree
-    adj_b = IntMatrix(_adjugate_upper(j.basis.entries))
+    adj_cols = list(zip(*_adjugate_upper(j.basis.entries)))
     cols = []
     for s in i.basis.entries:
-        cols.extend((field.mult_matrix(s) @ adj_b).transpose().entries)
+        m = field.mult_matrix(s).entries
+        # column l of M_s adj(B), entry by entry
+        cols.extend([sum(map(_mul, row, col)) for row in m] for col in adj_cols)
     dual, det_h = _dual_rows(cols, n)
     scale = i.den * _diagonal_product(j.basis.entries)
     rows = [[scale * x for x in row] for row in dual]

@@ -315,25 +315,35 @@ def _pair_reduced(rows: list[Vector]) -> list[Vector]:
     """Pairwise (Lagrange-Gauss) size reduction of a lattice basis: subtract
     the nearest integer multiple of one row from another while that shortens
     it.  The rows keep spanning the same lattice; on return no row gets
-    shorter by a multiple of any other."""
+    shorter by a multiple of any other.
+
+    Dots and norms are read off the Gram matrix G = B B^T.  An accepted step
+    r_i <- r_i - c r_j takes c times row j of G from row and column i, with
+    G_ii = |r_i|^2 - 2 c r_i.r_j + c^2 |r_j|^2, so it costs O(len(rows)) and
+    a row vector changes only on an accepted step."""
     rows = [list(r) for r in rows]
-    norms = [sum(x * x for x in r) for r in rows]
+    m = len(rows)
+    gram = [[sum(map(mul, ri, rj)) for rj in rows] for ri in rows]
     changed = True
     while changed:
         changed = False
-        for i, ri in enumerate(rows):
-            for j, rj in enumerate(rows):
-                if i == j or not norms[j]:
+        for i, gi in enumerate(gram):
+            for j, gj in enumerate(gram):
+                norm = gj[j]
+                if i == j or not norm:
                     continue
-                dot = sum(map(mul, ri, rj))
-                c = (2 * dot + norms[j]) // (2 * norms[j])  # nearest integer
+                dot = gi[j]
+                c = (2 * dot + norm) // (2 * norm)  # nearest integer
                 if not c:
                     continue
-                new = [x - c * y for x, y in zip(ri, rj)]
-                size = sum(x * x for x in new)
-                if size < norms[i]:
-                    rows[i] = ri = new
-                    norms[i] = size
+                size = gi[i] - 2 * c * dot + c * c * norm
+                if size < gi[i]:
+                    for k in range(m):
+                        if k != i:
+                            gi[k] -= c * gj[k]
+                            gram[k][i] = gi[k]
+                    gi[i] = size
+                    rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
                     changed = True
     return [tuple(r) for r in rows]
 

@@ -418,13 +418,18 @@ def _kronecker_has_factor(f: IntPoly, k: int) -> bool:
 def is_irreducible(f: IntPoly) -> bool:
     """Irreducibility over Q for monic nonconstant f.
 
-    Pipeline: the factor-degree patterns of f modulo the first ten primes
-    not dividing disc(f) leave the degrees k <= n/2 that a factor over Q
-    could have (a subset sum of every pattern), so a polynomial they
-    certify is never factored; then, when k = 1 is left, the roots of f
-    modulo the last of those primes, lifted by Newton's iteration and
-    tested exactly; then a complete Kronecker factor search for each k >= 2
-    that is left.
+    Pipeline: a prime p is usable when gcd(f mod p, f' mod p) = 1, which
+    for monic f is exactly p not dividing disc(f), so the test takes no
+    discriminant unless the first ten primes are all unusable, and then
+    only to catch a repeated factor (disc f = 0).  The factor-degree
+    patterns of f modulo up to ten usable primes leave the degrees
+    k <= n/2 that a factor over Q could have (a subset sum of every
+    pattern), so a polynomial they certify is never factored; they stop
+    as soon as no k >= 2 is left.  Then, when k = 1 is left, the roots of f
+    modulo the last usable prime, lifted by Newton's iteration and tested
+    exactly; then a complete Kronecker factor search for each k >= 2 that
+    is left.  A quadratic or a cubic takes one usable prime and the root
+    test, and no pattern.
     """
     if f.is_zero or not f.is_monic:
         raise PreconditionError("irreducibility test requires a monic polynomial")
@@ -443,20 +448,22 @@ def _irreducible_monic(coeffs: tuple[int, ...]) -> bool:
     f = IntPoly(coeffs)
     if f.coeff(0) == 0:
         return False  # divisible by t
-    disc = discriminant(f)
-    if disc == 0:
-        return False  # a repeated factor
-    # f mod p is squarefree, and a factor of degree k over Q splits mod p
-    # into factors whose degrees sum to k
+    # at a usable prime f mod p is squarefree, and a factor of degree k over
+    # Q splits mod p into factors whose degrees sum to k
     left = set(range(1, f.degree // 2 + 1))
-    tried, p = 0, 2
-    while tried < 10 and left:
-        if disc % p:
-            sums = 1
-            for d in _degree_pattern(f, p):
-                sums |= sums << d
-            left = {k for k in left if sums >> k & 1}
+    tried, p, q = 0, 2, 0
+    while tried < 10 and (not q or max(left, default=0) > 1):
+        if squarefree_mod_p(f, p):
+            if max(left, default=0) > 1:
+                sums = 1
+                for d in _degree_pattern(f, p):
+                    sums |= sums << d
+                left = {k for k in left if sums >> k & 1}
             tried, q = tried + 1, p
+        elif p == 29 and not q and discriminant(f) == 0:
+            # none of the first ten primes is usable, and none ever will
+            # be: f has a repeated factor
+            return False
         p = next_prime(p)
     if 1 in left and _has_integer_root(f, q):
         return False
@@ -548,7 +555,7 @@ class NumberField:
                 for j in range(n):
                     cur[j] -= lead * f[j]
             rows.append(tuple(cur))
-        return IntMatrix(rows)
+        return IntMatrix._of(rows)
 
 
 class FieldElement:

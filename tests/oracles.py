@@ -684,3 +684,26 @@ def reference_kernel_mod(m: IntMatrix, modulus: int) -> list[tuple[int, ...]]:
         if step != modulus:
             gens.append(tuple(step * x % modulus for x in t_inv.col(j)))
     return gens
+
+
+def vector_pair_reduced(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Pairwise size reduction recomputing every dot product and norm from
+    the row vectors, with the accept rule of `intmat._pair_reduced`: r_i
+    takes r_i - c r_j, c the nearest integer to r_i.r_j / |r_j|^2, when
+    that is shorter, sweeping i then j until a sweep changes nothing."""
+    rows = [list(r) for r in rows]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                norm_j = sum(x * x for x in rows[j])
+                if i == j or not norm_j:
+                    continue
+                dot = sum(x * y for x, y in zip(rows[i], rows[j]))
+                c = (2 * dot + norm_j) // (2 * norm_j)
+                new = [x - c * y for x, y in zip(rows[i], rows[j])]
+                if c and sum(x * x for x in new) < sum(x * x for x in rows[i]):
+                    rows[i] = new
+                    changed = True
+    return [tuple(r) for r in rows]

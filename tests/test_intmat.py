@@ -20,7 +20,7 @@ from localconj import (
     parse_poly,
     snf,
 )
-from localconj.intmat import back_substitute, solve
+from localconj.intmat import _pair_reduced, back_substitute, solve
 
 from conftest import PRIME_BY_PRIME_PAIRS, M
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     reference_snf,
     solve_exact,
     span_of_generators_mod,
+    vector_pair_reduced,
 )
 
 EYE = IntMatrix.identity(2)
@@ -311,3 +312,25 @@ class TestKernelMod:
                 assert span_of_generators_mod(gens, modulus, n) == brute_solutions_mod(
                     m, modulus
                 )
+
+
+class TestPairReduced:
+    """The size reduction on the Gram matrix returns the rows the same
+    reduction gives on the row vectors themselves."""
+
+    def test_matches_the_vector_reduction(self):
+        rng = random.Random(2702)
+        for _ in range(300):
+            dim, width = rng.randint(1, 6), rng.randint(1, 9)
+            bound = rng.choice((3, 50, 2**40))
+            rows = [tuple(rng.randint(-bound, bound) for _ in range(width)) for _ in range(dim)]
+            if rng.random() < 0.2:
+                rows[0] = (0,) * width
+            assert _pair_reduced(rows) == vector_pair_reduced(rows)
+
+    def test_intertwiner_bases(self):
+        for field, strategy in PRIME_BY_PRIME_PAIRS:
+            pair = generate_pair(parse_poly(field), strategy, 0)
+            op = SylvesterOperator(pair.a, pair.b)
+            basis = [tuple(x for col in zip(*m.entries) for x in col) for m in op.intertwiners]
+            assert _pair_reduced(basis) == vector_pair_reduced(basis)

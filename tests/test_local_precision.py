@@ -24,7 +24,7 @@ from localconj import (
     verify_cert,
 )
 from localconj import conjugacy, polyfield, sylvester
-from localconj.cli import conj_all_report, conj_p_report, verify_report
+from localconj.cli import conj_all_report, conj_p_report, verify_report, weak_equiv_report
 from localconj.gen import conjugate_exact
 from localconj.primes import PreconditionError, valuation
 from localconj.sylvester import _local_mu, _profile_by_elimination
@@ -268,8 +268,10 @@ class TestOneDiscriminantPerPair:
         pair = self.pair()
         for p in (2, 3):
             conj_p_report(pair.a, pair.b, "a.txt", "b.txt", p)
-        # the irreducibility test takes it, and the process keeps it
-        assert computed_discriminants == [charpoly(pair.a)]
+        # mu comes from a cyclic vector at both primes and the
+        # irreducibility test picks its primes by gcd(f, f') mod p, so no
+        # command takes disc f
+        assert computed_discriminants == []
 
 
 @pytest.fixture
@@ -308,18 +310,61 @@ class TestOneCheckPerPair:
         assert charpolys == [pair.a]
         assert annihilator_checks == [pair.b]
 
-    def test_conj_all_cross_check_takes_three_charpolys(self, charpolys, annihilator_checks):
-        # one for the operator, one per matrix for the ideal side
+    def test_conj_all_cross_check_takes_two_charpolys(self, charpolys, annihilator_checks):
+        # one for the operator, one for the ideal side's pair
         pair = self.pair()
         report = conj_all_report(pair.a, pair.b, "a.txt", "b.txt", cross_check=True)
         assert report["verdict"]["conjugate"] and report["cross_check"]["agrees"]
-        assert charpolys == [pair.a, pair.a, pair.b]
+        assert charpolys == [pair.a, pair.a]
         assert annihilator_checks == [pair.b]
 
     def test_equal_operands_need_no_annihilator_check(self, charpolys, annihilator_checks):
         a = self.pair().a
         assert conjugate_over_Zp(a, a, 2).conjugate
         assert (charpolys, annihilator_checks) == ([a], [])
+
+
+class TestOneFieldPerPairOnTheIdealSide:
+    """The ideal side takes the pair's field from a: b is checked by
+    f(b) e_1 = 0, so a pair takes one charpoly there, and a b outside the
+    field falls back to its own charpoly, with the same messages."""
+
+    def pair(self):
+        return generate_pair(parse_poly("t^5-2"), "unimodular", 1)
+
+    def test_weak_equiv_takes_one_charpoly(self, charpolys):
+        pair = self.pair()
+        report = weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
+        assert report["verdict"]["weakly_equivalent"]
+        assert charpolys == [pair.a]
+
+    def test_verify_of_weak_equiv_takes_one_charpoly(self, charpolys):
+        pair = self.pair()
+        report = weak_equiv_report(pair.a, pair.b, "a.txt", "b.txt")
+        charpolys.clear()
+        assert verify_report(report, pair.a, pair.b) == (True, "witness ideals verified")
+        assert charpolys == [pair.a]
+
+    @pytest.mark.parametrize("b,message", [
+        (IntMatrix([[1, 0], [0, 2]]), "characteristic polynomial is reducible"),
+        (parse_poly("t^2-2").companion(), "ideals live in different fields"),
+    ], ids=["reducible", "other-field"])
+    def test_b_outside_the_field_takes_its_own_charpoly(self, charpolys, b, message):
+        a = parse_poly("t^2+3").companion()
+        with pytest.raises(PreconditionError, match=message):
+            weak_equiv_report(a, b, "a.txt", "b.txt")
+        assert charpolys == [a, b]
+
+
+class TestNoDiscriminantWhereRegular:
+    @pytest.mark.parametrize("field,p", [("t^5-2", 3), ("t^5-2", 5), ("t^7-3", 7)])
+    def test_conj_p_on_a_pair_regular_at_p(self, computed_discriminants, field, p):
+        pair = generate_pair(parse_poly(field), "unimodular", 0)
+        report = conj_p_report(pair.a, pair.b, "a.txt", "b.txt", p)
+        assert report["verdict"]["conjugate"]
+        red = SylvesterOperator(pair.a, pair.b).reduced(p)
+        assert red.krylov_a is not None and red.krylov_b is not None
+        assert computed_discriminants == []
 
 
 class TestCompanionTestByACyclicVector:

@@ -286,8 +286,8 @@ class TestIrreducibilityMemo:
     def test_one_real_test_per_command(self, field):
         pair = generate_pair(P(field), "unimodular", 1)
         for report, asks in [
-            (lambda: conj_all_report(pair.a, pair.b, "a", "b", cross_check=True), 6),
-            (lambda: weak_equiv_report(pair.a, pair.b, "a", "b"), 4),
+            (lambda: conj_all_report(pair.a, pair.b, "a", "b", cross_check=True), 4),
+            (lambda: weak_equiv_report(pair.a, pair.b, "a", "b"), 2),
         ]:
             _irreducible_monic.cache_clear()
             report()
@@ -300,6 +300,85 @@ class TestIrreducibilityMemo:
             with pytest.raises(ValueError):
                 is_irreducible(f)
         assert _irreducible_monic.cache_info().currsize == 0
+
+
+@pytest.fixture
+def pipeline(monkeypatch):
+    """The stages `_irreducible_monic` runs while the test runs, each with
+    its argument: ("disc", f), ("pattern", p), ("root", p) and
+    ("kronecker", k).  The memo starts empty."""
+    from localconj import polyfield
+
+    taken = []
+    for name, label, pick in (
+        ("discriminant", "disc", lambda f, *rest: f),
+        ("_degree_pattern", "pattern", lambda f, p: p),
+        ("_has_integer_root", "root", lambda f, p: p),
+        ("_kronecker_has_factor", "kronecker", lambda f, k: k),
+    ):
+        def counting(*args, _real=getattr(polyfield, name), _label=label, _pick=pick):
+            taken.append((_label, _pick(*args)))
+            return _real(*args)
+
+        monkeypatch.setattr(polyfield, name, counting)
+    _irreducible_monic.cache_clear()
+    yield taken
+    _irreducible_monic.cache_clear()
+
+
+def stages(taken) -> list[str]:
+    return [label for label, _ in taken]
+
+
+class TestIrreducibilityPipeline:
+    """A prime is usable when gcd(f mod p, f' mod p) = 1; the discriminant
+    is taken only when the first ten primes are all unusable, and the
+    patterns stop once no factor degree k >= 2 is left."""
+
+    @pytest.mark.parametrize("f", [P("t^2+3") * P("t^2+3"), P("t-1") * P("t-1") * P("t^2+3")],
+                             ids=["(t^2+3)^2", "(t-1)^2(t^2+3)"])
+    def test_repeated_factor_is_caught_by_the_discriminant(self, pipeline, f):
+        assert not is_irreducible(f)
+        assert pipeline == [("disc", f)]
+
+    def test_primorial_quadratic_takes_the_discriminant_fallback(self, pipeline):
+        # every prime up to 31 divides disc f = 4 * 2 * 3 * ... * 31, so the
+        # first usable prime is 37
+        primorial = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
+        f = IntPoly([-primorial, 0, 1])
+        assert is_irreducible(f)
+        assert pipeline == [("disc", f), ("root", 37)]
+
+    @pytest.mark.parametrize("text,irreducible", [
+        ("t^2-t-1", True), ("t^2+3", True), ("t^2-5t+6", False),
+        ("t^3-t-1", True), ("t^3-4t-1", True), ("t^3-3t^2+5t-15", False),
+        ("t^3-2", True),
+    ])
+    def test_quadratics_and_cubics_take_the_root_test_only(self, pipeline, text, irreducible):
+        assert is_irreducible(P(text)) == irreducible
+        assert stages(pipeline) == ["root"]
+
+    def test_swinnerton_dyer_quartic_takes_the_kronecker_path(self, pipeline):
+        # t^4-10t^2+1, the minimal polynomial of sqrt(2) + sqrt(3), factors
+        # modulo every prime, so ten patterns leave k = 2 to Kronecker
+        assert is_irreducible(P("t^4-10t^2+1"))
+        assert stages(pipeline).count("pattern") == 10
+        assert ("kronecker", 2) in pipeline
+        assert "disc" not in stages(pipeline)
+
+    def test_t7_minus_3_stops_after_two_patterns(self, pipeline):
+        # patterns [1, 3, 3] mod 2 and [1, 6] mod 5 leave only k = 1 (3 is
+        # unusable), which the root test settles
+        assert is_irreducible(P("t^7-3"))
+        assert pipeline == [("pattern", 2), ("pattern", 5), ("root", 5)]
+
+    def test_squarefree_polynomials_take_no_discriminant(self, pipeline):
+        rng = random.Random(27)
+        for _ in range(200):
+            f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 8))] + [1])
+            if f.coeff(0) and discriminant(f):
+                is_irreducible(f)
+        assert "disc" not in stages(pipeline)
 
 
 class TestFieldArithmetic:

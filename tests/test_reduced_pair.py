@@ -30,7 +30,7 @@ from localconj import (
     verify_cert,
 )
 from localconj import conjugacy, sylvester
-from localconj.cli import conj_p_report
+from localconj.cli import conj_p_report, verify_report
 from localconj.gen import conjugate_exact
 from localconj.sylvester import _cyclic_krylov, _reduce
 
@@ -400,3 +400,54 @@ class TestNoOperatorWork:
         v = conjugate_over_Zp(a, b, 2)
         assert not v.conjugate
         assert (work["det_mod"], work["intertwiners"], work["span_test"]) == (0, 0, 0)
+
+
+class TestVerifyNegativeStanza:
+    """`verify` checks a negative stanza from the reduced pair when it
+    settles the verdict: two regular sides are conjugate with no
+    certificate built, and only the general route decides afresh."""
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        decided = []
+        decide = conjugacy._decide_at_prime
+
+        def counting(op, p):
+            decided.append(p)
+            return decide(op, p)
+
+        monkeypatch.setattr(conjugacy, "_decide_at_prime", counting)
+        return decided
+
+    @staticmethod
+    def flipped(a: IntMatrix, b: IntMatrix, p: int) -> dict:
+        report = conj_p_report(a, b, "a", "b", p)
+        assert report["verdict"]["conjugate"]
+        report["verdict"]["conjugate"] = False
+        report["certificate"] = None
+        return report
+
+    @pytest.mark.parametrize("field,p", [("t^5-7", 7), ("t^5-2", 5), ("t^7-3", 7)])
+    def test_both_regular_flip_builds_no_certificate(self, decisions, det_shapes, field, p):
+        pair = generate_pair(parse_poly(field), "unimodular", 0)
+        assert route(SylvesterOperator(pair.a, pair.b), p).startswith("both regular")
+        report = self.flipped(pair.a, pair.b, p)
+        decisions.clear()
+        det_shapes.clear()
+        assert verify_report(report, pair.a, pair.b) == (
+            False, "negative verdict but the pair is conjugate there"
+        )
+        assert (decisions, det_shapes) == ([], [])
+
+    def test_general_route_flip_is_decided_afresh(self, decisions):
+        rng = random.Random(2701)
+        p = 3
+        a = nilpotent_mod_p(3, p, rng)
+        b = conjugate_exact(a, random_unimodular(3, rng))
+        assert route(SylvesterOperator(a, b), p) == "general"
+        report = self.flipped(a, b, p)
+        decisions.clear()
+        assert verify_report(report, a, b) == (
+            False, "negative verdict but the pair is conjugate there"
+        )
+        assert decisions == [p]
