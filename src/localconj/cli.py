@@ -420,10 +420,11 @@ def _member(obj: dict, key: str, kind: type, default=None):
 
 def _stanza_error(op: SylvesterOperator, stanza: dict, where: str = "") -> str | None:
     """Why one per-prime claim fails, or None: its prime is a prime; a
-    negative carries no certificate and the pair, decided afresh on op
-    (`conjugacy._conjugate_at_prime`, which builds no certificate), is not
-    conjugate there; a positive's unit-mod certificate names the stanza's
-    prime and holds on op; and the stanza's mu is op's there."""
+    negative carries no certificate and the pair is not conjugate there,
+    decided afresh on op by `conjugacy._conjugate_at_prime`, which reads
+    `ReducedPair.settled` and builds no certificate where it settles the
+    verdict; a positive's unit-mod certificate names the stanza's prime
+    and holds on op; and the stanza's mu is op's there."""
     blob = _member(stanza, "certificate", dict)
     p = stanza.get("prime")
     if not is_prime(p):

@@ -6,20 +6,13 @@ operator.  Every decision and every check runs on one `SylvesterOperator`
 per pair: it holds the pair's checked irreducible characteristic polynomial
 f, computed once, the pair reduced at each prime, the intertwiner basis,
 and mu (`sylvester._local_mu`), so the operator's integer Smith form is
-never built.  The reduced pair (`sylvester.ReducedPair`) picks one of
-three cases at p, after a = b:
-
-- reject: a' or b' is a scalar mod p, or exactly one of them is regular
-  (has a cyclic vector mod p), and a != b is a negative
-  (`_reduced_pair_rejects`);
-- both regular: by Nakayama's lemma both Z_p[t]-modules are Z_p[t]/(g), so
-  a' and b' are conjugate over Z_p, and K_a'(w) K_b'(v)^(-1) mod p, from a
-  cyclic vector on each side, is a certificate mod p^(k+1) = p^(mu+1): no
-  span, walk or exact basis;
-- general: neither side is regular.  The span is that of the exact basis
-  (n matrices, `SylvesterOperator.intertwiners`), which is saturated, so it
-  is every solution mod p that lifts; the walk runs on the basis's own
-  coefficients and a unit is realized on the basis mod p^(mu+1).
+never built.  After a = b, the pair reduced at p settles the verdict
+when a side is a scalar or regular mod p (`sylvester.ReducedPair.settled`,
+which argues each case).  Otherwise, on the general route, neither side is
+regular: the span is that of the exact basis (n matrices,
+`SylvesterOperator.intertwiners`), which is saturated, so it is every
+solution mod p that lifts; the walk runs on the basis's own coefficients
+and a unit is realized on the basis mod p^(mu+1).
 
 On the general route a negative verdict has two ways:
 
@@ -151,18 +144,14 @@ def _span_shares_a_null_vector(mats: list[IntMatrix], p: int, n: int) -> bool:
 def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     """Decide a ~ b over Z_p for the operator's checked pair.
 
-    Equal matrices are conjugate, and `_reduced_pair_rejects` gives the
-    negatives that the reduced pair settles.  When a' and b' are both
-    regular mod p, with cyclic vectors w and v, X = K_a'(w) K_b'(v)^(-1)
-    mod p, entries in [0, p), is the certificate: X b'^m v = a'^m w for
-    m < n, and b'^n v and a'^n w satisfy the one relation of the shared
-    characteristic polynomial, so a' X = X b' mod p with det X a unit, and
-    a X - X b = p^k (a' X - X b') = 0 mod p^(k+1), k being mu there.
-    Otherwise a null vector shared by the mod-p span of the exact
-    intertwiner basis is a negative without a search
-    (`_span_shares_a_null_vector`), and else the unit-determinant walk over
-    that span decides and realizes its hit on the basis mod p^(mu+1).  mu
-    is the operator's (`SylvesterOperator.mu`) in every case.
+    Equal matrices are conjugate.  Otherwise the reduced pair settles the
+    verdict when it can (`ReducedPair.settled`), and a positive one has the
+    certificate X = K_a'(w) K_b'(v)^(-1) mod p.  On the general route a
+    null vector shared by the mod-p span of the exact intertwiner basis is
+    a negative without a search (`_span_shares_a_null_vector`), and else
+    the unit-determinant walk over that span decides and realizes its hit
+    on the basis mod p^(mu+1).  mu is the operator's
+    (`SylvesterOperator.mu`) in every case.
     """
     a, b, n = op.a, op.b, op.n
     mu = op.mu(p)
@@ -170,10 +159,10 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     if a == b:
         cert = UnitModCert(IntMatrix.identity(n), p, modulus)
         return Verdict(True, p, cert, mu)
-    if _reduced_pair_rejects(op, p):
-        return Verdict(False, p, None, mu)
     red = op.reduced(p)
-    if red.krylov_a is not None and red.krylov_b is not None:
+    if red.settled is False:
+        return Verdict(False, p, None, mu)
+    if red.settled:
         x = (red.krylov_a[0] @ red.krylov_b[1]).mod(p)
     else:
         span = op.intertwiners
@@ -189,34 +178,15 @@ def _decide_at_prime(op: SylvesterOperator, p: int) -> Verdict:
     return Verdict(True, p, cert, mu)
 
 
-def _reduced_pair_rejects(op: SylvesterOperator, p: int) -> bool:
-    """For a != b: the reduced pair (`ReducedPair`) shows that a and b are
-    not conjugate over Z_p.  If b' = c I mod p, every intertwiner X mod p
-    has (a' - c I) X = 0, so a nonzero row of a' - c I kills every X on the
-    left; if a' = c I, every X kills a nonzero column of b' - c I on the
-    right.  If both are scalar, a' = c I and b' = d I, then c = a'[0, 0] = 0
-    and, as k is the largest level, d != 0: every X is 0 mod p.  And a ~ b
-    over Z_p makes a' and b' conjugate mod p, so regular on both sides or
-    on neither."""
-    red = op.reduced(p)
-    return red.scalar or (red.krylov_a is None) != (red.krylov_b is None)
-
-
 def _conjugate_at_prime(op: SylvesterOperator, p: int) -> bool:
     """The verdict of `_decide_at_prime`, with no certificate built where
-    the reduced pair settles it: a = b, a rejection
-    (`_reduced_pair_rejects`), or a' and b' both regular mod p, which are
-    conjugate by Nakayama's lemma.  Only the general route, neither side
-    regular, asks `_decide_at_prime`."""
+    the reduced pair settles it (`ReducedPair.settled`): only the general
+    route asks `_decide_at_prime`."""
     op.f  # the pair's check comes before any work at p
     if op.a == op.b:
         return True
-    if _reduced_pair_rejects(op, p):
-        return False
-    red = op.reduced(p)
-    if red.krylov_a is not None and red.krylov_b is not None:
-        return True
-    return _decide_at_prime(op, p).conjugate
+    settled = op.reduced(p).settled
+    return _decide_at_prime(op, p).conjugate if settled is None else settled
 
 
 def conjugate_over_Zp(a: IntMatrix, b: IntMatrix, p: int) -> Verdict:

@@ -179,7 +179,8 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text: str) -> IntPoly:
-    """Parse 't^3 - 4t - 1' or an ascending comma-separated coefficient list."""
+    """Parse 't^3 - 4t - 1' or an ascending comma-separated coefficient list.
+    The variable may be any one letter; two different letters are refused."""
     text = text.strip()
     if not text:
         raise PreconditionError("empty polynomial")
@@ -189,6 +190,8 @@ def parse_poly(text: str) -> IntPoly:
             return IntPoly([int(tok) for tok in text.split(sep)])
         except ValueError:
             raise PreconditionError(f"cannot parse polynomial {text!r}") from None
+    if len(letters := sorted(set(re.findall(r"[a-zA-Z]", text)))) > 1:
+        raise PreconditionError(f"polynomial {text!r} mixes variables {', '.join(letters)}")
     pos = 0
     acc: dict[int, int] = {}
     while pos < len(text):

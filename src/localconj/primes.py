@@ -1,9 +1,11 @@
 """Primality testing and integer factorization at desk scale.
 
-Deterministic throughout: Miller-Rabin with a fixed base set (exact below
-3.3e24) and Brent's rho with a fixed parameter schedule.  This is the only
-module that factors integers or takes p-adic valuations: divisors,
-valuations and the next prime are all read from here.
+Deterministic throughout: Miller-Rabin with the prime bases 2, ..., 41
+(exact below psi_13 = 3317044064679887385961981, the least strong
+pseudoprime to all of them, OEIS A014233) and Brent's rho with a fixed
+parameter schedule.  This is the only module that factors integers or
+takes p-adic valuations: divisors, valuations and the next prime are all
+read from here.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from itertools import count
 from math import gcd, isqrt
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Trial division only strips small primes; larger cofactors go straight to
 # Miller-Rabin and Brent's rho, which split them faster than a long wheel.

@@ -12,15 +12,10 @@ have the same intertwiners and L(a, b) = p^k L(a', b').  A side is regular
 mod p when it has a cyclic vector there (`_cyclic_krylov`), that is, when
 its minimal polynomial mod p is its characteristic polynomial.  By
 Nakayama's lemma its Z_p[t]-module is then Z_p[t]/(g), g the shared
-characteristic polynomial of a' and b'.  That gives three cases at p:
-
-- reject: a' or b' is a scalar mod p, or exactly one of them is regular;
-  then a != b are not conjugate over Z_p (`conjugacy._reduced_pair_rejects`);
-- both regular: the pair is conjugate and K_a'(w) K_b'(v)^(-1) mod p is its
-  certificate, with no span, walk or exact basis;
-- general: neither side is regular, and the exact basis (n matrices, from
-  one Hermite form of width n through a cyclic vector of b) gives the span
-  that the decision walks and realizes its hit on.
+characteristic polynomial of a' and b'.  `ReducedPair.settled` reads the
+verdict at p off a scalar or regular side and argues it; only when neither
+side is regular does the decision need the exact basis (n matrices, from
+one Hermite form of width n through a cyclic vector of b).
 
 mu needs no elimination as soon as one side is regular: the cokernel of
 L(a', b') is then free and the profile is (k, ..., k) (`_local_mu`).  Only
@@ -199,7 +194,7 @@ class ReducedPair:
     `krylov_a` are `_cyclic_krylov` of b' and of a': (K, K^(-1)) mod p at a
     cyclic vector, or None when that side is derogatory mod p.  Each is
     computed on first use, so mu, which b' settles when it is regular, need
-    not search a'."""
+    not search a'.  `settled` is the verdict at p when these decide it."""
 
     prime: int
     level: int
@@ -214,6 +209,33 @@ class ReducedPair:
     @cached_property
     def krylov_a(self) -> tuple[IntMatrix, IntMatrix] | None:
         return _cyclic_krylov(self.a, self.prime)
+
+    @cached_property
+    def settled(self) -> bool | None:
+        """For a != b, whether a ~ b over Z_p, or None when the reduced pair
+        does not settle it: False when a' or b' is a scalar mod p or exactly
+        one of them is regular, True when both are, None when neither is.
+
+        A scalar side leaves no intertwiner a unit mod p.  If b' = c I mod p,
+        every intertwiner X mod p has (a' - c I) X = 0, so a nonzero row of
+        a' - c I kills every X on the left; if a' = c I, every X kills a
+        nonzero column of b' - c I on the right.  If both are scalar,
+        a' = c I and b' = d I, then c = a'[0, 0] = 0 and, as k is the
+        largest level, d != 0: every X is 0 mod p.  And a ~ b over Z_p makes
+        a' and b' conjugate mod p, so regular on both sides or on neither.
+
+        When both are regular, with cyclic vectors w and v, Nakayama's lemma
+        makes both Z_p[t]-modules Z_p[t]/(g), so a' and b' are conjugate over
+        Z_p, and X = K_a'(w) K_b'(v)^(-1) mod p, entries in [0, p), is a
+        certificate: X b'^m v = a'^m w for m < n, and b'^n v and a'^n w
+        satisfy the one relation of g, so a' X = X b' mod p with det X a
+        unit, and a X - X b = p^k (a' X - X b') = 0 mod p^(k+1), k being mu
+        there (`_local_mu`).  No span, walk or exact basis is needed.
+
+        A 1 x 1 pair has a' = b' = 0, a scalar, so a = b is decided first."""
+        if self.scalar or (self.krylov_a is None) != (self.krylov_b is None):
+            return False
+        return True if self.krylov_a is not None else None
 
 
 def _reduce(a: IntMatrix, b: IntMatrix, p: int) -> ReducedPair:

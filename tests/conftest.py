@@ -25,6 +25,7 @@ import localconj.conjugacy as conjugacy
 import localconj.intmat as intmat
 import localconj.primes as primes
 from localconj.gen import conjugate_exact
+from localconj.sylvester import ReducedPair
 
 QUADRATIC_FIELDS = ("t^2-t-1", "t^2+3", "t^2-2", "t^2+2")
 BRIDGE_FIELDS = ("t^2-t-1", "t^2+3", "t^3-t-1", "t^3-4t-1")
@@ -187,7 +188,9 @@ def walk_only(monkeypatch, decide, *args):
     unit-determinant walk can reject."""
     with monkeypatch.context() as m:
         m.setattr(conjugacy, "_span_shares_a_null_vector", lambda *_: False)
-        m.setattr(conjugacy, "_reduced_pair_rejects", lambda *_: False)
+        m.setattr(ReducedPair, "settled", property(
+            lambda red: True if red.krylov_a is not None and red.krylov_b is not None else None
+        ))
         return decide(*args)
 
 

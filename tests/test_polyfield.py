@@ -28,7 +28,7 @@ from localconj.polyfield import (
     _irreducible_monic,
     squarefree_mod_p,
 )
-from localconj.primes import next_prime
+from localconj.primes import PreconditionError, next_prime
 
 from conftest import M, P, wide_pair
 from oracles import (
@@ -451,3 +451,12 @@ class TestParsing:
     def test_pretty_roundtrip(self):
         f = P("t^4 - 3*t^2 + 2t - 7")
         assert parse_poly(f.pretty()) == f
+
+    @pytest.mark.parametrize("text", ["x^3 - 4x - 1", "X^3 - 4X - 1", "t^3 - 4*t - 1"])
+    def test_any_one_letter_is_the_variable(self, text):
+        assert parse_poly(text).coeffs == (-1, -4, 0, 1)
+
+    @pytest.mark.parametrize("text", ["t^2 + x + 1", "x^2 + t", "t^2 + T + 1"])
+    def test_two_letters_are_refused(self, text):
+        with pytest.raises(PreconditionError, match="mixes variables"):
+            parse_poly(text)

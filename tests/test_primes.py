@@ -8,6 +8,7 @@ import random
 import pytest
 
 from localconj import factorize, is_prime
+from localconj.cli import main
 from localconj.primes import _TRIAL_LIMIT, divisors, prime_power_split, valuation
 
 
@@ -140,3 +141,28 @@ class TestPrimePowerSplit:
     def test_other_numbers_rejected(self, q):
         with pytest.raises(ValueError):
             prime_power_split(q)
+
+
+# OEIS A014233: the least strong pseudoprime to all of the first k prime
+# bases, k = 1, ..., 12 (some terms repeat); the last is psi_12
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+)
+PSI_12 = STRONG_PSEUDOPRIMES[-1]
+
+
+class TestMillerRabinBound:
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_psi_12_splits_into_its_two_primes(self):
+        assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+        assert all(map(is_prime, (399165290221, 798330580441)))
+
+    def test_conj_p_refuses_psi_12_as_a_prime(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_text("2\n0 1\n-3 0\n")
+        assert main(["conj-p", str(path), str(path), "--prime", str(PSI_12)]) == 2
+        assert f"{PSI_12} is not prime" in capsys.readouterr().err

@@ -451,3 +451,37 @@ class TestVerifyNegativeStanza:
             False, "negative verdict but the pair is conjugate there"
         )
         assert decisions == [p]
+
+
+class TestSettled:
+    """`ReducedPair.settled` on each case that `route` names, and the
+    decision and the verdict-only check agreeing with it."""
+
+    def cases(self):
+        rng = random.Random(2701)
+        a = nilpotent_mod_p(3, 3, rng)
+        yield "general", a, conjugate_exact(a, random_unimodular(3, rng)), 3, None
+        pair = generate_pair(parse_poly("t^5-2"), "unimodular", 0)
+        yield "both regular, k = 0", pair.a, pair.b, 5, True
+        a, b = radical_order_pair(5, 2, 2, 5, 7)
+        yield "one regular", a, b, 2, False
+        a = scalar_shifted(1, 5, 1, "t^3-t-1")
+        yield "scalar", a, conjugate_exact(a, IntMatrix.diagonal([5, 1, 1])), 5, False
+
+    def test_each_case(self):
+        for name, a, b, p, want in self.cases():
+            op = SylvesterOperator(a, b)
+            assert route(op, p) == name
+            assert op.reduced(p).settled is want, name
+            verdict = conjugacy._decide_at_prime(op, p).conjugate
+            assert conjugacy._conjugate_at_prime(op, p) == verdict, name
+            if want is not None:
+                assert verdict == want, name
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_one_by_one_pair_is_conjugate_though_its_reduced_pair_is_scalar(self, p):
+        a = IntMatrix([[5]])
+        op = SylvesterOperator(a, a)
+        assert op.reduced(p).scalar and op.reduced(p).settled is False
+        assert conjugate_over_Zp(a, a, p).conjugate
+        assert conjugacy._conjugate_at_prime(op, p)

@@ -174,6 +174,21 @@ def test_only_the_general_route_reads_the_exact_basis():
     assert not gone & defined
 
 
+def test_only_settled_reads_whether_a_reduced_side_is_scalar():
+    # the verdicts the reduced pair settles have one owner,
+    # `ReducedPair.settled`, which deciding and verifying both read
+    readers, defined = [], set()
+    for path in sorted((ROOT / "src" / "localconj").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        readers += _scopes(
+            tree, path.stem,
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "scalar",
+        )
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert readers == ["sylvester.settled"]
+    assert "_reduced_pair_rejects" not in defined
+
+
 def test_only_elimination_and_lifting_read_the_operator_matrix():
     # mu at p and `companion_test` read the reduced pair's cyclic vectors;
     # the n^2 x n^2 operator serves the elimination when neither side is
