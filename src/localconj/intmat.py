@@ -6,7 +6,12 @@ row Hermite form for lattices, their duals, their meets and the integer and
 modular kernels (`kernel_basis_Z`, `kernel_mod`), one echelon form over
 Z/p^k (`_echelon_fp`: ranks mod p, local Smith forms, coordinates modulo p^k
 in a basis that is independent mod p), and Smith normal form with
-unimodular transforms, which serves the `snf` command alone.
+unimodular transforms, which serves the `snf` command alone.  The Smith form
+runs no elimination of its own: it alternates row and column Hermite forms
+and inverts its transforms by `solve`, so over Z there are two eliminations,
+Bareiss and Hermite.  Its transforms s and t differ from those of the
+pivoting elimination it replaced (its diagonal d does not), and so do the
+`s` and `t` of `snf` reports.
 Matrices are immutable; every operation returns a fresh value.  There is no
 floating point, no rational arithmetic and no word-size fast path anywhere.
 """
@@ -14,7 +19,8 @@ floating point, no rational arithmetic and no word-size fast path anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 from operator import index, mul
 
 from .primes import prime_power_split
@@ -444,104 +450,47 @@ class SNFDecomposition:
         return tuple(self.d[i, i] for i in range(k))
 
 
+def _row_hermite(
+    a: list[list[int]], u: list[list[int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The row Hermite form of [a | u] split back into its two blocks.  For
+    a unimodular u the form has as many rows as u and is w [a | u] for a
+    unimodular w."""
+    width = len(a[0])
+    h = _hnf_rows([ra + ru for ra, ru in zip(a, u)], width + len(u[0]))
+    return [r[:width] for r in h], [r[width:] for r in h]
+
+
 def snf(m: IntMatrix) -> SNFDecomposition:
-    """Smith normal form with both transforms.
+    """Smith normal form with both transforms, from alternating row and
+    column Hermite forms (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
-    Pivoting picks the minimal-absolute-value nonzero entry (the first in
-    row-major order), which keeps coefficient growth acceptable at the matrix
-    sizes this library targets.
+    Throughout u m v = a with u and v unimodular.  The row Hermite forms of
+    [a | u] and of [a^T | v^T] alternate until a is diagonal.  While some
+    d_i fails to divide a later d_j (d_i = 0 < d_j included), column j is
+    added to column i of a and v and the forms are taken again.  Then
+    s = u^(-1) and t = v^(-1), one exact solve each.
     """
-    nr, nc = m.rows, m.cols
     a = m.to_lists()
-    s = IntMatrix.identity(nr).to_lists()
-    t = IntMatrix.identity(nc).to_lists()
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(i: int, j: int, q: int) -> None:
-        # a: row_i += q * row_j ; mirror keeps s @ a @ t constant
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        for row in s:
-            if row[i]:
-                row[j] -= q * row[i]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        for row in s:
-            row[i] = -row[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        t[i], t[j] = t[j], t[i]
-
-    def addmul_col(j: int, i: int, q: int) -> None:
-        # a: col_j += q * col_i
-        for row in a:
-            if row[i]:
-                row[j] += q * row[i]
-        t[i] = [x - q * y for x, y in zip(t[i], t[j])]
-
-    limit = min(nr, nc)
-    for k in range(limit):
-        while True:
-            piv = None
-            best = None
-            for i in range(k, nr):
-                row = a[i]
-                for j in range(k, nc):
-                    v = row[j]
-                    if v != 0 and (best is None or abs(v) < best):
-                        best = abs(v)
-                        piv = (i, j)
-                        if best == 1:
-                            break
-                if best == 1:
-                    break  # nothing is smaller, so this is the first minimum
-            if piv is None:
-                break
-            if piv[0] != k:
-                swap_rows(k, piv[0])
-            if piv[1] != k:
-                swap_cols(k, piv[1])
-            if a[k][k] < 0:
-                negate_row(k)
-            p = a[k][k]
-            dirty = False
-            for i in range(k + 1, nr):
-                q = a[i][k] // p
-                if q:
-                    addmul_row(i, k, -q)
-                if a[i][k]:
-                    dirty = True
-            for j in range(k + 1, nc):
-                q = a[k][j] // p
-                if q:
-                    addmul_col(j, k, -q)
-                if a[k][j]:
-                    dirty = True
-            if dirty:
-                continue
-            if p == 1:
-                break
-            # pivot must divide everything that is left
-            bad = None
-            for i in range(k + 1, nr):
-                if any(a[i][j] % p for j in range(k + 1, nc)):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            addmul_row(k, bad, 1)
-        if a[k][k] == 0:
+    u = IntMatrix.identity(m.rows).to_lists()
+    v = IntMatrix.identity(m.cols).to_lists()
+    while True:
+        a, u = _row_hermite(a, u)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            at, vt = _row_hermite([*map(list, zip(*a))], [*map(list, zip(*v))])
+            a, v = [*map(list, zip(*at))], [*map(list, zip(*vt))]
+            continue
+        d = [a[k][k] for k in range(min(m.rows, m.cols))]
+        pairs = combinations(range(len(d)), 2)
+        bad = next(((i, j) for i, j in pairs if gcd(d[i], d[j]) != d[i]), None)
+        if bad is None:
             break
-
-    return SNFDecomposition(
-        s=IntMatrix._of(s), d=IntMatrix._of(a), t=IntMatrix._of(t), original=m
-    )
+        for row in a + v:
+            row[bad[0]] += row[bad[1]]
+    det_u, s = solve(IntMatrix._of(u), IntMatrix.identity(m.rows))
+    det_v, t = solve(IntMatrix._of(v), IntMatrix.identity(m.cols))
+    # det u and det v are +-1, so u^(-1) = det(u) adj(u)
+    return SNFDecomposition(s=det_u * s, d=IntMatrix._of(a), t=det_v * t, original=m)
 
 
 def _zero_head_tails(rows: list[list[int]], head: int) -> list[list[int]]:

@@ -2,8 +2,10 @@
 
 Deterministic throughout: Miller-Rabin with the prime bases 2, ..., 41
 (exact below psi_13 = 3317044064679887385961981, the least strong
-pseudoprime to all of them, OEIS A014233) and Brent's rho with a fixed
-parameter schedule.  This is the only module that factors integers or
+pseudoprime to all of them, OEIS A014233), followed from psi_13 on by a
+strong Lucas probable-prime test with Selfridge's parameters, which makes
+the pair the Baillie-PSW test (no composite passing it is known), and
+Brent's rho with a fixed parameter schedule.  This is the only module that factors integers or
 takes p-adic valuations: divisors, valuations and the next prime are all
 read from here.
 """
@@ -15,6 +17,9 @@ from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# The least strong pseudoprime to every base above: below it they are exact.
+_PSI_13 = 3317044064679887385961981
+
 # Trial division only strips small primes; larger cofactors go straight to
 # Miller-Rabin and Brent's rho, which split them faster than a long wheel.
 _TRIAL_LIMIT = 2**10
@@ -25,7 +30,8 @@ class PreconditionError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin to the bases 2, ..., 41, exact below psi_13; from psi_13
+    on a strong Lucas test follows (Baillie-PSW)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -46,7 +52,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for an odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 3 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D / n) = -1, P = 1
+    and Q = (1 - D) / 4.  With n + 1 = d 2^s, d odd, a prime n has U_d = 0
+    or V_(d 2^r) = 0 mod n for some r < s."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D would have (D / n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return n == abs(d)
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    odd, s = n + 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    # U_k, V_k and Q^k, from k = 1 along the bits of odd: doubling
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k; stepping U_(k+1) = (U_k + V_k) / 2,
+    # V_(k+1) = (d U_k + V_k) / 2, halved mod the odd n
+    u, v, qk = 1, 1, q % n
+    for bit in bin(odd)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int) -> int:

@@ -566,7 +566,8 @@ def reference_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMat
     """(s, d, t, t_inv) by the plain Smith-form elimination: scan every entry
     for the first one of minimal absolute value, clear its row and column
     with full-length updates, and check that it divides what is left.  It
-    fixes the exact transforms `snf` must return."""
+    fixes the diagonal `snf` must return, and the t_inv whose columns the
+    kernel references below read."""
     nr, nc = m.rows, m.cols
     a = m.to_lists()
     s = [[int(i == j) for j in range(nr)] for i in range(nr)]
@@ -651,6 +652,92 @@ def reference_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMat
         if a[k][k] == 0:
             break
     return IntMatrix(s), IntMatrix(a), IntMatrix(t), IntMatrix(t_inv)
+
+
+def _egcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, a, b) with a x + b y = g = gcd(x, y) >= 0."""
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        a0, a1 = a1, a0 - q * a1
+        b0, b1 = b1, b0 - q * b1
+    return (x, a0, b0) if x >= 0 else (-x, -a0, -b0)
+
+
+def plain_row_hermite(rows: list[list[int]]) -> list[list[int]]:
+    """The row Hermite form of a matrix of full row rank by extended-gcd row
+    operations: each column's entries below the current row are folded into
+    it by the unimodular 2 x 2 step [[a, b], [-y/g, x/g]] with a x + b y = g,
+    the pivot made positive and the rows above it reduced into [0, pivot)."""
+    h = [list(r) for r in rows]
+    r = 0
+    for c in range(len(h[0])):
+        if r == len(h):
+            break
+        for i in range(r + 1, len(h)):
+            x, y = h[r][c], h[i][c]
+            if y:
+                g, a, b = _egcd(x, y)
+                top, low = h[r], h[i]
+                h[r] = [a * s + b * t for s, t in zip(top, low)]
+                h[i] = [(x // g) * t - (y // g) * s for s, t in zip(top, low)]
+        if h[r][c] == 0:
+            continue
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            h[i] = [s - q * t for s, t in zip(h[i], h[r])]
+        r += 1
+    assert r == len(h), "the rows are not of full rank"
+    return h
+
+
+def reference_hermite_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(s, d, t) by the schedule `snf` documents, on `plain_row_hermite`.
+
+    With u m v = a throughout: the row Hermite forms of [a | u] and of
+    [a^T | v^T] alternate until a is diagonal, the row form first and after
+    every change; while some d_i fails to divide a later d_j (the first such
+    (i, j) in lexicographic order, d_i = 0 < d_j included), column j is added
+    to column i of a and v.  Then s = u^(-1) and t = v^(-1) over Q.  A
+    Hermite form is unique, so every correct Hermite form on this schedule
+    gives these transforms."""
+    nr, nc = m.rows, m.cols
+
+    def split(rows, u):
+        h = plain_row_hermite([r + ur for r, ur in zip(rows, u)])
+        w = len(rows[0])
+        return [r[:w] for r in h], [r[w:] for r in h]
+
+    def transpose(rows):
+        return [list(c) for c in zip(*rows)]
+
+    def inverse(rows):
+        n = len(rows)
+        inv = solve_exact(IntMatrix(rows), IntMatrix.identity(n))
+        assert all(x.denominator == 1 for row in inv for x in row)
+        return IntMatrix([[int(x) for x in row] for row in inv])
+
+    a = m.to_lists()
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    while True:
+        a, u = split(a, u)
+        if any(a[i][j] for i in range(nr) for j in range(nc) if i != j):
+            at, vt = split(transpose(a), transpose(v))
+            a, v = transpose(at), transpose(vt)
+            continue
+        d = [a[k][k] for k in range(min(nr, nc))]
+        bad = [(i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+               if (d[j] % d[i] if d[i] else d[j])]
+        if not bad:
+            break
+        i, j = bad[0]
+        for row in a + v:
+            row[i] += row[j]
+    return inverse(u), IntMatrix(a), inverse(v)
 
 
 def integer_profile(m: IntMatrix, p: int) -> PrimePartProfile:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import localconj
+from localconj import gen
 from localconj import (
     IdealLattice,
     IntMatrix,
@@ -471,6 +472,51 @@ class TestExitCodes:
         assert captured.err == f"internal error: {error.__name__}: self-check failed\n"
 
 
+def _exit_one_argv(case: str, tmp_path, pa: str, pb: str) -> list[str]:
+    """The arguments of one documented parse or I/O failure, its files
+    written under tmp_path."""
+    bad = tmp_path / "bad.json"
+    if case == "empty file":
+        bad.write_text("  \n")
+        return ["charpoly", str(bad)]
+    if case == "row/column count mismatch":
+        bad.write_text(json.dumps({"n": 3, "rows": [[0, 1], [-3, 0]]}))
+        return ["charpoly", str(bad)]
+    if case == "cannot read report":
+        return ["verify", str(tmp_path / "missing.json"), pa, pb]
+    if case == "report is missing a command field":
+        bad.write_text(json.dumps({"verdict": {"conjugate": False}}))
+        return ["verify", str(bad), pa, pb]
+    if case == "unknown certificate type":
+        report = conj_p_report(CLASSIC_A, CLASSIC_B, pa, pb, 3)
+        report["certificate"]["type"] = "lattice"
+        bad.write_text(json.dumps(report))
+        return ["verify", str(bad), pa, pb]
+    assert case == "screen-primes needs --field or a matrix file"
+    return ["screen-primes"]
+
+
+class TestDocumentedExitOne:
+    @pytest.mark.parametrize("case", [
+        "empty file",
+        "row/column count mismatch",
+        "cannot read report",
+        "report is missing a command field",
+        "unknown certificate type",
+        "screen-primes needs --field or a matrix file",
+    ])
+    def test_parse_failure_exits_one(self, case, classic_files, tmp_path, capsys):
+        # each is a parse or I/O failure: exit 1 and one stderr line naming
+        # it, never a verdict, a precondition or an internal error
+        pa, pb = classic_files
+        assert main(_exit_one_argv(case, tmp_path, pa, pb)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert case in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestCommands:
     def test_charpoly_matches_library(self, classic_files, capsys):
         pa, _ = classic_files
@@ -568,6 +614,30 @@ class TestGen:
         assert main(["conj-all", pa, pb]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"]["conjugate"] is True
+
+    def test_random_strategy_falls_back_to_a_unimodular_conjugator(self, monkeypatch):
+        # every random draw is refused, so the pair comes from the fallback:
+        # a conjugator made by random_unimodular, with b = m^(-1) a m
+        made, refused = [], []
+        unimodular, conjugate = gen.random_unimodular, gen.conjugate_exact
+
+        def recorded(*args):
+            made.append(unimodular(*args))
+            return made[-1]
+
+        def refusing(a, m):
+            if any(m is u for u in made):
+                return conjugate(a, m)
+            refused.append(m)
+            return None
+
+        monkeypatch.setattr(gen, "random_unimodular", recorded)
+        monkeypatch.setattr(gen, "conjugate_exact", refusing)
+        pair = generate_pair(parse_poly("t^3-t-1"), "random", 1)
+        m = pair.conjugator
+        assert refused and len(made) == 2 and m is made[1]
+        assert abs(m.det()) == 1 and pair.conjugator_det == m.det()
+        assert m @ pair.b == pair.a @ m
 
 
 class TestGenSingularParameter:

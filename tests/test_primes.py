@@ -4,12 +4,19 @@ both sides of the trial limit, and the prime-power split."""
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import pytest
 
 from localconj import factorize, is_prime
 from localconj.cli import main
-from localconj.primes import _TRIAL_LIMIT, divisors, prime_power_split, valuation
+from localconj.primes import (
+    _TRIAL_LIMIT,
+    _strong_lucas,
+    divisors,
+    prime_power_split,
+    valuation,
+)
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -166,3 +173,44 @@ class TestMillerRabinBound:
         path.write_text("2\n0 1\n-3 0\n")
         assert main(["conj-p", str(path), str(path), "--prime", str(PSI_12)]) == 2
         assert f"{PSI_12} is not prime" in capsys.readouterr().err
+
+
+# OEIS A014233 again: the least strong pseudoprime to the bases 2, ..., 41
+PSI_13 = 3317044064679887385961981
+
+# OEIS A217255: the strong Lucas pseudoprimes (Selfridge's parameters)
+# below 10^5
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+]
+
+
+class TestBailliePSW:
+    def test_psi_13_is_composite(self):
+        assert not is_prime(PSI_13)
+
+    def test_psi_13_splits_into_its_two_primes(self):
+        assert factorize(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+        assert all(map(is_prime, (1287836182261, 2575672364521)))
+
+    def test_conj_p_refuses_psi_13_as_a_prime(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_text("2\n0 1\n-3 0\n")
+        assert main(["conj-p", str(path), str(path), "--prime", str(PSI_13)]) == 2
+        assert f"{PSI_13} is not prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [89, 107, 127])
+    def test_mersenne_primes_above_psi_13(self, k):
+        assert 2**k - 1 > PSI_13
+        assert is_prime(2**k - 1)
+
+    def test_lucas_step_alone(self):
+        # every odd prime from 5 on passes the strong Lucas step, and the
+        # odd composites that pass it are exactly the known pseudoprimes
+        bound = 10**5
+        sieve = [True] * bound
+        for p in range(2, isqrt(bound) + 1):
+            sieve[p * p :: p] = [False] * len(range(p * p, bound, p))
+        odd = range(5, bound, 2)
+        assert all(_strong_lucas(n) for n in odd if sieve[n])
+        assert [n for n in odd if not sieve[n] and _strong_lucas(n)] == STRONG_LUCAS_PSEUDOPRIMES

@@ -154,6 +154,30 @@ def test_only_the_snf_command_builds_an_integer_smith_form():
     assert callers == ["cli.cmd_snf"]
 
 
+def test_snf_runs_no_elimination_of_its_own():
+    # the integer Smith form alternates Hermite forms and inverts its
+    # transforms by exact solves: no nested function, no pivot search by
+    # |entry|, and the only eliminations it calls are `_hnf_rows`, directly
+    # or through one helper, and `solve`
+    tree = ast.parse((ROOT / "src" / "localconj" / "intmat.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(func) -> set[str]:
+        names = {node.func.id for node in ast.walk(func)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        return names & defs.keys()
+
+    snf = defs["snf"]
+    nested = [node for node in ast.walk(snf) if node is not snf
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == []
+    assert "abs" not in {node.id for node in ast.walk(snf) if isinstance(node, ast.Name)}
+    helpers = called(snf) - {"solve", "_hnf_rows"}
+    assert "solve" in called(snf) and len(helpers) <= 1
+    assert all(called(defs[name]) == {"_hnf_rows"} for name in helpers)
+    assert "_hnf_rows" in called(snf) or helpers
+
+
 def test_only_the_general_route_reads_the_exact_basis():
     # a reduced pair with a regular side is decided mod p with no exact
     # intertwiner: the basis serves the general route's span and lifting,
