@@ -5,9 +5,9 @@ Deterministic throughout: Miller-Rabin with the prime bases 2, ..., 41
 pseudoprime to all of them, OEIS A014233), followed from psi_13 on by a
 strong Lucas probable-prime test with Selfridge's parameters, which makes
 the pair the Baillie-PSW test (no composite passing it is known), and
-Brent's rho with a fixed parameter schedule.  This is the only module that factors integers or
-takes p-adic valuations: divisors, valuations and the next prime are all
-read from here.
+Brent's rho with a fixed parameter schedule.  This is the only module that
+factors integers or takes p-adic valuations: divisors, valuations and the
+next prime are all read from here.
 """
 
 from __future__ import annotations
