@@ -5,14 +5,25 @@ screen-primes, ell, companion-test, gen, verify.
 
 One JSON document goes to stdout (or a short text rendering with
 --format text); diagnostics go to stderr.  Exit codes: 0 a verdict was
-computed (either answer), 1 parse or I/O failure, 2 a violated mathematical
-precondition (`PreconditionError`), 3 an internal error (any other ValueError,
-a failed self-check or an arithmetic failure), reported on one stderr line.
+computed (either answer), 1 parse or I/O failure (an input that is missing,
+unreadable or not valid text in the locale's encoding included), 2 a violated
+mathematical precondition (`PreconditionError`), 3 an internal error (any
+other ValueError, a failed self-check or an arithmetic failure), reported on
+one stderr line.
 
 One table (`_commands`) holds every subcommand's arguments.  A well-formed
 command line is read from it directly (`_parse_strict`); argparse, built
 from the same table, reads every other one and writes all help and usage
 errors.
+
+Every command runs once per process, so its fixed cost counts as much as
+its mathematics on small inputs.  Files are read and written with `open()`
+in text mode, closed by `with`, without importing pathlib.  The digest of a
+matrix hashes its canonical JSON text, built directly with `str.join`
+rather than by a `JSONEncoder` made for each call.  Reports are printed by
+one small writer (`_json_text`), byte for byte `json.dumps(payload,
+indent=2)`: CPython's C encoder does not take `indent`, so json.dumps would
+run its generator-based pure-Python encoder on every report.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from operator import index
-from pathlib import Path
 
 from .bridge import ideal_of_matrix
 from .conjugacy import (
@@ -72,8 +83,10 @@ def _json_rows(rows):
 
 def read_matrix(path: str) -> IntMatrix:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        # bytes that are not text in the locale's encoding are unreadable input
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     try:
@@ -99,20 +112,19 @@ def read_matrix(path: str) -> IntMatrix:
 
 def write_matrix(path: str, m: IntMatrix, fmt: str = "text") -> None:
     if fmt == "json":
-        Path(path).write_text(
-            json.dumps({"n": m.rows, "rows": m.to_lists()}, indent=1) + "\n"
-        )
+        # the text of json.dumps(..., indent=1)
+        text = _json_text({"n": m.rows, "rows": m.to_lists()}, step=" ")
     else:
-        lines = [str(m.rows)]
-        lines += [" ".join(str(x) for x in row) for row in m.entries]
-        Path(path).write_text("\n".join(lines) + "\n")
+        text = "\n".join([str(m.rows)] + [" ".join(map(str, row)) for row in m.entries])
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def matrix_digest(m: IntMatrix) -> str:
-    canonical = json.dumps(
-        {"n": m.rows, "rows": m.to_lists()}, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """sha256 of json.dumps({"n": n, "rows": rows}, sort_keys=True,
+    separators=(",", ":")), that text built directly."""
+    rows = "],[".join(",".join(map(str, row)) for row in m.entries)
+    return hashlib.sha256(f'{{"n":{m.rows},"rows":[[{rows}]]}}'.encode()).hexdigest()
 
 
 def _input_stanza(path: str, m: IntMatrix) -> dict:
@@ -156,11 +168,39 @@ def _serialize_ideal(ideal: IdealLattice) -> dict:
     return {"den": ideal.den, "rows": ideal.basis.to_lists()}
 
 
+def _json_text(x, indent: str = "\n", step: str = "  ") -> str:
+    """json.dumps(x, indent=len(step)), byte for byte, for a value made of
+    dicts with string keys, lists, tuples and JSON leaves, written at the
+    nesting `indent` (a newline and the indentation).  Strings are quoted by
+    the function json.dumps quotes them with, an int is written by str and a
+    row of ints by one str.join; json.dumps, whose C encoder runs when no
+    indent is given, writes the other leaves."""
+    inner = indent + step
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [_quote(k) + ": " + _json_text(v, inner, step) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if all(type(v) is int for v in x):
+            items = map(str, x)
+        else:
+            items = [_json_text(v, inner, step) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if type(x) is str:
+        return _quote(x)
+    if type(x) is int:
+        return str(x)
+    return json.dumps(x)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "format", "json") == "text":
         print("\n".join(text_lines))
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +415,9 @@ def cmd_gen(args) -> int:
 
 def _load_report(path: str) -> dict:
     try:
-        report = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path) as fh:
+            report = json.loads(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseFailure(f"cannot read report {path}: {exc}") from exc
     if not isinstance(report, dict) or "command" not in report:
         raise ParseFailure("report is missing a command field")

@@ -38,6 +38,7 @@ from localconj import (
     screen_primes,
     zbeta_order,
 )
+from localconj import cli
 from localconj.cli import (
     _commands,
     _parse_cert,
@@ -515,6 +516,133 @@ class TestDocumentedExitOne:
         assert captured.err.startswith("error: ")
         assert case in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", [
+        "text matrix", "JSON matrix", "report of verify", "matrix of verify",
+    ])
+    def test_undecodable_input_exits_one(self, case, classic_files, tmp_path, capsys):
+        # bytes that are not UTF-8 text are unreadable input, never an
+        # internal UnicodeDecodeError (exit 3)
+        pa, pb = classic_files
+        bad = tmp_path / "bad.bin"
+        if case == "text matrix":
+            bad.write_bytes(b"\xff\xfe2\n")
+            argv = ["charpoly", str(bad)]
+        elif case == "JSON matrix":
+            bad.write_bytes(b'{"n": 1, "rows": [[1]]}\xff')
+            argv = ["charpoly", str(bad)]
+        elif case == "report of verify":
+            bad.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+            argv = ["verify", str(bad), pa, pb]
+        else:
+            report = tmp_path / "report.json"
+            report.write_text(json.dumps(conj_p_report(CLASSIC_A, CLASSIC_B, pa, pb, 3)))
+            bad.write_bytes(b"2\n0 1\n-3 0\xff\n")
+            argv = ["verify", str(report), str(bad), pb]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read ")
+        assert f"{bad}: 'utf-8' codec can't decode byte 0x" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+class TestReportWriter:
+    """`_emit` prints every report byte for byte as json.dumps(indent=2) did."""
+
+    @pytest.fixture()
+    def emitted(self, monkeypatch):
+        payloads = []
+        emit = cli._emit
+
+        def record(args, payload, text_lines):
+            payloads.append(payload)
+            emit(args, payload, text_lines)
+
+        monkeypatch.setattr(cli, "_emit", record)
+        return payloads
+
+    def assert_printed_as_json_dumps(self, argv, emitted, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(emitted) == 1
+        assert out == json.dumps(emitted.pop(), indent=2) + "\n"
+        return out
+
+    @pytest.mark.parametrize("argv", [
+        ["conj-p", "{a}", "{b}", "--prime", "2"],
+        ["conj-p", "{a}", "{b}", "--prime", "3"],
+        ["conj-all", "{a}", "{b}"],
+        ["conj-all", "{a}", "{b}", "--cross-check"],
+        ["weak-equiv", "{a}", "{b}"],
+        ["ideal-of", "{b}"],
+        ["snf", "{a}"],
+        ["charpoly", "{b}"],
+        ["screen-primes", "{a}"],
+        ["screen-primes", "--field", "t^2+1"],
+        ["companion-test", "{b}", "--prime", "2"],
+        ["ell", "{b}", "--prime", "2"],
+    ], ids=" ".join)
+    def test_every_subcommand(self, argv, classic_files, emitted, capsys):
+        pa, pb = classic_files
+        argv = [word.format(a=pa, b=pb) for word in argv]
+        self.assert_printed_as_json_dumps(argv, emitted, capsys)
+
+    @pytest.mark.parametrize("field,strategy", [
+        ("t^8-t-1", "unimodular"), ("t^2+3", "singular:2"), ("t^3-t-1", "random"),
+    ])
+    def test_larger_reports_and_gen(self, field, strategy, tmp_path, emitted, capsys):
+        pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.txt")
+        self.assert_printed_as_json_dumps(
+            ["gen", "--field", field, "--strategy", strategy, "--out-a", pa,
+             "--out-b", pb, "--file-format", "json"], emitted, capsys,
+        )
+        # the JSON matrix file is json.dumps(..., indent=1) with a newline
+        a = read_matrix(pa)
+        assert Path(pa).read_text() == json.dumps(
+            {"n": a.rows, "rows": a.to_lists()}, indent=1) + "\n"
+        for argv in (["conj-all", pa, pb, "--cross-check"], ["weak-equiv", pa, pb]):
+            self.assert_printed_as_json_dumps(argv, emitted, capsys)
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_verify(self, tamper, classic_files, tmp_path, emitted, capsys):
+        pa, pb = classic_files
+        report = conj_all_report(CLASSIC_A, CLASSIC_B, pa, pb)
+        if tamper:
+            report["verdict"]["conjugate"] = not report["verdict"]["conjugate"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        out = self.assert_printed_as_json_dumps(["verify", str(path), pa, pb], emitted, capsys)
+        assert json.loads(out)["accepted"] is not tamper
+
+    def test_non_ascii_path_is_escaped(self, tmp_path, emitted, capsys):
+        path = tmp_path / "matrice_é☃.txt"
+        write_matrix(str(path), CLASSIC_A)
+        out = self.assert_printed_as_json_dumps(["charpoly", str(path)], emitted, capsys)
+        assert out.isascii() and "\\u00e9\\u2603" in out
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), None, True, 0, -(2**70), 1.5e-06, 0.0, "\u00e9\n\"\\",
+        {"empty": [], "none": {}, "flags": [True, False, None], "t": 2.5e-05},
+        {"rows": [[], [1, -2], []], "mixed": [1, True, "1", 1.0], "nested": [[[0]]]},
+        [{}, {"a": ({"b": ()},)}, [[], {}]],
+    ], ids=repr)
+    def test_edge_values(self, value):
+        for step in ("  ", " "):
+            assert cli._json_text(value, step=step) == json.dumps(value, indent=len(step))
+
+
+class TestMatrixDigest:
+    @pytest.mark.parametrize("rows", [
+        [[0]], [[-7]], [[2**64]], [[-1, -2], [-3, -4]],
+        [[2**64, -(2**64) - 1], [2**200, 0]], [[1, 2, 3], [4, 5, 6], [7, 8, -(2**65)]],
+    ])
+    def test_equals_the_json_dumps_form(self, rows):
+        m = IntMatrix(rows)
+        canonical = json.dumps(
+            {"n": m.rows, "rows": m.to_lists()}, sort_keys=True, separators=(",", ":")
+        )
+        assert matrix_digest(m) == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestCommands:

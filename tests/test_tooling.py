@@ -14,6 +14,8 @@ import inspect
 import json
 import re
 import shlex
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -264,6 +266,41 @@ def readme_commands() -> list[str]:
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     # the documented usage, `snf` among it, runs as written: every command
     # exits 0 and `verify` accepts the report written by `conj-all`
+    run_readme_commands(tmp_path, monkeypatch, capsys)
+
+
+def test_cli_runs_without_the_pure_python_json_encoder(tmp_path, monkeypatch, capsys):
+    # json.dumps with an indent runs json.encoder's generator-based encoder
+    # (the C encoder takes none); the CLI writes every report and matrix
+    # file without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    run_readme_commands(tmp_path, monkeypatch, capsys)
+    argv = ["gen", "--field", "t^3-2", "--file-format", "json", "--out-a", "ja.json",
+            "--out-b", "jb.json"]
+    assert main(argv) == 0
+    assert main(["conj-all", "ja.json", "jb.json", "--cross-check"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_does_not_import_pathlib():
+    # a fresh interpreter without site (whose .pth hooks may import it)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = 'pathlib' in sys.modules;"
+        " import localconj.cli; print(before, 'pathlib' in sys.modules)"
+    )
+    src = str(Path(localconj.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
+def run_readme_commands(tmp_path, monkeypatch, capsys) -> None:
+    """Run README's commands through `main` in tmp_path."""
     monkeypatch.chdir(tmp_path)
     lines = readme_commands()
     assert lines[0].startswith("localconj gen ")
