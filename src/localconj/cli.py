@@ -6,7 +6,8 @@ screen-primes, ell, companion-test, gen, verify.
 One JSON document goes to stdout (or a short text rendering with
 --format text); diagnostics go to stderr.  Exit codes: 0 a verdict was
 computed (either answer), 1 parse or I/O failure (an input that is missing,
-unreadable or not valid text in the locale's encoding included), 2 a violated
+unreadable or not valid text in the locale's encoding included, and JSON
+nested too deep or holding an integer too long to decode), 2 a violated
 mathematical precondition (`PreconditionError`), 3 an internal error (any
 other ValueError, a failed self-check or an arithmetic failure), reported on
 one stderr line.
@@ -51,7 +52,12 @@ from .conjugacy import (
     verify_cert,
 )
 from .gen import generate_pair
-from .ideals import IdealLattice, mul as ideal_mul, weak_equivalence_data
+from .ideals import (
+    IdealLattice,
+    _require_same_field,
+    verify_weak_witnesses,
+    weak_equivalence_data,
+)
 from .intmat import IntMatrix, snf
 from .polyfield import charpoly, parse_poly
 from .primes import PreconditionError, is_prime
@@ -106,7 +112,9 @@ def read_matrix(path: str) -> IntMatrix:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("row/column count mismatch")
         return IntMatrix(rows)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # json.loads raises RecursionError on arrays nested too deep to
+        # decode, and ValueError on an integer of too many digits
         raise ParseFailure(f"cannot parse matrix file {path}: {exc}") from exc
 
 
@@ -166,6 +174,10 @@ def _parse_cert(blob: dict):
 
 def _serialize_ideal(ideal: IdealLattice) -> dict:
     return {"den": ideal.den, "rows": ideal.basis.to_lists()}
+
+
+def _serialize_field(ideal: IdealLattice) -> dict:
+    return {"coefficients": list(ideal.field.modulus.coeffs)}
 
 
 def _json_text(x, indent: str = "\n", step: str = "  ") -> str:
@@ -290,7 +302,7 @@ def weak_equiv_report(a: IntMatrix, b: IntMatrix, path_a: str, path_b: str) -> d
     return {
         "command": "weak-equiv",
         "inputs": {"a": _input_stanza(path_a, a), "b": _input_stanza(path_b, b)},
-        "field": {"coefficients": list(ia.field.modulus.coeffs)},
+        "field": _serialize_field(ia),
         "verdict": {"weakly_equivalent": ok},
         "ideal_a": _serialize_ideal(ia),
         "ideal_b": _serialize_ideal(ib),
@@ -417,7 +429,9 @@ def _load_report(path: str) -> dict:
     try:
         with open(path) as fh:
             report = json.loads(fh.read())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, invalid JSON and an integer
+        # of too many digits; RecursionError, nesting too deep to decode
         raise ParseFailure(f"cannot read report {path}: {exc}") from exc
     if not isinstance(report, dict) or "command" not in report:
         raise ParseFailure("report is missing a command field")
@@ -425,8 +439,22 @@ def _load_report(path: str) -> dict:
 
 
 def _is_json(x, value) -> bool:
-    """x is the JSON value `value`: 2.0 or true is not the integer 2 or 1."""
-    return json.dumps(x, sort_keys=True) == json.dumps(value, sort_keys=True)
+    """x is the JSON value `value`: 2.0 or true is not the integer 2 or 1.
+    Objects compare key by key in any order, arrays (lists or tuples)
+    entry by entry, and leaves by type and value."""
+    if isinstance(value, dict):
+        return (
+            type(x) is dict
+            and x.keys() == value.keys()
+            and all(_is_json(x[k], v) for k, v in value.items())
+        )
+    if isinstance(value, (list, tuple)):
+        return (
+            isinstance(x, (list, tuple))
+            and len(x) == len(value)
+            and all(map(_is_json, x, value))
+        )
+    return type(x) is type(value) and x == value
 
 
 def _non_integer(primes) -> str | None:
@@ -585,8 +613,17 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
         try:
             ia = ideal_of_matrix(a)
             ib = ideal_of_matrix(b, ia.field)
+            _require_same_field(ia, ib)
         except PreconditionError as exc:
             return False, str(exc)
+        # the field and both ideals as weak_equiv_report writes them
+        for key, want in (
+            ("field", _serialize_field(ia)),
+            ("ideal_a", _serialize_ideal(ia)),
+            ("ideal_b", _serialize_ideal(ib)),
+        ):
+            if not _is_json(report.get(key), want):
+                return False, f"{key} does not match the matrices"
         try:
             x, y = (
                 IdealLattice(ia.field, _json_rows(w["rows"]), _json_int(w["den"]))
@@ -594,11 +631,9 @@ def verify_report(report: dict, a: IntMatrix, b: IntMatrix) -> tuple[bool, str]:
             )
         except (KeyError, TypeError, ValueError):
             return False, "malformed witness ideals"
-        try:
-            if ideal_mul(x, ib) != ia or ideal_mul(y, ia) != ib:
-                return False, "witness ideals rejected"
-        except PreconditionError as exc:
-            return False, str(exc)
+        # ideal_of_matrix checked that beta maps ia and ib into themselves
+        if not verify_weak_witnesses(ia, ib, x, y):
+            return False, "witness ideals rejected"
         return True, "witness ideals verified"
     return False, f"reports of command {command!r} are not verifiable"
 

@@ -15,6 +15,20 @@ scaling and the order axioms work on integer rows over a denominator, and a
 field element is built only where a caller passes or asks for one.  So
 nothing here needs a Smith form, a factorization, a field inverse or a
 rational number.
+
+Degree filtration.  Let L_m be the elements of L of degree at most m in
+beta, and h_0, ..., h_(n-1) the degree-ordered (lower-triangular) Hermite
+basis of L, h_m of degree m with leading coefficient d_m > 0, so that
+h_0, ..., h_m span L_m.  For m < n - 1, multiplying by beta shifts the
+coordinates of L_m up one degree with no reduction by f.  So if L is
+stable under beta, beta L_m lies in L_(m+1); then d_(m+1) divides d_m, and
+where the two are equal h_(m+1) - beta h_m lies in L_m.  Hence h_0 and the
+h_(m+1) with d_(m+1) != d_m, the set S(L), generate L over Z[beta].  S(L)
+is one Hermite form of the column-reversed basis (`_module_generators`).
+A product x * L with L beta-stable lies in a beta-stable lattice iff each
+basis row of x times each element of S(L) does, which is how
+`verify_weak_witnesses` checks a weak-equivalence certificate by the
+definition without the n^2 products of `mul`.
 """
 
 from __future__ import annotations
@@ -108,21 +122,21 @@ class IdealLattice:
     def _contains_rows(self, rows, den: int) -> bool:
         """True iff every integer coordinate row over den lies in the
         lattice; the pivots sit on the diagonal because it has full rank."""
-        n = self.field.degree
+        basis, scale = self.basis.entries, self.den
         for row in rows:
             v = []
             for c in row:
-                q, r = divmod(c * self.den, den)
+                q, r = divmod(c * scale, den)
                 if r:
                     return False
                 v.append(q)
-            for i in range(n):
-                q, r = divmod(v[i], self.basis[i, i])
+            for i, b in enumerate(basis):
+                q, r = divmod(v[i], b[i])
                 if r:
                     return False
                 if q:
-                    for j in range(i, n):
-                        v[j] -= q * self.basis[i, j]
+                    # b is zero left of its pivot
+                    v = [x - q * y for x, y in zip(v, b)]
         return True
 
     def contains_lattice(self, other: "IdealLattice") -> bool:
@@ -202,6 +216,23 @@ def _require_same_field(i: IdealLattice, j: IdealLattice) -> None:
         raise PreconditionError("ideals live in different fields")
 
 
+def _module_generators(lat: IdealLattice) -> list[tuple[int, ...]]:
+    """S(L): integer rows over lat.den that generate L over Z[beta] when L
+    is stable under beta (the degree-filtration lemma of the module
+    docstring).  One Hermite form of the column-reversed basis, reversed
+    back, is the degree-ordered basis h_0, ..., h_(n-1); the rows kept are
+    h_0 and each h_(m+1) whose leading coefficient differs from h_m's."""
+    n = lat.field.degree
+    tri = _hnf_rows([r[::-1] for r in lat.basis.entries], n)
+    gens, lead = [], 0
+    # row k of tri has its pivot in reversed column k: degree n - 1 - k
+    for k in range(n - 1, -1, -1):
+        if tri[k][k] != lead:
+            lead = tri[k][k]
+            gens.append(tuple(tri[k][::-1]))
+    return gens
+
+
 def mul(i: IdealLattice, j: IdealLattice) -> IdealLattice:
     """Ideal product: HNF of all pairwise products of basis elements."""
     _require_same_field(i, j)
@@ -212,6 +243,55 @@ def mul(i: IdealLattice, j: IdealLattice) -> IdealLattice:
         for rj in j.basis.entries:
             rows.append(list(m_t.mul_vec(rj)))
     return IdealLattice(field, rows, i.den * j.den)
+
+
+def _products_inside(
+    target: IdealLattice, left: IdealLattice, right: IdealLattice
+) -> bool:
+    """True iff left * right lies in target, for beta-stable target and
+    right: each basis row of left times each generator in S(right) must,
+    because beta^k (r g) = r (beta^k g) stays in target.  It fails at the
+    first generator whose products leave target."""
+    den = left.den * right.den
+    for g in _module_generators(right):
+        # row k of left.basis @ Mult(g) holds the coordinates of g times row k
+        rows = (left.basis @ target.field.mult_matrix(g)).entries
+        if not target._contains_rows(rows, den):
+            return False
+    return True
+
+
+def _product_contains_one(x: IdealLattice, y: IdealLattice) -> bool:
+    """True iff 1 lies in x * y.  It is looked for first in the sublattice
+    spanned by g * y for g in S(x), which is x * y when x and y are
+    beta-stable, and only on a miss in all n^2 products (`mul`)."""
+    field = x.field
+    rows = [
+        r for g in _module_generators(x) for r in (y.basis @ field.mult_matrix(g)).entries
+    ]
+    sublattice = IdealLattice(field, rows, x.den * y.den)
+    return sublattice.contains_one() or mul(x, y).contains_one()
+
+
+def verify_weak_witnesses(
+    i: IdealLattice, j: IdealLattice, x: IdealLattice, y: IdealLattice
+) -> bool:
+    """True iff x and y witness that i and j are weakly equivalent, by the
+    definition: x lies in (i : j), y in (j : i), and 1 in x * y.  i and j
+    must be stable under beta, as every ideal `bridge.ideal_of_matrix`
+    builds is.
+
+    It implies the two products `weak_equivalence_data` promises, x * j = i
+    and y * i = j, because i lies in x y i, inside x j, inside i.  The
+    colon ideals it writes are beta-stable, so for them the first try of
+    `_product_contains_one` settles the answer.
+    """
+    _require_same_field(i, j)
+    return (
+        _products_inside(i, x, j)
+        and _products_inside(j, y, i)
+        and _product_contains_one(x, y)
+    )
 
 
 def quotient(j: IdealLattice, i: IdealLattice) -> IdealLattice:

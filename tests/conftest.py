@@ -124,6 +124,24 @@ def det_shapes(monkeypatch):
 
 
 @pytest.fixture
+def hnf_row_counts(monkeypatch):
+    """Numbers of rows of the Hermite forms `intmat._hnf_rows` takes while
+    the test runs."""
+    taken = []
+    hnf = intmat._hnf_rows
+
+    def counting(rows, ncols):
+        rows = list(rows)
+        taken.append(len(rows))
+        return hnf(rows, ncols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localconj.") and getattr(module, "_hnf_rows", None) is hnf:
+            monkeypatch.setattr(module, "_hnf_rows", counting)
+    return taken
+
+
+@pytest.fixture
 def solve_shapes(monkeypatch):
     """Shapes of the matrices exact solves ran on while the test runs."""
     taken = []

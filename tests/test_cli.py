@@ -31,9 +31,11 @@ from localconj import (
     eigenvector,
     ell_invariant,
     generate_pair,
+    ideal_of_matrix,
     in_Id_p,
     is_irreducible,
     lift_kernel,
+    mul,
     parse_poly,
     screen_primes,
     zbeta_order,
@@ -546,6 +548,39 @@ class TestDocumentedExitOne:
         assert f"{bad}: 'utf-8' codec can't decode byte 0x" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("case,message", [
+        ("deep matrix", "cannot parse matrix file"),
+        ("deep report", "cannot read report"),
+        ("long integer in a report", "cannot read report"),
+        ("long integer in a matrix", "cannot parse matrix file"),
+    ])
+    def test_hostile_json_exits_one(self, case, message, classic_files, tmp_path, capsys):
+        # json.loads gives up on arrays nested 100,000 deep (RecursionError)
+        # and on integers of more than 4,300 digits (ValueError); both are
+        # unreadable input, never a traceback or an internal error (exit 3)
+        pa, pb = classic_files
+        bad = tmp_path / "bad.json"
+        deep = "[" * 100_000 + "]" * 100_000
+        long_int = "1" + "0" * 5_000
+        if case == "deep matrix":
+            bad.write_text('{"n": 1, "rows": ' + deep + "}")
+            argv = ["charpoly", str(bad)]
+        elif case == "deep report":
+            bad.write_text(deep)
+            argv = ["verify", str(bad), pa, pb]
+        elif case == "long integer in a report":
+            text = json.dumps(conj_p_report(CLASSIC_A, CLASSIC_B, pa, pb, 3))
+            bad.write_text(text.replace('"prime": 3', '"prime": ' + long_int, 1))
+            argv = ["verify", str(bad), pa, pb]
+        else:
+            bad.write_text('{"n": 1, "rows": [[' + long_int + "]]}")
+            argv = ["charpoly", str(bad)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message} {bad}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestReportWriter:
     """`_emit` prints every report byte for byte as json.dumps(indent=2) did."""
@@ -858,6 +893,65 @@ class TestVerifyEmptyScreen:
         report = conj_all_report(self.A, b, "a.txt", "b.txt")
         assert report["screened_primes"] == [] and report["verdict"]["conjugate"]
         assert verify_report(report, self.A, b) == (True, "all certificates verified")
+
+
+class TestVerifyWeakEquivByDefinition:
+    """A positive weak-equiv report is accepted exactly when its field and
+    ideals are the recomputed ones and its witnesses pass the definition
+    (`ideals.verify_weak_witnesses`)."""
+
+    @staticmethod
+    def report(f_text, seed=0):
+        pair = generate_pair(parse_poly(f_text), "unimodular", seed)
+        report = weak_equiv_report(pair.a, pair.b, "a", "b")
+        assert report["verdict"]["weakly_equivalent"]
+        return report, pair.a, pair.b
+
+    @pytest.mark.parametrize("f_text", ["t^4-2", "t^6-2", "t^6+7", "t^6-t-1", "t^7-3", "t^8-3"])
+    def test_genuine_positive_accepted(self, f_text):
+        report, a, b = self.report(f_text)
+        assert verify_report(report, a, b) == (True, "witness ideals verified")
+
+    @pytest.mark.parametrize("key,edit", [
+        ("field", lambda r: r["field"]["coefficients"].__setitem__(0, -3)),
+        ("field", lambda r: r["field"].__setitem__("coefficients", [-2, 0, 0, 0, 1.0])),
+        ("ideal_a", lambda r: r["ideal_a"]["rows"][0].append(r["ideal_a"]["rows"][0].pop() + 1)),
+        ("ideal_a", lambda r: r["ideal_a"].__setitem__("den", True)),
+        ("ideal_b", lambda r: r["ideal_b"].__setitem__("den", 2)),
+        ("ideal_b", lambda r: r["ideal_b"].pop("rows")),
+    ], ids=["field-coefficient", "field-float", "ideal_a-row", "ideal_a-boolean-den",
+            "ideal_b-den", "ideal_b-no-rows"])
+    def test_field_or_ideal_changed(self, key, edit):
+        report, a, b = self.report("t^4-2")
+        edit(report)
+        assert verify_report(report, a, b) == (False, f"{key} does not match the matrices")
+
+    def test_halved_witness_rejected(self):
+        report, a, b = self.report("t^6-2")
+        report["witnesses"]["x"]["den"] *= 2
+        assert verify_report(report, a, b) == (False, "witness ideals rejected")
+
+    def test_doubled_witness_rejected(self):
+        # 2x passes the inclusions but 1 is not in 2xy
+        report, a, b = self.report("t^6-2")
+        x = report["witnesses"]["x"]
+        x["rows"] = [[2 * v for v in row] for row in x["rows"]]
+        assert verify_report(report, a, b) == (False, "witness ideals rejected")
+
+    def test_no_square_hermite_form_for_a_genuine_report(self, hnf_row_counts):
+        # no n^2 products: every Hermite form a genuine n = 6 positive
+        # takes has fewer than 36 rows
+        report, a, b = self.report("t^6-2", 1)
+        n = a.rows
+        hnf_row_counts.clear()
+        assert verify_report(report, a, b) == (True, "witness ideals verified")
+        assert hnf_row_counts and max(hnf_row_counts) < n * n
+        # the counter does see a full product of two bases
+        hnf_row_counts.clear()
+        x = IdealLattice(ideal_of_matrix(a).field, report["witnesses"]["x"]["rows"],
+                         report["witnesses"]["x"]["den"])
+        mul(x, ideal_of_matrix(b))
+        assert max(hnf_row_counts) == n * n
 
 
 class TestVerifyWeakEquivOutsideOneField:

@@ -8,6 +8,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import localconj.ideals as ideals
 from localconj import (
@@ -29,6 +30,7 @@ from localconj import (
     theta_membership,
     up_map,
     verify_arith_equiv,
+    verify_weak_witnesses,
     weak_equivalence_data,
     weakly_equivalent,
     zbeta_order,
@@ -413,6 +415,133 @@ class TestWeakEquivalence:
         for a, b in itertools.combinations(ideals, 2):
             assert is_invertible(a, order) and is_invertible(b, order)
             assert weakly_equivalent(a, b)
+
+
+class TestWitnessCheck:
+    """`verify_weak_witnesses`: (1) x * j in i and y * i in j, each tested
+    on the rows of x or y times the Z[beta]-module generators S(j) or S(i),
+    and (2) 1 in x * y, first on the sublattice of S(x) times y."""
+
+    # (field, strategy) at n = 2-8; singular:p pairs have non-maximal orders
+    FIELDS = [
+        ("t^2+3", "singular:2"), ("t^3-t-1", "singular:3"), ("t^4-2", "singular:2"),
+        ("t^5-2", "unimodular"), ("t^6-2", "singular:3"), ("t^6+7", "unimodular"),
+        ("t^7-3", "singular:2"), ("t^8-3", "unimodular"),
+    ]
+
+    @staticmethod
+    def ideals(f_text, strategy, seed):
+        pair = generate_pair(parse_poly(f_text), strategy, seed)
+        i = ideal_of_matrix(pair.a)
+        j = ideal_of_matrix(pair.b, i.field)
+        return i, j
+
+    @staticmethod
+    def zbeta_span(lat):
+        # row k of Mult(g) holds the coordinates of g * beta^k
+        field = lat.field
+        rows = [r for g in ideals._module_generators(lat) for r in field.mult_matrix(g).entries]
+        return IdealLattice(field, rows, lat.den)
+
+    @given(case=st.sampled_from(FIELDS), seed=st.integers(0, 40))
+    @settings(max_examples=12, deadline=None)
+    def test_generators_span_the_lattice(self, case, seed):
+        # the degree-filtration lemma: S(L) generates L over Z[beta] for the
+        # ideals of matrices and the colon ideals between them
+        i, j = self.ideals(*case, seed)
+        for lat in (i, j, quotient(i, j), quotient(j, i), quotient(i, i)):
+            assert lat.is_stable_under_beta()
+            assert self.zbeta_span(lat) == lat
+
+    def test_generators_need_beta_stability(self, K):
+        # Z + 2 beta Z is not beta-stable: its generators 1 and 2 beta span
+        # Z[beta] over Z[beta], which is larger
+        lat = IdealLattice(K, [[1, 0], [0, 2]], 1)
+        assert not lat.is_stable_under_beta()
+        assert self.zbeta_span(lat) == IdealLattice.zbeta(K)
+
+    @pytest.mark.parametrize("f_text,strategy", FIELDS)
+    def test_genuine_witnesses_pass_without_the_fallback(self, f_text, strategy, monkeypatch):
+        i, j = self.ideals(f_text, strategy, 0)
+        ok, x, y = weak_equivalence_data(i, j)
+        assert ok
+        monkeypatch.setattr(ideals, "mul", None)  # the n^2 products never run
+        assert verify_weak_witnesses(i, j, x, y)
+
+    def test_halved_x_fails_the_inclusion(self):
+        i, j = self.ideals("t^6-2", "unimodular", 1)
+        _, x, y = weak_equivalence_data(i, j)
+        half = IdealLattice(i.field, x.basis.entries, 2 * x.den)
+        assert not ideals._products_inside(i, half, j)
+        assert not verify_weak_witnesses(i, j, half, y)
+
+    def test_doubled_x_passes_the_inclusion_but_misses_one(self):
+        i, j = self.ideals("t^6-2", "unimodular", 1)
+        _, x, y = weak_equivalence_data(i, j)
+        doubled = IdealLattice(i.field, [[2 * v for v in r] for r in x.basis.entries], x.den)
+        assert ideals._products_inside(i, doubled, j)
+        assert ideals._products_inside(j, y, i)
+        assert not ideals._product_contains_one(doubled, y)
+        assert not verify_weak_witnesses(i, j, doubled, y)
+
+    def test_fallback_is_exact(self, monkeypatch):
+        # with S cut to its first row the sublattice of (2) can miss 1, and
+        # then the n^2 products must find it
+        generators = ideals._module_generators
+        full = ideals.mul
+        products = []
+
+        def counting_mul(a, b):
+            products.append((a, b))
+            return full(a, b)
+
+        monkeypatch.setattr(ideals, "_module_generators", lambda lat: generators(lat)[:1])
+        monkeypatch.setattr(ideals, "mul", counting_mul)
+        misses = 0
+        for f_text, strategy in self.FIELDS:
+            i, j = self.ideals(f_text, strategy, 0)
+            ok, x, y = weak_equivalence_data(i, j)
+            assert ok
+            g = generators(x)[0]
+            rows = (y.basis @ i.field.mult_matrix(g)).entries
+            first_try = IdealLattice(i.field, rows, x.den * y.den).contains_one()
+            products.clear()
+            assert verify_weak_witnesses(i, j, x, y)
+            assert products == ([] if first_try else [(x, y)])
+            misses += not first_try
+        assert misses > 0
+
+    def test_agrees_with_the_product_check_on_every_single_entry_edit(self, corpus60):
+        # every edited witness that passes the definition also passes the
+        # product check x * j == i and y * i == j (a rank collapse is
+        # malformed before either runs)
+        edits = accepted = 0
+        for a, b, _, _ in corpus60[::3]:
+            i = ideal_of_matrix(a)
+            j = ideal_of_matrix(b, i.field)
+            ok, x, y = weak_equivalence_data(i, j)
+            if not ok:
+                continue
+            assert verify_weak_witnesses(i, j, x, y)
+            for which, w in (("x", x), ("y", y)):
+                rows, den = w.basis.to_lists(), w.den
+                variants = [(rows, den + d) for d in (1, -1, den) if den + d > 0]
+                for r, c in itertools.product(range(len(rows)), range(len(rows[0]))):
+                    for delta in (1, 2, -1):
+                        edited = [list(row) for row in rows]
+                        edited[r][c] += delta
+                        variants.append((edited, den))
+                for edited, d in variants:
+                    try:
+                        lat = IdealLattice(i.field, edited, d)
+                    except ValueError:
+                        continue
+                    x2, y2 = (lat, y) if which == "x" else (x, lat)
+                    edits += 1
+                    if verify_weak_witnesses(i, j, x2, y2):
+                        accepted += 1
+                        assert mul(x2, j) == i and mul(y2, i) == j
+        assert edits > 500 and accepted < edits
 
 
 class TestArithEquiv:
