@@ -18,13 +18,31 @@ from the same table, reads every other one and writes all help and usage
 errors.
 
 Every command runs once per process, so its fixed cost counts as much as
-its mathematics on small inputs.  Files are read and written with `open()`
-in text mode, closed by `with`, without importing pathlib.  The digest of a
-matrix hashes its canonical JSON text, built directly with `str.join`
-rather than by a `JSONEncoder` made for each call.  Reports are printed by
-one small writer (`_json_text`), byte for byte `json.dumps(payload,
-indent=2)`: CPython's C encoder does not take `indent`, so json.dumps would
-run its generator-based pure-Python encoder on every report.
+its mathematics on small inputs, and in a fresh process the first touch of
+each object costs more than the work it does.  Costs below are medians
+measured cold, in children forked from a process that imported the
+package, on `verify` runs rejected on a digest, the median operation of the
+benchmark's verify-reports workload (2-vCPU container, Python 3.11):
+- the table `_parse_strict` reads (`_STRICT`) is built once per process, at
+  import, and names each handler, looked up on the module when it runs, so
+  that a wrapper installed on `cmd_*` still runs; rebuilding `_commands()`
+  for each command line made a cold parse cost 0.39 ms, against 0.22 ms now;
+- matrix files and reports are read by one helper (`_read_text`) as bytes,
+  with os.read, and decoded once in the encoding text-mode open() uses,
+  with its newline translation, but without a TextIOWrapper and its decoder
+  for each file: the three files of a `verify` take 0.23 ms cold, against
+  0.40 ms by open();
+- a text matrix's entries, which int() made, are wrapped without
+  IntMatrix's second check (0.17 ms against 0.22 ms for the two matrices);
+  JSON entries keep the check, which refuses floats and strings.
+
+Files are written with `open()` in text mode, closed by `with`, without
+importing pathlib.  The digest of a matrix hashes its canonical JSON text,
+built directly with `str.join` rather than by a `JSONEncoder` made for each
+call.  Reports are printed by one small writer (`_json_text`), byte for
+byte `json.dumps(payload, indent=2)`: CPython's C encoder does not take
+`indent`, so json.dumps would run its generator-based pure-Python encoder
+on every report.
 """
 
 from __future__ import annotations
@@ -32,10 +50,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from errno import EISDIR
 from json.encoder import encode_basestring_ascii as _quote
+from locale import getpreferredencoding
 from operator import index
+from stat import S_ISDIR
+from types import SimpleNamespace
 
 from .bridge import ideal_of_matrix
 from .conjugacy import (
@@ -87,16 +110,47 @@ def _json_rows(rows):
     return rows
 
 
+# the encoding text-mode open() decodes with: the locale's, fixed at start-up,
+# or UTF-8 in UTF-8 mode
+_ENCODING = getpreferredencoding(False)
+
+
+def _read_text(path: str) -> str:
+    """The text `open(path).read()` returns, without its TextIOWrapper: the
+    file's bytes, read with os.read, decoded once in open()'s encoding, and
+    '\\r\\n' and '\\r' read as '\\n'.  A missing path, a directory and
+    undecodable bytes raise the OSError or UnicodeDecodeError, with the
+    message, that open() and read() raise."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        st = os.fstat(fd)
+        if S_ISDIR(st.st_mode):
+            # os.open opens a directory; open() refuses it, naming the path
+            raise IsADirectoryError(EISDIR, os.strerror(EISDIR), path)
+        data = os.read(fd, st.st_size + 1)
+        if len(data) != st.st_size:
+            # a pipe, or a file whose size changed: read to the end
+            chunks = [data]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
+    text = data.decode(_ENCODING)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_matrix(path: str) -> IntMatrix:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         # bytes that are not text in the locale's encoding are unreadable input
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
+    is_json = text.lstrip().startswith("{")
     try:
-        if stripped.startswith("{"):
+        if is_json:
             data = json.loads(text)
             n = _json_int(data["n"])
             rows = _json_rows(data["rows"])
@@ -111,7 +165,8 @@ def read_matrix(path: str) -> IntMatrix:
             rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("row/column count mismatch")
-        return IntMatrix(rows)
+        # int() made every text entry; IntMatrix checks the JSON ones
+        return IntMatrix(rows) if is_json else IntMatrix._of(rows)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         # json.loads raises RecursionError on arrays nested too deep to
         # decode, and ValueError on an integer of too many digits
@@ -427,8 +482,7 @@ def cmd_gen(args) -> int:
 
 def _load_report(path: str) -> dict:
     try:
-        with open(path) as fh:
-            report = json.loads(fh.read())
+        report = json.loads(_read_text(path))
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers undecodable bytes, invalid JSON and an integer
         # of too many digits; RecursionError, nesting too deep to decode
@@ -717,6 +771,16 @@ def _commands() -> tuple:
     return tuple((name, text, args + _FORMAT, fn) for name, text, args, fn in table)
 
 
+# `_parse_strict`'s view of the table, built once per process: name ->
+# (arguments, the options by long flag, the handler's name).  The handler is
+# looked up by name on each call, so a wrapper installed on the module runs.
+_STRICT = {
+    name: (arguments, {arg: kw for arg, kw in arguments if arg.startswith("-")},
+           handler.__name__)
+    for name, _, arguments, handler in _commands()
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every subcommand in the table."""
     parser = argparse.ArgumentParser(
@@ -733,10 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace `build_parser().parse_args(argv)` returns, read from the
-    command table without argparse, whose first use in a process costs more
-    than the rest of a `verify`; None when argparse has to read argv.
+def _parse_strict(argv: list[str]) -> SimpleNamespace | None:
+    """A namespace with the attributes `build_parser().parse_args(argv)`
+    gives, read from the command table (`_STRICT`) without argparse, whose
+    first use in a process costs more than the rest of a `verify`; None when
+    argparse has to read argv.
 
     Accepted: a subcommand name, then tokens each of which is a positional
     that does not start with '-' or an exact long option of that subcommand,
@@ -746,11 +811,10 @@ def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
     (help, abbreviations, '--opt=v', '--', repeats, values starting with
     '-', usage errors) is argparse's to parse or to explain.
     """
-    entry = next((c for c in _commands() if argv and c[0] == argv[0]), None)
+    entry = _STRICT.get(argv[0]) if argv else None
     if entry is None:
         return None
-    name, _, arguments, handler = entry
-    options = {arg: kwargs for arg, kwargs in arguments if arg.startswith("-")}
+    arguments, options, handler = entry
     given: dict[str, object] = {}
     positionals: list[str] = []
     tokens = iter(argv[1:])
@@ -775,7 +839,7 @@ def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         given[token] = value
-    args = argparse.Namespace(command=name)
+    args = SimpleNamespace(command=argv[0])
     for arg, kwargs in arguments:
         if arg in options:
             if arg in given:
@@ -795,7 +859,7 @@ def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
             return None
     if positionals:
         return None
-    args.func = handler
+    args.func = globals()[handler]
     return args
 
 

@@ -263,14 +263,18 @@ def _products_inside(
 
 def _product_contains_one(x: IdealLattice, y: IdealLattice) -> bool:
     """True iff 1 lies in x * y.  It is looked for first in the sublattice
-    spanned by g * y for g in S(x), which is x * y when x and y are
-    beta-stable, and only on a miss in all n^2 products (`mul`)."""
+    spanned by g * y for g in S(x).  That sublattice is x * y when x and y
+    are beta-stable, so a miss settles the answer for them; only for other
+    x or y is 1 then looked for in all n^2 products (`mul`)."""
     field = x.field
     rows = [
         r for g in _module_generators(x) for r in (y.basis @ field.mult_matrix(g)).entries
     ]
-    sublattice = IdealLattice(field, rows, x.den * y.den)
-    return sublattice.contains_one() or mul(x, y).contains_one()
+    if IdealLattice(field, rows, x.den * y.den).contains_one():
+        return True
+    if x.is_stable_under_beta() and y.is_stable_under_beta():
+        return False
+    return mul(x, y).contains_one()
 
 
 def verify_weak_witnesses(

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,54 @@ class TestStrictParser:
         capsys.readouterr()
 
 
+class TestCommandTable:
+    """`_parse_strict` reads a table built once at import (`cli._STRICT`)
+    and looks each handler up by name on the module when it runs."""
+
+    @staticmethod
+    def well_formed(name, arguments):
+        argv = [name]
+        for arg, kwargs in arguments:
+            if kwargs.get("required") or not arg.startswith("-"):
+                argv += [arg, "5"] if arg.startswith("-") else ["5"]
+        return argv
+
+    def test_well_formed_lines_build_no_table(self, classic_files, monkeypatch, capsys):
+        built = []
+        table = cli._commands
+
+        def counting():
+            built.append(1)
+            return table()
+
+        monkeypatch.setattr(cli, "_commands", counting)
+        for name, _, arguments, _ in table():
+            assert _parse_strict(self.well_formed(name, arguments)) is not None
+        pa, pb = classic_files
+        assert main(["conj-p", pa, pb, "--prime", "3"]) == 0
+        assert main(["weak-equiv", "--format", "text", pa, pb]) == 0
+        capsys.readouterr()
+        assert built == []
+        # the counter does see the table argparse is built from
+        build_parser()
+        assert built == [1]
+
+    def test_a_wrapper_installed_after_import_runs(self, classic_files, monkeypatch, capsys):
+        calls = []
+        handler = cli.cmd_conj_p
+
+        def wrapper(args):
+            calls.append(args.prime)
+            return handler(args)
+
+        monkeypatch.setattr(cli, "cmd_conj_p", wrapper)
+        pa, pb = classic_files
+        assert _parse_strict(["conj-p", pa, pb, "--prime", "3"]).func is wrapper
+        assert main(["conj-p", pa, pb, "--prime", "3"]) == 0
+        assert calls == [3]
+        assert json.loads(capsys.readouterr().out)["verdict"]["conjugate"] is True
+
+
 # every check a user's file or flag can trip, one call each
 REDUCIBLE = IntMatrix([[1, 0], [0, 2]])
 PRECONDITIONS = {
@@ -580,6 +629,170 @@ class TestDocumentedExitOne:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message} {bad}: ")
         assert captured.err.count("\n") == 1
+
+
+def _read_by_open(path) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def _outcome(read, path) -> tuple:
+    """What read(path) returns, or the type and message of what it raises."""
+    try:
+        return ("text", read(path))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+# a file's bytes (None: the path is missing, DIRECTORY: it is a directory),
+# the command reading it as a matrix or as a report, and the exit code and
+# stderr text-mode open() gave, {p} standing for the path and {r} for its repr
+DIRECTORY = "directory"
+READER_CASES = {
+    "CRLF text matrix": (b"2\r\n0 1\r\n-3 0\r\n", "charpoly", 0, ""),
+    "CR text matrix": (b"2\r0 1\r-3 0\r", "charpoly", 0, ""),
+    "CRLF JSON matrix": (b'{"n": 2,\r\n "rows": [[0, 1], [-3, 0]]}\r\n', "charpoly", 0, ""),
+    "CRLF JSON matrix with a syntax error": (
+        b'{"n": 2,\r\n"rows": [[0, 1], [-3, 0]],\r\n}', "charpoly", 1,
+        "error: cannot parse matrix file {p}: Expecting property name enclosed in "
+        "double quotes: line 3 column 1 (char 36)\n",
+    ),
+    "CRLF report with a syntax error": (
+        b'{\r\n"command": "conj-p",\r\n"prime": x}\r\n', "verify", 1,
+        "error: cannot read report {p}: Expecting value: line 3 column 10 (char 32)\n",
+    ),
+    "no final newline": (b"2\n0 1\n-3 0", "charpoly", 0, ""),
+    "empty file": (b"", "charpoly", 1, "error: cannot parse matrix file {p}: empty file\n"),
+    "empty report": (
+        b"", "verify", 1,
+        "error: cannot read report {p}: Expecting value: line 1 column 1 (char 0)\n",
+    ),
+    "undecodable bytes": (
+        b"2\n0 1\n-3 \xff0\n", "charpoly", 1,
+        "error: cannot read {p}: 'utf-8' codec can't decode byte 0xff in position 9: "
+        "invalid start byte\n",
+    ),
+    "undecodable report": (
+        b'{"command": "\xc3("}', "verify", 1,
+        "error: cannot read report {p}: 'utf-8' codec can't decode byte 0xc3 in "
+        "position 13: invalid continuation byte\n",
+    ),
+    "missing path": (
+        None, "charpoly", 1,
+        "error: cannot read {p}: [Errno 2] No such file or directory: {r}\n",
+    ),
+    "missing report": (
+        None, "verify", 1,
+        "error: cannot read report {p}: [Errno 2] No such file or directory: {r}\n",
+    ),
+    "directory": (
+        DIRECTORY, "charpoly", 1, "error: cannot read {p}: [Errno 21] Is a directory: {r}\n",
+    ),
+    "directory report": (
+        DIRECTORY, "verify", 1,
+        "error: cannot read report {p}: [Errno 21] Is a directory: {r}\n",
+    ),
+}
+
+
+class TestReader:
+    """Matrix files and reports are read as bytes by one helper
+    (`cli._read_text`) and decoded once in the encoding of text-mode open();
+    exit codes, stderr and the parsed matrices are as open() gave them."""
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_exit_code_and_stderr(self, case, classic_files, tmp_path, capsys):
+        data, command, code, err = READER_CASES[case]
+        if "undecodable" in case and cli._ENCODING.lower().replace("_", "-") not in (
+            "utf-8", "utf8"
+        ):
+            pytest.skip("the pinned message is UTF-8's")
+        pa, pb = classic_files
+        path = tmp_path / "input"
+        if data == DIRECTORY:
+            path.mkdir()
+        elif data is not None:
+            path.write_bytes(data)
+        argv = ["charpoly", str(path)] if command == "charpoly" else [
+            "verify", str(path), pa, pb]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == err.format(p=path, r=repr(str(path)))
+        assert (captured.out == "") == bool(code)
+
+    def test_crlf_report_verifies(self, classic_files, tmp_path, capsys):
+        pa, pb = classic_files
+        text = json.dumps(conj_p_report(CLASSIC_A, CLASSIC_B, pa, pb, 3), indent=2)
+        path = tmp_path / "report.json"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert main(["verify", str(path), pa, pb]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["reason"] == "certificate verified"
+
+    @pytest.mark.parametrize("data", [
+        b"", b"x", b"2\n0 1\n-3 0", b"a\r\nb\rc\n", b"\r", b"\r\r\n\n\r",
+        "\u00e9\u2603 \u0667\n".encode(), b"\xef\xbb\xbf1 2", b"\xff", b"ab\xc3(", None,
+        DIRECTORY,
+    ], ids=repr)
+    def test_text_is_what_open_reads(self, data, tmp_path):
+        path = tmp_path / "input"
+        if data == DIRECTORY:
+            path.mkdir()
+        elif data is not None:
+            path.write_bytes(data)
+        assert _outcome(cli._read_text, str(path)) == _outcome(_read_by_open, str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_to_its_end(self, tmp_path):
+        # fstat gives a pipe no size: the reader reads on to the end, here
+        # through more than one 64 KiB read
+        want = IntMatrix([[(i * 97 + j) * 10**8 - i for j in range(100)] for i in range(100)])
+        text = "100\n" + "\n".join(" ".join(map(str, r)) for r in want.entries) + "\n"
+        assert len(text) > 65536
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            assert read_matrix(str(fifo)) == want
+        finally:
+            writer.join(10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("rows", [
+        [[0]], [[-7]], [[0, 1], [-3, 0]], [[2**64, -(2**70)], [3, -1]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, -9]],
+    ])
+    def test_text_and_json_give_the_checked_matrix(self, rows, tmp_path):
+        want = IntMatrix(rows)
+        for fmt in ("text", "json"):
+            path = tmp_path / f"m.{fmt}"
+            write_matrix(str(path), want, fmt)
+            got = read_matrix(str(path))
+            assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+            assert type(got.entries) is tuple
+            assert all(type(r) is tuple for r in got.entries)
+            assert all(type(x) is int for r in got.entries for x in r)
+
+    def test_text_entries_read_by_int(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(" 2\t\n+0   1_0\n-3\n 0\n\n")
+        assert read_matrix(str(path)) == IntMatrix([[0, 10], [-3, 0]])
+
+    @pytest.mark.parametrize("entry", ["1.0", "1e3", "true", "false", '"1"'])
+    def test_json_non_integer_entry_refused(self, entry, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 2, "rows": [[%s, 0], [0, 1]]}' % entry)
+        with pytest.raises(cli.ParseFailure, match="must be integers"):
+            read_matrix(str(path))
+
+    @pytest.mark.parametrize("entry", ["1.0", "1e3", "true", "0x1"])
+    def test_text_non_integer_entry_refused(self, entry, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2\n{entry} 0\n0 1\n")
+        with pytest.raises(cli.ParseFailure, match="invalid literal for int"):
+            read_matrix(str(path))
 
 
 class TestReportWriter:

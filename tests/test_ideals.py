@@ -443,6 +443,19 @@ class TestWitnessCheck:
         rows = [r for g in ideals._module_generators(lat) for r in field.mult_matrix(g).entries]
         return IdealLattice(field, rows, lat.den)
 
+    @pytest.fixture()
+    def products(self, monkeypatch):
+        """The (x, y) of every `ideals.mul` call, in order."""
+        full = ideals.mul
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return full(a, b)
+
+        monkeypatch.setattr(ideals, "mul", counting_mul)
+        return calls
+
     @given(case=st.sampled_from(FIELDS), seed=st.integers(0, 40))
     @settings(max_examples=12, deadline=None)
     def test_generators_span_the_lattice(self, case, seed):
@@ -475,28 +488,56 @@ class TestWitnessCheck:
         assert not ideals._products_inside(i, half, j)
         assert not verify_weak_witnesses(i, j, half, y)
 
-    def test_doubled_x_passes_the_inclusion_but_misses_one(self):
+    def test_doubled_x_passes_the_inclusion_but_misses_one(self, products):
         i, j = self.ideals("t^6-2", "unimodular", 1)
         _, x, y = weak_equivalence_data(i, j)
         doubled = IdealLattice(i.field, [[2 * v for v in r] for r in x.basis.entries], x.den)
         assert ideals._products_inside(i, doubled, j)
         assert ideals._products_inside(j, y, i)
+        products.clear()
         assert not ideals._product_contains_one(doubled, y)
         assert not verify_weak_witnesses(i, j, doubled, y)
+        # 2x and y are beta-stable, so the miss is settled without `mul`
+        assert products == []
 
-    def test_fallback_is_exact(self, monkeypatch):
-        # with S cut to its first row the sublattice of (2) can miss 1, and
-        # then the n^2 products must find it
+    @pytest.mark.parametrize("f_text,strategy", FIELDS)
+    def test_beta_stable_witnesses_take_no_products(self, f_text, strategy, products):
+        # genuine witnesses are colon ideals, so beta-stable: they are
+        # accepted, and 2x, which passes (1) and misses 1, is rejected,
+        # both without the n^2 products
+        i, j = self.ideals(f_text, strategy, 0)
+        ok, x, y = weak_equivalence_data(i, j)
+        assert ok
+        doubled = IdealLattice(i.field, [[2 * v for v in r] for r in x.basis.entries], x.den)
+        assert doubled.is_stable_under_beta() and y.is_stable_under_beta()
+        products.clear()
+        assert verify_weak_witnesses(i, j, x, y)
+        assert not verify_weak_witnesses(i, j, doubled, y)
+        assert products == []
+
+    def test_unstable_witness_reaches_the_fallback(self, K, S, products):
+        # x = 2Z + (1 + 2 beta)Z is not beta-stable and S(x) = {2}: the
+        # sublattice 2 Z[beta] misses 1, which x Z[beta] holds
+        # (1 = (1 + 2 beta) - 2 beta), so only the n^2 products find it
+        x = IdealLattice(K, [[2, 0], [1, 2]], 1)
+        assert not x.is_stable_under_beta()
+        assert ideals._module_generators(x) == [(2, 0)]
+        products.clear()
+        assert ideals._product_contains_one(x, S)
+        assert products == [(x, S)]
+        # x * 2 Z[beta] misses 1 as well, and the products settle that too
+        two = IdealLattice(K, [[2, 0], [0, 2]], 1)
+        products.clear()
+        assert not ideals._product_contains_one(x, two)
+        assert products == [(x, two)]
+
+    def test_fallback_is_exact(self, monkeypatch, products):
+        # with S cut to its first row the sublattice of (2) can miss 1; a
+        # miss settles the answer only for beta-stable x and y, so with the
+        # stability test answering no the n^2 products must find 1
         generators = ideals._module_generators
-        full = ideals.mul
-        products = []
-
-        def counting_mul(a, b):
-            products.append((a, b))
-            return full(a, b)
-
         monkeypatch.setattr(ideals, "_module_generators", lambda lat: generators(lat)[:1])
-        monkeypatch.setattr(ideals, "mul", counting_mul)
+        monkeypatch.setattr(IdealLattice, "is_stable_under_beta", lambda lat: False)
         misses = 0
         for f_text, strategy in self.FIELDS:
             i, j = self.ideals(f_text, strategy, 0)
