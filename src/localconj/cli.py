@@ -23,17 +23,13 @@ each object costs more than the work it does.  Costs below are medians
 measured cold, in children forked from a process that imported the
 package, on `verify` runs rejected on a digest, the median operation of the
 benchmark's verify-reports workload (2-vCPU container, Python 3.11):
-- the table `_parse_strict` reads (`_STRICT`) is built once per process, at
-  import, and names each handler, looked up on the module when it runs, so
-  that a wrapper installed on `cmd_*` still runs; rebuilding `_commands()`
-  for each command line made a cold parse cost 0.39 ms, against 0.22 ms now;
 - matrix files and reports are read by one helper (`_read_text`) as bytes,
-  with os.read, and decoded once in the encoding text-mode open() uses,
-  with its newline translation, but without a TextIOWrapper and its decoder
-  for each file: the three files of a `verify` take 0.23 ms cold, against
-  0.40 ms by open();
+  unbuffered, and decoded once in the encoding text-mode open() uses, with
+  its newline translation, but without a TextIOWrapper and its decoder for
+  each file: the three files of a `verify` take 0.18 ms cold, against
+  0.28 ms by open();
 - a text matrix's entries, which int() made, are wrapped without
-  IntMatrix's second check (0.17 ms against 0.22 ms for the two matrices);
+  IntMatrix's second check (0.12 ms against 0.16 ms for the two matrices);
   JSON entries keep the check, which refuses floats and strings.
 
 Files are written with `open()` in text mode, closed by `with`, without
@@ -50,15 +46,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from errno import EISDIR
 from json.encoder import encode_basestring_ascii as _quote
 from locale import getpreferredencoding
 from operator import index
-from stat import S_ISDIR
-from types import SimpleNamespace
 
 from .bridge import ideal_of_matrix
 from .conjugacy import (
@@ -117,25 +109,12 @@ _ENCODING = getpreferredencoding(False)
 
 def _read_text(path: str) -> str:
     """The text `open(path).read()` returns, without its TextIOWrapper: the
-    file's bytes, read with os.read, decoded once in open()'s encoding, and
+    file's bytes, read unbuffered, decoded once in open()'s encoding, and
     '\\r\\n' and '\\r' read as '\\n'.  A missing path, a directory and
     undecodable bytes raise the OSError or UnicodeDecodeError, with the
     message, that open() and read() raise."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        st = os.fstat(fd)
-        if S_ISDIR(st.st_mode):
-            # os.open opens a directory; open() refuses it, naming the path
-            raise IsADirectoryError(EISDIR, os.strerror(EISDIR), path)
-        data = os.read(fd, st.st_size + 1)
-        if len(data) != st.st_size:
-            # a pipe, or a file whose size changed: read to the end
-            chunks = [data]
-            while chunks[-1]:
-                chunks.append(os.read(fd, 1 << 16))
-            data = b"".join(chunks)
-    finally:
-        os.close(fd)
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     text = data.decode(_ENCODING)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -771,16 +750,6 @@ def _commands() -> tuple:
     return tuple((name, text, args + _FORMAT, fn) for name, text, args, fn in table)
 
 
-# `_parse_strict`'s view of the table, built once per process: name ->
-# (arguments, the options by long flag, the handler's name).  The handler is
-# looked up by name on each call, so a wrapper installed on the module runs.
-_STRICT = {
-    name: (arguments, {arg: kw for arg, kw in arguments if arg.startswith("-")},
-           handler.__name__)
-    for name, _, arguments, handler in _commands()
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every subcommand in the table."""
     parser = argparse.ArgumentParser(
@@ -797,11 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_strict(argv: list[str]) -> SimpleNamespace | None:
-    """A namespace with the attributes `build_parser().parse_args(argv)`
-    gives, read from the command table (`_STRICT`) without argparse, whose
-    first use in a process costs more than the rest of a `verify`; None when
-    argparse has to read argv.
+def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read from the
+    command table without argparse, whose first use in a process costs more
+    than the rest of a `verify`; None when argparse has to read argv.
 
     Accepted: a subcommand name, then tokens each of which is a positional
     that does not start with '-' or an exact long option of that subcommand,
@@ -811,10 +779,11 @@ def _parse_strict(argv: list[str]) -> SimpleNamespace | None:
     (help, abbreviations, '--opt=v', '--', repeats, values starting with
     '-', usage errors) is argparse's to parse or to explain.
     """
-    entry = _STRICT.get(argv[0]) if argv else None
+    entry = next((c for c in _commands() if argv and c[0] == argv[0]), None)
     if entry is None:
         return None
-    arguments, options, handler = entry
+    name, _, arguments, handler = entry
+    options = {arg: kwargs for arg, kwargs in arguments if arg.startswith("-")}
     given: dict[str, object] = {}
     positionals: list[str] = []
     tokens = iter(argv[1:])
@@ -839,7 +808,7 @@ def _parse_strict(argv: list[str]) -> SimpleNamespace | None:
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         given[token] = value
-    args = SimpleNamespace(command=argv[0])
+    args = argparse.Namespace(command=name)
     for arg, kwargs in arguments:
         if arg in options:
             if arg in given:
@@ -859,7 +828,7 @@ def _parse_strict(argv: list[str]) -> SimpleNamespace | None:
             return None
     if positionals:
         return None
-    args.func = globals()[handler]
+    args.func = handler
     return args
 
 

@@ -404,36 +404,8 @@ class TestStrictParser:
 
 
 class TestCommandTable:
-    """`_parse_strict` reads a table built once at import (`cli._STRICT`)
-    and looks each handler up by name on the module when it runs."""
-
-    @staticmethod
-    def well_formed(name, arguments):
-        argv = [name]
-        for arg, kwargs in arguments:
-            if kwargs.get("required") or not arg.startswith("-"):
-                argv += [arg, "5"] if arg.startswith("-") else ["5"]
-        return argv
-
-    def test_well_formed_lines_build_no_table(self, classic_files, monkeypatch, capsys):
-        built = []
-        table = cli._commands
-
-        def counting():
-            built.append(1)
-            return table()
-
-        monkeypatch.setattr(cli, "_commands", counting)
-        for name, _, arguments, _ in table():
-            assert _parse_strict(self.well_formed(name, arguments)) is not None
-        pa, pb = classic_files
-        assert main(["conj-p", pa, pb, "--prime", "3"]) == 0
-        assert main(["weak-equiv", "--format", "text", pa, pb]) == 0
-        capsys.readouterr()
-        assert built == []
-        # the counter does see the table argparse is built from
-        build_parser()
-        assert built == [1]
+    """`_parse_strict` reads the handlers from `_commands()` on each call, so
+    a wrapper installed on the module after import is the one that runs."""
 
     def test_a_wrapper_installed_after_import_runs(self, classic_files, monkeypatch, capsys):
         calls = []
@@ -743,10 +715,19 @@ class TestReader:
             path.write_bytes(data)
         assert _outcome(cli._read_text, str(path)) == _outcome(_read_by_open, str(path))
 
+    @pytest.mark.parametrize("data", [b"2\n0 1\n-3 \xe90\n", b"\xff\xfe\r\n\x80", b""], ids=repr)
+    def test_text_is_what_open_reads_in_another_encoding(self, data, tmp_path, monkeypatch):
+        # the decode follows `_ENCODING`, as open() follows the locale
+        monkeypatch.setattr(cli, "_ENCODING", "latin-1")
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with open(path, encoding="latin-1") as fh:
+            assert cli._read_text(str(path)) == fh.read()
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_pipe_is_read_to_its_end(self, tmp_path):
-        # fstat gives a pipe no size: the reader reads on to the end, here
-        # through more than one 64 KiB read
+        # a pipe has no size to read up front: it is read on to its end,
+        # here more than 64 KiB
         want = IntMatrix([[(i * 97 + j) * 10**8 - i for j in range(100)] for i in range(100)])
         text = "100\n" + "\n".join(" ".join(map(str, r)) for r in want.entries) + "\n"
         assert len(text) > 65536
